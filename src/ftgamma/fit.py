@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,16 +35,36 @@ _LOG_RHO_MAX = math.log(700.0)
 @dataclass(frozen=True)
 class SufficientStats:
     """Sample means of r = 1 + x/sigma and s = log(1 + x/sigma), with the
-    sigma-derivatives of both means (used by the score and information)."""
+    sigma-derivatives of both means (used by the score and information).
+
+    The two sigma-derivatives of s_bar each take a pass over the sample, so
+    they are computed on first use: a likelihood value needs only the
+    log1p pass behind s_bar.
+    """
 
     sigma: float
     n: int
     r_bar: float
     s_bar: float
     r_bar_sigma: float
-    s_bar_sigma: float
     r_bar_sigma_sigma: float
-    s_bar_sigma_sigma: float
+    x: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def s_bar_sigma(self) -> float:
+        return -float((self.x / (self.sigma + self.x)).mean()) / self.sigma
+
+    @cached_property
+    def s_bar_sigma_sigma(self) -> float:
+        x, sigma = self.x, self.sigma
+        return float((x * (2.0 * sigma + x) / (sigma * (sigma + x)) ** 2).mean())
+
+
+def _mean_log1p(x: np.ndarray, sigma: float) -> float:
+    """mean(log(1 + x/sigma)), in one scratch array the size of x."""
+    r = x / sigma
+    np.log1p(r, out=r)
+    return float(r.mean())
 
 
 def sufficient_stats(sample, sigma: float) -> SufficientStats:
@@ -51,24 +72,33 @@ def sufficient_stats(sample, sigma: float) -> SufficientStats:
         raise ValueError("sigma must be > 0")
     x = Sample.coerce(sample).values
     xbar = float(x.mean())
-    ratio = x / sigma
-    denom = sigma + x
     return SufficientStats(
         sigma=sigma,
         n=x.size,
         r_bar=1.0 + xbar / sigma,
-        s_bar=float(np.log1p(ratio).mean()),
+        s_bar=_mean_log1p(x, sigma),
         r_bar_sigma=-xbar / sigma**2,
-        s_bar_sigma=-float((x / denom).mean()) / sigma,
         r_bar_sigma_sigma=2.0 * xbar / sigma**3,
-        s_bar_sigma_sigma=float((x * (2.0 * sigma + x) / (sigma * denom) ** 2).mean()),
+        x=x,
     )
+
+
+def _stats(sample, sigma: float) -> SufficientStats:
+    """Statistics of a sample at sigma; already computed ones pass through."""
+    if isinstance(sample, SufficientStats):
+        if sample.sigma != sigma:
+            raise ValueError(f"statistics are for sigma={sample.sigma}, not {sigma}")
+        return sample
+    return sufficient_stats(sample, sigma)
 
 
 # --------------------------------------------------------------- likelihoods
 def loglik_ftg(sample, alpha: float, sigma: float, rho: float) -> float:
-    """FTG log-likelihood in the (alpha, sigma, rho) parameterization."""
-    st = sufficient_stats(sample, sigma)
+    """FTG log-likelihood in the (alpha, sigma, rho) parameterization.
+
+    Like every function here that takes (sample, sigma), it accepts the
+    sample's SufficientStats at that sigma in place of the sample."""
+    st = _stats(sample, sigma)
     return _loglik_from_stats(st, alpha, rho)
 
 
@@ -86,7 +116,7 @@ def _loglik_from_stats(st: SufficientStats, alpha: float, rho: float) -> float:
 def loglik_pareto(sample, alpha: float, sigma: float) -> float:
     if alpha >= 0.0:
         raise ValueError("Pareto alpha must be < 0")
-    st = sufficient_stats(sample, sigma)
+    st = _stats(sample, sigma)
     return st.n * (math.log(-alpha) - math.log(sigma) + (alpha - 1.0) * st.s_bar)
 
 
@@ -109,7 +139,7 @@ def loglik_sample_free(n: int, alpha: float, sigma: float, rho: float) -> float:
 
 def score_ftg(sample, alpha: float, sigma: float, rho: float):
     """Score vector (l_alpha, l_sigma, l_rho)."""
-    st = sufficient_stats(sample, sigma)
+    st = _stats(sample, sigma)
     ev = inc_gamma_eval(alpha, rho)
     return _score_from_stats(st, ev, alpha, rho)
 
@@ -125,7 +155,7 @@ def _score_from_stats(st: SufficientStats, ev, alpha: float, rho: float):
 def observed_information(sample, alpha: float, sigma: float, rho: float) -> np.ndarray:
     """Observed information (negative Hessian of the log-likelihood), 3x3,
     in the order (alpha, sigma, rho)."""
-    st = sufficient_stats(sample, sigma)
+    st = _stats(sample, sigma)
     ev = inc_gamma_eval(alpha, rho)
     return _information_from_stats(st, ev, alpha, rho)
 
@@ -150,7 +180,7 @@ def _information_from_stats(st: SufficientStats, ev, alpha: float, rho: float) -
 
 def pareto_observed_information(sample, alpha: float, sigma: float) -> np.ndarray:
     """2x2 observed information of the Pareto likelihood, order (alpha, sigma)."""
-    st = sufficient_stats(sample, sigma)
+    st = _stats(sample, sigma)
     n = st.n
     return n * np.array(
         [
@@ -283,7 +313,7 @@ def inner_solve(sample, sigma: float, warm_start: tuple[float, float] | None = N
     Raises InnerBoundaryError when no interior root exists (the supremum is
     the Pareto limit), and FitError on outright non-convergence.
     """
-    st = sufficient_stats(sample, sigma)
+    st = _stats(sample, sigma)
     _check_interior_exists(st)
     return _inner_solve_stats(st, warm_start, tol, max_iter)
 
@@ -493,7 +523,7 @@ def fit_pareto(sample) -> FitResult:
 
     def neg_profile(log_sigma: float) -> float:
         sigma = math.exp(log_sigma)
-        s_bar = float(np.log1p(x / sigma).mean())
+        s_bar = _mean_log1p(x, sigma)
         return -n * (-math.log(s_bar) - log_sigma - 1.0 - s_bar)
 
     lo, hi = math.log(xbar) - 4.0 * math.log(10.0), math.log(xbar) + 4.0 * math.log(10.0)
@@ -505,19 +535,18 @@ def fit_pareto(sample) -> FitResult:
             break
         # light-tailed data pushes sigma (and -alpha) to infinity along the
         # exponential limit; past any practical tail weight, stop chasing it
-        if -1.0 / float(np.log1p(x / math.exp(res.x)).mean()) < -1e4:
+        if -1.0 / _mean_log1p(x, math.exp(res.x)) < -1e4:
             break
         lo, hi = lo - 4.0, hi + 4.0
     sigma = math.exp(res.x)
-    s_bar = float(np.log1p(x / sigma).mean())
-    alpha = -1.0 / s_bar
-    ll = loglik_pareto(smp, alpha, sigma)
     st = sufficient_stats(smp, sigma)
+    alpha = -1.0 / st.s_bar
+    ll = loglik_pareto(st, alpha, sigma)
     score = (
         n * (1.0 / alpha + st.s_bar),
         n * (-1.0 / sigma + (alpha - 1.0) * st.s_bar_sigma),
     )
-    info = pareto_observed_information(smp, alpha, sigma)
+    info = pareto_observed_information(st, alpha, sigma)
     jac = np.diag([1.0, sigma])
     info_log = jac @ info @ jac
     score_norm = max(abs(score[0]), abs(score[1]))
@@ -608,29 +637,26 @@ class _Profile:
         self.cache: dict[float, tuple[float, float]] = {}
         self.best: tuple[float, float] | None = None  # (value, log_sigma)
 
-    def solve(self, log_sigma: float, start=None):
+    def solve(self, log_sigma: float, start=None, st: SufficientStats | None = None):
         sigma = math.exp(log_sigma)
         if start is None and self.cache:
             nearest = min(self.cache, key=lambda k: abs(k - log_sigma))
             start = self.cache[nearest]
-        a, r, _ = inner_solve(self.smp, sigma, warm_start=start)
+        a, r, _ = inner_solve(self.smp if st is None else st, sigma, warm_start=start)
         self.cache[log_sigma] = (a, r)
         return a, r
 
-    def pareto_value(self, log_sigma: float) -> float:
-        x = self.smp.values
-        n = x.size
-        s_bar = float(np.log1p(x / math.exp(log_sigma)).mean())
-        return n * (-math.log(s_bar) - log_sigma - 1.0 - s_bar)
-
     def value(self, log_sigma: float, start=None) -> float:
+        # one statistics pass serves the inner solve and the value
+        st = sufficient_stats(self.smp, math.exp(log_sigma))
         try:
-            a, r = self.solve(log_sigma, start)
+            a, r = self.solve(log_sigma, start, st)
         except InnerBoundaryError:
-            return self.pareto_value(log_sigma)
+            # Pareto profile value, at its closed-form alpha = -1/s_bar
+            return st.n * (-math.log(st.s_bar) - log_sigma - 1.0 - st.s_bar)
         except FitError:
             return self._SENTINEL
-        out = loglik_ftg(self.smp, a, math.exp(log_sigma), r)
+        out = loglik_ftg(st, a, st.sigma, r)
         if self.best is None or out > self.best[0]:
             self.best = (out, log_sigma)
         return out
@@ -763,12 +789,13 @@ def fit_ftg(sample) -> FitResult:
     # boundary drift checks (rho is scale-invariant): a vanishing truncation
     # parameter means the optimum lives on the Pareto (alpha < 0) or gamma
     # (alpha > 0) edge of the family
-    boundary = None
-    pareto_fit = fit_pareto(smp)
+    boundary = pareto_fit = None
     if rho < 1e-10:
         ll_here = loglik_ftg(y_smp, alpha, sigma, rho) - n * math.log(xbar)
-        if alpha < 0.0 and ll_here <= pareto_fit.loglik + 1e-6:
-            boundary = "pareto"
+        if alpha < 0.0:
+            pareto_fit = fit_pareto(smp)
+            if ll_here <= pareto_fit.loglik + 1e-6:
+                boundary = "pareto"
         elif alpha > 0.0:
             gamma_fit = fit_gamma(smp)
             if ll_here <= gamma_fit.loglik + 1e-6:
@@ -790,26 +817,12 @@ def fit_ftg(sample) -> FitResult:
     # de-standardize: alpha, rho unchanged; sigma scales with the mean
     sigma *= xbar
     params = FtgParams.from_sigma(alpha, sigma, rho)
-    ll = loglik_ftg(smp, alpha, sigma, rho)
-    score = score_ftg(smp, alpha, sigma, rho)
+    st = sufficient_stats(smp, sigma)
+    ll = loglik_ftg(st, alpha, sigma, rho)
+    score = score_ftg(st, alpha, sigma, rho)
     score_norm = max(abs(s) for s in score)
-    info = observed_information(smp, alpha, sigma, rho)
+    info = observed_information(st, alpha, sigma, rho)
     jac = np.diag([1.0, sigma, rho])
-    if boundary == "pareto":
-        return FitResult(
-            family="ftg",
-            params=params,
-            loglik=ll,
-            score_norm=score_norm,
-            observed_info=info,
-            std_errors=_std_errors(info),
-            converged=False,
-            iterations=iters,
-            standardization_factor=xbar,
-            observed_info_log=jac @ info @ jac,
-            boundary=boundary,
-            pareto_fit=pareto_fit,
-        )
     return FitResult(
         family="ftg",
         params=params,
@@ -817,10 +830,12 @@ def fit_ftg(sample) -> FitResult:
         score_norm=score_norm,
         observed_info=info,
         std_errors=_std_errors(info),
-        converged=bool(score_norm < 1e-6 * n),
+        converged=boundary is None and bool(score_norm < 1e-6 * n),
         iterations=iters,
         standardization_factor=xbar,
         observed_info_log=jac @ info @ jac,
+        boundary=boundary,
+        pareto_fit=pareto_fit if boundary else None,
     )
 
 

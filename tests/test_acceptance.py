@@ -5,9 +5,9 @@ success). Tolerances are pinned here and nowhere else.
 
 Known red: criterion 2's expected-tail-loss target (12970.6 within 5%).
 The conditional-expectation formula, verified against direct quadrature,
-gives 5100.4 at the severity 0.999 quantile (3935.9); reproducing 12970.6
+gives 5093.5 at the severity 0.999 quantile (3931.3); reproducing 12970.6
 requires evaluating it at a threshold of 11624, which matches no quantity
-the study reports (its own printed risk capital, 10820.4, gives 12157.1,
+the study reports (its own printed risk capital, 10820.4, gives 12154.5,
 still 6.3% off). The assertion is kept as stated rather than weakened.
 """
 

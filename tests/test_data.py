@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ftgamma.cli import main
 from ftgamma.data import DataError, Sample, load_external_fraud, read_dataset
 
 
@@ -67,9 +68,37 @@ class TestReadDataset:
 
     def test_bad_entries_listed(self, tmp_path):
         p = tmp_path / "x.txt"
-        p.write_text("1.0\nnan\n-2.0\noops\n")
-        with pytest.raises(DataError, match="lines 2, 3, 4"):
+        p.write_text("1.0\nnan\n-2.0\noops\n\ninf\n")
+        with pytest.raises(DataError, match=r"4 .* \(lines 2, 3, 4, 6\)"):
             read_dataset(str(p))
+
+    def test_short_csv_rows_listed(self, tmp_path, capsys):
+        p = tmp_path / "x.csv"
+        p.write_text("a,b\n1,2\n3\n4,5\n6\n")
+        with pytest.raises(DataError, match=r"\(lines 3, 5\)"):
+            read_dataset(str(p), column=1)
+        assert main(["fit", "--data", str(p), "--column", "1"]) == 2
+        assert "lines 3, 5" in capsys.readouterr().err
+
+    def test_parsing_matches_float_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.pareto(0.7, 2000), rng.random(1000) * 1e300,
+                            rng.random(1000) * 1e-300, [0.0, 0.1, 1e308]])
+        tokens = list(map(repr, x.tolist()))
+        want = np.array([float(t) for t in tokens])
+        pad = ["", " ", "\t", "  "]
+        plain = tmp_path / "x.txt"
+        plain.write_text("".join(
+            f"{pad[i % 4]}{t}{pad[(i + 1) % 4]}\n" + ("\n" if i % 97 == 0 else "")
+            for i, t in enumerate(tokens)))
+        csv = tmp_path / "x.csv"
+        csv.write_text("year, loss\n" + "".join(
+            f"{i}, {t} \n" + ("\n" if i % 89 == 0 else "")
+            for i, t in enumerate(tokens)))
+        for ds in (read_dataset(str(plain)), read_dataset(str(csv), column=1),
+                   read_dataset(str(csv), column="loss")):
+            assert ds.values.dtype == np.float64
+            assert np.array_equal(ds.values, want)
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "x.csv"

@@ -66,6 +66,17 @@ class TestSufficientStats:
                 (up.s_bar_sigma - dn.s_bar_sigma) / (2 * h), rel=1e-6
             )
 
+    def test_stats_stand_in_for_the_sample(self, losses):
+        alpha, sigma, rho = REF_FTG
+        st = sufficient_stats(losses, sigma)
+        assert loglik_ftg(st, alpha, sigma, rho) == loglik_ftg(losses, alpha, sigma, rho)
+        assert score_ftg(st, alpha, sigma, rho) == score_ftg(losses, alpha, sigma, rho)
+        assert np.array_equal(observed_information(st, alpha, sigma, rho),
+                              observed_information(losses, alpha, sigma, rho))
+        assert inner_solve(st, sigma) == inner_solve(losses, sigma)
+        with pytest.raises(ValueError, match="statistics are for sigma"):
+            loglik_ftg(st, alpha, 2.0 * sigma, rho)
+
 
 class TestLoglik:
     def test_reference_ftg_value(self, losses):
@@ -257,6 +268,23 @@ class TestFitFtg:
         assert fit.converged or fit.boundary == "pareto"
         if fit.converged and not fit.boundary:
             assert fit.std_errors[2] > 0.3 * fit.params.rho
+
+    def test_interior_fit_runs_one_pareto_fit(self, losses, monkeypatch):
+        # the Pareto model seeds the standardized search; a fit on the raw
+        # sample is needed only to judge a Pareto-edge optimum
+        import ftgamma.fit
+
+        seen = []
+        real = ftgamma.fit.fit_pareto
+
+        def counting(smp):
+            seen.append(smp.provenance)
+            return real(smp)
+
+        monkeypatch.setattr(ftgamma.fit, "fit_pareto", counting)
+        fit = fit_ftg(losses)
+        assert fit.converged and fit.boundary is None
+        assert seen == ["standardized"]
 
     def test_degenerate_samples_rejected(self):
         with pytest.raises(FitError):
