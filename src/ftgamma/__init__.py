@@ -17,7 +17,6 @@ from .dist import (
     log_pdf,
     mgf,
     moments,
-    pareto_limit_distance,
     pdf,
     quantile,
     scale,
@@ -111,7 +110,6 @@ __all__ = [
     "mgf",
     "moments",
     "observed_information",
-    "pareto_limit_distance",
     "pdf",
     "quantile",
     "read_dataset",

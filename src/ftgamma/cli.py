@@ -18,14 +18,12 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import __version__
 from .data import DataError, Sample, load_external_fraud, read_dataset
 from .dist import FtgParams, ParetoParams, as_ftg, pdf, survival
 from .errors import FitError, NumericsError
-from .fit import FitResult, fit_ftg, fit_gamma, fit_pareto
-from .gof import bootstrap_pvalue, log_binned_histogram
+from .fit import FitResult, fit_ftg, fit_gamma, fit_pareto, lrt_from_fits
+from .gof import bootstrap_pvalue, empirical_survival, log_binned_histogram
 from .risk import RiskConfig, bootstrap_study, risk_capital
 from .sample import RngStream, sample_ftg
 
@@ -152,11 +150,7 @@ def cmd_fit(args) -> int:
     if args.family == "gamma":
         gamma = fit_gamma(smp)
     if args.family == "all":
-        ll_ftg = ftg.loglik if ftg.boundary != "pareto" else pareto.loglik
-        stat = max(2.0 * (ll_ftg - pareto.loglik), 0.0)
-        from .specfun import chi2_survival_1df
-
-        lrt = (stat, chi2_survival_1df(stat))
+        lrt = lrt_from_fits(pareto, ftg)
     if args.json:
         payload = {
             "command": "fit",
@@ -334,13 +328,10 @@ def cmd_plotdata(args) -> int:
     pareto = fit_pareto(smp)
     p_f, p_p = as_ftg(ftg.params), as_ftg(pareto.params)
     if args.mode == "survival":
-        xs = smp.sorted()
-        n = xs.size
         rows = ["x empirical ftg pareto"]
-        exceed = n - np.searchsorted(xs, xs, side="right")
-        for x, e in zip(xs, exceed):
+        for x, s_emp in zip(*empirical_survival(smp)):
             rows.append(
-                f"{x:.6g} {e / n:.6f} {survival(p_f, float(x)):.6e} "
+                f"{x:.6g} {s_emp:.6f} {survival(p_f, float(x)):.6e} "
                 f"{survival(p_p, float(x)):.6e}"
             )
     else:

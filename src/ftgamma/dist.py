@@ -353,47 +353,3 @@ def truncate(p: FtgParams, u: float) -> FtgParams:
     if p.is_pareto:
         return FtgParams.pareto(p.alpha, p.sigma + u)
     return FtgParams(p.alpha, p.theta, p.rho + p.theta * u)
-
-
-# ------------------------------------------------------------ Pareto limit
-def pareto_limit_distance(alpha: float, sigma: float, rho: float) -> float:
-    """L1 distance between FTG(alpha, rho/sigma, rho) and Pareto(alpha, sigma).
-
-    The density ratio is monotone in x, so the two densities cross exactly
-    once; the head |f - p| is integrated by adaptive quadrature in
-    y = log(1 + x/sigma) and the tail beyond the crossing is the exact
-    difference of the two survival functions. Used by convergence tests for
-    the Pareto boundary, not end users.
-    """
-    if not (alpha < 0.0 and sigma > 0.0 and rho > 0.0):
-        raise ValueError("requires alpha < 0, sigma > 0, rho > 0")
-    from scipy.integrate import quad
-
-    d0 = log_upper_inc_gamma(alpha, rho)
-    # log of f/p at exceedance coordinate y: log_c - rho e^y, with
-    # f(x) dy-density = e^(alpha y) * c * e^(-rho e^y), p -> -alpha e^(alpha y)
-    log_c = alpha * math.log(rho) - d0 - math.log(-alpha)
-    if log_c <= rho:
-        raise NumericsError(
-            "density ratio never exceeds 1; crossing assumption violated "
-            f"(alpha={alpha}, rho={rho})"
-        )
-    y0 = math.log(log_c / rho)
-
-    log_ratio_scale = alpha * math.log(rho) - d0
-
-    def integrand(y: float) -> float:
-        return math.exp(alpha * y) * (
-            math.exp(log_ratio_scale - rho * math.exp(y)) + alpha
-        )
-
-    head, err = quad(integrand, 0.0, y0, epsabs=1e-14, epsrel=1e-11, limit=400)
-    if err > max(1e-12, 1e-6 * abs(head)):
-        raise NumericsError(
-            f"L1 head quadrature did not converge (err={err:.2e})"
-        )
-    # tail: integral of (p - f) over (y0, inf) = S_pareto(y0) - S_ftg(y0)
-    tail = math.exp(alpha * y0) - math.exp(
-        log_upper_inc_gamma(alpha, rho * math.exp(y0)) - d0
-    )
-    return head + tail

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -118,23 +118,6 @@ def loglik_pareto(sample, alpha: float, sigma: float) -> float:
         raise ValueError("Pareto alpha must be < 0")
     st = _stats(sample, sigma)
     return st.n * (math.log(-alpha) - math.log(sigma) + (alpha - 1.0) * st.s_bar)
-
-
-def loglik_sample_free(n: int, alpha: float, sigma: float, rho: float) -> float:
-    """Profile log-likelihood value written without the sample.
-
-    Valid only at inner-solve solutions (score in alpha and rho both zero),
-    where the sufficient statistics can be eliminated:
-    -n (d - log(rho/sigma) - (alpha-1) d_alpha - rho d_rho + alpha).
-    """
-    ev = inc_gamma_eval(alpha, rho)
-    return -n * (
-        ev.log_value
-        - math.log(rho / sigma)
-        - (alpha - 1.0) * ev.d_alpha
-        - rho * ev.d_rho
-        + alpha
-    )
 
 
 def score_ftg(sample, alpha: float, sigma: float, rho: float):
@@ -782,7 +765,7 @@ def fit_ftg(sample) -> FitResult:
     try:
         alpha, rho = prof.solve(log_sig)
     except InnerBoundaryError:
-        return _boundary_result(smp, fit_pareto(smp), xbar)
+        return _edge_result(fit_pareto(smp), xbar)
     sigma = math.exp(log_sig)
     alpha, sigma, rho, iters = _newton_polish(y_smp, alpha, sigma, rho)
 
@@ -799,19 +782,7 @@ def fit_ftg(sample) -> FitResult:
         elif alpha > 0.0:
             gamma_fit = fit_gamma(smp)
             if ll_here <= gamma_fit.loglik + 1e-6:
-                return FitResult(
-                    family="ftg",
-                    params=gamma_fit.params,
-                    loglik=gamma_fit.loglik,
-                    score_norm=gamma_fit.score_norm,
-                    observed_info=gamma_fit.observed_info,
-                    std_errors=gamma_fit.std_errors,
-                    converged=gamma_fit.converged,
-                    iterations=iters,
-                    standardization_factor=xbar,
-                    observed_info_log=gamma_fit.observed_info_log,
-                    boundary="gamma",
-                )
+                return _edge_result(gamma_fit, xbar, iterations=iters)
         rho = max(rho, 1e-150)  # keep 1/rho^2 representable below
 
     # de-standardize: alpha, rho unchanged; sigma scales with the mean
@@ -860,42 +831,20 @@ def _edge_supremum_result(smp: Sample, xbar: float, pinned: set) -> "FitResult |
         pass
     if not candidates:
         return None
-    top = max(candidates, key=lambda f: f.loglik)
-    if top.family == "gamma":
-        return FitResult(
-            family="ftg",
-            params=top.params,
-            loglik=top.loglik,
-            score_norm=top.score_norm,
-            observed_info=top.observed_info,
-            std_errors=top.std_errors,
-            converged=top.converged,
-            iterations=top.iterations,
-            standardization_factor=xbar,
-            observed_info_log=top.observed_info_log,
-            boundary="gamma",
-        )
-    return _boundary_result(smp, top, xbar)
+    return _edge_result(max(candidates, key=lambda f: f.loglik), xbar)
 
 
-def _boundary_result(smp: Sample, pareto_fit: FitResult, xbar: float) -> FitResult:
-    """FTG fit that drifted to the Pareto edge: report the boundary model
-    with the Pareto fit attached rather than a fake interior optimum."""
-    pp = pareto_fit.params
-    return FitResult(
-        family="ftg",
-        params=FtgParams.pareto(pp.alpha, pp.sigma),
-        loglik=pareto_fit.loglik,
-        score_norm=pareto_fit.score_norm,
-        observed_info=pareto_fit.observed_info,
-        std_errors=pareto_fit.std_errors,
-        converged=False,
-        iterations=pareto_fit.iterations,
-        standardization_factor=xbar,
-        observed_info_log=pareto_fit.observed_info_log,
-        boundary="pareto",
-        pareto_fit=pareto_fit,
-    )
+def _edge_result(edge_fit: FitResult, xbar: float, **changes) -> FitResult:
+    """FTG fit whose optimum lies on the gamma or Pareto edge: the boundary
+    model's own fit, flagged, rather than a fake interior optimum. A Pareto
+    edge is never reported as converged and carries the Pareto fit."""
+    if edge_fit.family == "pareto":
+        pp = edge_fit.params
+        changes = dict(params=FtgParams.pareto(pp.alpha, pp.sigma), converged=False,
+                       boundary="pareto", pareto_fit=edge_fit, **changes)
+    else:
+        changes = dict(boundary="gamma", **changes)
+    return replace(edge_fit, family="ftg", standardization_factor=xbar, **changes)
 
 
 def _rho_for_pareto_start(alpha: float, sigma: float) -> float:
@@ -993,14 +942,17 @@ def lrt_pareto_vs_ftg(sample) -> tuple[float, float]:
     """
     smp = Sample.coerce(sample)
     ftg = fit_ftg(smp)
-    if ftg.boundary == "pareto" and ftg.pareto_fit is not None:
-        pareto = ftg.pareto_fit
-        ll_ftg = max(ftg.loglik, pareto.loglik)
-    else:
-        pareto = fit_pareto(smp)
-        ll_ftg = ftg.loglik
+    pareto = ftg.pareto_fit if ftg.pareto_fit is not None else fit_pareto(smp)
+    return lrt_from_fits(pareto, ftg)
+
+
+def lrt_from_fits(pareto: FitResult, ftg: FitResult) -> tuple[float, float]:
+    """The LRT of ``lrt_pareto_vs_ftg`` from Pareto and FTG fits of one sample.
+
+    The FTG family contains the Pareto, so a statistic below 0 (an FTG fit
+    short of the Pareto likelihood) is read as 0.
+    """
     if not (ftg.converged or ftg.boundary == "pareto") or not pareto.converged:
         warnings.warn("LRT computed from a fit that did not fully converge")
-    stat = 2.0 * (ll_ftg - pareto.loglik)
-    stat = max(stat, 0.0)
+    stat = max(2.0 * (ftg.loglik - pareto.loglik), 0.0)
     return stat, chi2_survival_1df(stat)

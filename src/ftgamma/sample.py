@@ -1,15 +1,14 @@
 """Random variate generation for the FTG family.
 
-``sample_ftg`` is the diagnostic-grade sampler: for interior shapes below 1
-it runs the plain exponential-proposal rejection scheme (reduce to
-theta = rho by rescaling, propose X ~ Exp(rho), accept when
-U <= (1 + X)^(alpha-1)), reporting attempt counts and the realized
-acceptance rate. That scheme is exact but its acceptance rate degrades like
-rho^(1-alpha) for small truncation parameters, so bulk consumers
-(the risk simulator, parametric bootstrap) use ``ftg_rvs``, which draws the
-same distribution through a two-piece composition envelope with near-unit
-acceptance. The two routes are cross-checked against each other and against
-the CDF in the test suite.
+Each shape regime has one exact sampler. The Pareto boundary uses
+inversion and the gamma boundary the generator's own gamma method. An
+interior law is X = (T - rho) / theta, with T the left-truncated gamma of
+density t^(alpha-1) e^-t on (rho, inf), drawn by rejection from a
+composition envelope (Devroye, Non-Uniform Random Variate Generation,
+1986, ch. II): a two-piece envelope for alpha < 1, whose acceptance tends
+to 1 as rho -> 0, and a shifted exponential for alpha >= 1. Both envelopes
+share one accept-and-fill loop. ``ftg_rvs`` returns the variates;
+``sample_ftg`` returns the same variates with the envelope's attempt count.
 """
 
 from __future__ import annotations
@@ -21,11 +20,11 @@ import numpy as np
 
 from .dist import FtgParams, Model, as_ftg
 from .errors import NumericsError
-from .specfun import log_upper_inc_gamma
 
 _MAX_CHUNK = 8_000_000
-_RUNAWAY_ATTEMPTS = 10_000_000
-_RUNAWAY_ACCEPTANCE = 1e-6
+# proposals per still-missing variate in each chunk, by envelope
+_TWO_PIECE_OVERDRAW = 1.5
+_SHIFTED_EXP_OVERDRAW = 2.0
 
 
 @dataclass
@@ -69,45 +68,31 @@ class SampleBatch:
     acceptance_rate: float
 
 
-def _pareto_rvs(alpha: float, sigma: float, n: int, gen: np.random.Generator) -> np.ndarray:
-    # 1 - U in (0, 1]: never raises 0 to a negative power
-    u = 1.0 - gen.random(n)
-    return sigma * (u ** (1.0 / alpha) - 1.0)
+def _accept_and_fill(propose, overdraw: float, n: int):
+    """The first n accepted proposals, in proposal order, and the number of
+    proposals up to the one that completed the batch.
 
-
-def _rejection_plain(p: FtgParams, n: int, gen: np.random.Generator):
-    """Exponential-proposal rejection for interior alpha < 1, theta = rho scale."""
-    alpha, rho = p.alpha, p.rho
-    log_acc = log_upper_inc_gamma(alpha, rho) + rho + (1.0 - alpha) * math.log(rho)
-    acc_est = max(math.exp(log_acc), 1e-12)
+    propose(k) draws k proposals and returns (t, accept); each chunk holds
+    overdraw times the number of variates still missing, within
+    [1024, _MAX_CHUNK].
+    """
     out = np.empty(n)
     filled = 0
     attempts = 0
     while filled < n:
-        k = int(min(max(1.3 * (n - filled) / acc_est, 1024), _MAX_CHUNK))
-        x = gen.standard_exponential(k) / rho
-        u = gen.random(k)
-        acc = u <= np.exp((alpha - 1.0) * np.log1p(x))
+        k = int(min(max(overdraw * (n - filled), 1024), _MAX_CHUNK))
+        t, acc = propose(k)
         hits = np.flatnonzero(acc)
         need = n - filled
         if hits.size >= need:
-            # count attempts only up to the draw that completed the batch
             attempts += int(hits[need - 1]) + 1
-            out[filled:n] = x[hits[:need]]
+            out[filled:n] = t[hits[:need]]
             filled = n
         else:
             attempts += k
-            out[filled:filled + hits.size] = x[hits]
+            out[filled:filled + hits.size] = t[hits]
             filled += hits.size
-        if filled < n and attempts > _RUNAWAY_ATTEMPTS:
-            rate = filled / attempts
-            if rate < _RUNAWAY_ACCEPTANCE:
-                raise NumericsError(
-                    f"rejection sampler stalled: {filled}/{n} accepted after "
-                    f"{attempts} attempts (rate {rate:.2e}) at alpha={alpha}, "
-                    f"rho={rho}"
-                )
-    return out * (rho / p.theta), attempts
+    return out, attempts
 
 
 def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
@@ -126,25 +111,13 @@ def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
     else:
         t_hat = rho
     log_m = (alpha - 1.0) * math.log(t_hat) - one_m * t_hat
-    out = np.empty(n)
-    filled = 0
-    attempts = 0
-    while filled < n:
-        k = int(min(max(2.0 * (n - filled), 1024), _MAX_CHUNK))
+
+    def propose(k: int):
         t = rho + gen.standard_exponential(k) / lam
         u = gen.random(k)
-        acc = u <= np.exp((alpha - 1.0) * np.log(t) - one_m * t - log_m)
-        hits = np.flatnonzero(acc)
-        need = n - filled
-        if hits.size >= need:
-            attempts += int(hits[need - 1]) + 1
-            out[filled:n] = t[hits[:need]]
-            filled = n
-        else:
-            attempts += k
-            out[filled:filled + hits.size] = t[hits]
-            filled += hits.size
-    return out, attempts
+        return t, u <= np.exp((alpha - 1.0) * np.log(t) - one_m * t - log_m)
+
+    return _accept_and_fill(propose, _SHIFTED_EXP_OVERDRAW, n)
 
 
 def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
@@ -152,26 +125,28 @@ def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
     """T with density t^(alpha-1) e^-t on (rho, inf), alpha < 1.
 
     Composition envelope: a power-law piece t^(alpha-1) e^-rho on (rho, c]
-    and an exponential piece e^-t on (c, inf), c = max(rho, 1). Acceptance
-    tends to 1 as rho -> 0, exactly where the plain exponential-proposal
-    rejection becomes hopeless.
+    with mass m1 and an exponential piece c^(alpha-1) e^-t on (c, inf) with
+    mass m2, c = max(rho, 1). The acceptance rate is
+    Gamma(alpha, rho) / (m1 + m2), which tends to 1 as rho -> 0.
     """
     c = max(rho, 1.0)
     if rho < c:
         if alpha == 0.0:
             m1 = math.exp(-rho) * math.log(c / rho)
         else:
-            m1 = math.exp(-rho) * (c**alpha - rho**alpha) / alpha
+            try:
+                m1 = math.exp(-rho) * (c**alpha - rho**alpha) / alpha
+            except OverflowError:
+                raise NumericsError(
+                    f"two-piece envelope: rho^alpha overflows at alpha={alpha}, rho={rho}"
+                ) from None
     else:
         m1 = 0.0
     m2 = math.exp((alpha - 1.0) * math.log(c) - c)
-    p1 = m1 / (m1 + m2)
+    p1 = m1 / (m1 + m2) if m1 else 0.0  # m2 underflows for large rho
     log_c = math.log(c)
-    out = np.empty(n)
-    filled = 0
-    attempts = 0
-    while filled < n:
-        k = int(min(max(1.5 * (n - filled), 1024), _MAX_CHUNK))
+
+    def propose(k: int):
         pick = gen.random(k) < p1
         t = np.empty(k)
         n1 = int(pick.sum())
@@ -187,67 +162,46 @@ def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
         acc = np.empty(k, dtype=bool)
         acc[pick] = u[pick] <= np.exp(-(t[pick] - rho))
         acc[~pick] = u[~pick] <= np.exp((alpha - 1.0) * (np.log(t[~pick]) - log_c))
-        hits = np.flatnonzero(acc)
-        need = n - filled
-        if hits.size >= need:
-            attempts += int(hits[need - 1]) + 1
-            out[filled:n] = t[hits[:need]]
-            filled = n
-        else:
-            attempts += k
-            out[filled:filled + hits.size] = t[hits]
-            filled += hits.size
-    return out, attempts
+        return t, acc
+
+    return _accept_and_fill(propose, _TWO_PIECE_OVERDRAW, n)
+
+
+def _draw(p: FtgParams, n: int, gen: np.random.Generator):
+    """n variates of p and the proposals they took (n at the boundaries)."""
+    if p.is_pareto:
+        # 1 - U in (0, 1]: never raises 0 to a negative power
+        u = 1.0 - gen.random(n)
+        return p.sigma * (u ** (1.0 / p.alpha) - 1.0), n
+    if p.is_gamma:
+        return gen.gamma(p.alpha, size=n) / p.theta, n
+    if p.alpha < 1.0:
+        t, attempts = _trunc_gamma_two_piece(p.alpha, p.rho, n, gen)
+    else:
+        t, attempts = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
+    return (t - p.rho) / p.theta, attempts
 
 
 def sample_ftg(p: Model, n: int, rng: RngStream) -> SampleBatch:
     """Draw n variates with rejection diagnostics.
 
-    Interior alpha < 1 uses the exponential-proposal rejection scheme (the
-    realized acceptance rate estimates Gamma(alpha, rho) e^rho rho^(1-alpha));
-    interior alpha >= 1 delegates to left-truncated-gamma sampling via a
-    shifted-exponential envelope; the boundaries use inversion (Pareto) and
-    a library gamma generator.
+    The values are exactly those of ``ftg_rvs`` on the same stream. For
+    interior shapes, attempts counts the envelope proposals; at the
+    boundaries every draw is accepted.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p = as_ftg(p)
-    gen = rng.generator
-    if p.is_pareto:
-        values = _pareto_rvs(p.alpha, p.sigma, n, gen)
-        attempts = n
-    elif p.is_gamma:
-        values = gen.gamma(p.alpha, size=n) / p.theta
-        attempts = n
-    elif p.alpha < 1.0:
-        values, attempts = _rejection_plain(p, n, gen)
-    else:
-        t, attempts = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
-        values = (t - p.rho) / p.theta
+    values, attempts = _draw(p, n, rng.generator)
     return SampleBatch(values=values, params=p, attempts=attempts,
                        acceptance_rate=n / attempts)
 
 
 def ftg_rvs(p: Model, n: int, rng: RngStream) -> np.ndarray:
-    """Bulk variates without diagnostics; same distributions as sample_ftg.
-
-    Interior draws go through truncated-gamma envelopes whose acceptance
-    stays near 1 for any rho, so this is the routine Monte Carlo consumers
-    should call.
-    """
+    """n variates of p; the values of ``sample_ftg`` without its diagnostics."""
     if n == 0:
         return np.empty(0)
-    p = as_ftg(p)
-    gen = rng.generator
-    if p.is_pareto:
-        return _pareto_rvs(p.alpha, p.sigma, n, gen)
-    if p.is_gamma:
-        return gen.gamma(p.alpha, size=n) / p.theta
-    if p.alpha < 1.0:
-        t, _ = _trunc_gamma_two_piece(p.alpha, p.rho, n, gen)
-    else:
-        t, _ = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
-    return (t - p.rho) / p.theta
+    return _draw(as_ftg(p), n, rng.generator)[0]
 
 
 def sample_poisson(lam: float, rng: RngStream, size: int | None = None):

@@ -3,13 +3,17 @@
 These deliberately avoid the library's own code paths: quadrature goes
 through the raw defining integral with its own transform, erfc through its
 Maclaurin series, derivatives through finite differences, and Poisson tail
-probabilities through direct summation of the pmf.
+probabilities through direct summation of the pmf. The last two helpers,
+the sample-free profile value and the L1 distance to the Pareto limit, do
+build on the library's incomplete gamma function; only tests use them.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from ftgamma import NumericsError, inc_gamma_eval, log_upper_inc_gamma
 
 
 def quad_log_upper_gamma(alpha: float, rho: float) -> float:
@@ -128,3 +132,62 @@ def tail_var_es(grid, mass, level: float):
     k = int(np.searchsorted(np.cumsum(mass), level))
     beyond = mass[k + 1:]
     return float(grid[k]), float((beyond * grid[k + 1:]).sum() / beyond.sum())
+
+
+def loglik_sample_free(n: int, alpha: float, sigma: float, rho: float) -> float:
+    """Profile log-likelihood value written without the sample.
+
+    Valid only at inner-solve solutions (score in alpha and rho both zero),
+    where the sufficient statistics can be eliminated:
+    -n (d - log(rho/sigma) - (alpha-1) d_alpha - rho d_rho + alpha).
+    """
+    ev = inc_gamma_eval(alpha, rho)
+    return -n * (
+        ev.log_value
+        - math.log(rho / sigma)
+        - (alpha - 1.0) * ev.d_alpha
+        - rho * ev.d_rho
+        + alpha
+    )
+
+
+def pareto_limit_distance(alpha: float, sigma: float, rho: float) -> float:
+    """L1 distance between FTG(alpha, rho/sigma, rho) and Pareto(alpha, sigma).
+
+    The density ratio is monotone in x, so the two densities cross exactly
+    once; the head |f - p| is integrated by adaptive quadrature in
+    y = log(1 + x/sigma) and the tail beyond the crossing is the exact
+    difference of the two survival functions. Used by the convergence
+    tests of the Pareto boundary.
+    """
+    if not (alpha < 0.0 and sigma > 0.0 and rho > 0.0):
+        raise ValueError("requires alpha < 0, sigma > 0, rho > 0")
+
+    d0 = log_upper_inc_gamma(alpha, rho)
+    # log of f/p at exceedance coordinate y: log_c - rho e^y, with
+    # f(x) dy-density = e^(alpha y) * c * e^(-rho e^y), p -> -alpha e^(alpha y)
+    log_c = alpha * math.log(rho) - d0 - math.log(-alpha)
+    if log_c <= rho:
+        raise NumericsError(
+            "density ratio never exceeds 1; crossing assumption violated "
+            f"(alpha={alpha}, rho={rho})"
+        )
+    y0 = math.log(log_c / rho)
+
+    log_ratio_scale = alpha * math.log(rho) - d0
+
+    def integrand(y: float) -> float:
+        return math.exp(alpha * y) * (
+            math.exp(log_ratio_scale - rho * math.exp(y)) + alpha
+        )
+
+    head, err = quad(integrand, 0.0, y0, epsabs=1e-14, epsrel=1e-11, limit=400)
+    if err > max(1e-12, 1e-6 * abs(head)):
+        raise NumericsError(
+            f"L1 head quadrature did not converge (err={err:.2e})"
+        )
+    # tail: integral of (p - f) over (y0, inf) = S_pareto(y0) - S_ftg(y0)
+    tail = math.exp(alpha * y0) - math.exp(
+        log_upper_inc_gamma(alpha, rho * math.exp(y0)) - d0
+    )
+    return head + tail

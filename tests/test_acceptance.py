@@ -56,7 +56,6 @@ from ftgamma import (
     mgf,
     moments,
     observed_information,
-    pareto_limit_distance,
     pdf,
     quantile,
     sample_ftg,
@@ -68,7 +67,7 @@ from ftgamma import (
 )
 from ftgamma.specfun import log_upper_inc_gamma
 
-from oracles import fd_gradient, fd_hessian
+from oracles import fd_gradient, fd_hessian, pareto_limit_distance
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

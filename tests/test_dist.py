@@ -13,7 +13,6 @@ from ftgamma import (
     log_pdf,
     mgf,
     moments,
-    pareto_limit_distance,
     pdf,
     quantile,
     scale,
@@ -21,7 +20,7 @@ from ftgamma import (
     truncate,
 )
 
-from oracles import central_second_diff, pdf_quadrature_norm
+from oracles import central_second_diff, pareto_limit_distance, pdf_quadrature_norm
 
 # Reference fits of the bundled external-fraud losses, three decimal
 # places, with the FTG rates given on the natural-log scale
