@@ -6,9 +6,19 @@ interior law is X = (T - rho) / theta, with T the left-truncated gamma of
 density t^(alpha-1) e^-t on (rho, inf), drawn by rejection from a
 composition envelope (Devroye, Non-Uniform Random Variate Generation,
 1986, ch. II): a two-piece envelope for alpha < 1, whose acceptance tends
-to 1 as rho -> 0, and a shifted exponential for alpha >= 1. Both envelopes
-share one accept-and-fill loop. ``ftg_rvs`` returns the variates;
-``sample_ftg`` returns the same variates with the envelope's attempt count.
+to 1 as rho -> 0, and a shifted exponential for alpha >= 1.
+
+Both envelopes share one accept-and-fill loop, which proposes in blocks of
+at most ``_BLOCK`` candidates, so that every temporary stays cache-sized
+and a request for n variates holds little beyond its n-element result.
+The two-piece envelope computes its power-law piece densely with in-place
+ufuncs, recycling the pick uniform as that piece's inversion uniform, and
+draws the exponential piece only at the positions that picked it (where
+rho >= 1 the exponential piece is the whole envelope). The boundary
+samplers and the interior map (T - rho) / theta work in place on their
+result.
+``ftg_rvs`` returns the variates; ``sample_ftg`` returns the same
+variates with the envelope's attempt count.
 """
 
 from __future__ import annotations
@@ -19,10 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import FtgParams, Model, as_ftg
-from .errors import NumericsError
 
-_MAX_CHUNK = 8_000_000
-# proposals per still-missing variate in each chunk, by envelope
+_BLOCK = 1 << 16
+# proposals per still-missing variate in each block, by envelope
 _TWO_PIECE_OVERDRAW = 1.5
 _SHIFTED_EXP_OVERDRAW = 2.0
 
@@ -72,15 +81,18 @@ def _accept_and_fill(propose, overdraw: float, n: int):
     """The first n accepted proposals, in proposal order, and the number of
     proposals up to the one that completed the batch.
 
-    propose(k) draws k proposals and returns (t, accept); each chunk holds
+    propose(k) draws k proposals and returns (t, accept); each block holds
     overdraw times the number of variates still missing, within
-    [1024, _MAX_CHUNK].
+    [1024, _BLOCK]. The cap keeps the envelope's temporaries (a few arrays
+    of k doubles) in cache: one block for a whole large request would
+    allocate, page-fault and stream each of them through memory, and hold
+    them all at once next to the result.
     """
     out = np.empty(n)
     filled = 0
     attempts = 0
     while filled < n:
-        k = int(min(max(overdraw * (n - filled), 1024), _MAX_CHUNK))
+        k = int(min(max(overdraw * (n - filled), 1024), _BLOCK))
         t, acc = propose(k)
         hits = np.flatnonzero(acc)
         need = n - filled
@@ -127,42 +139,53 @@ def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
     Composition envelope: a power-law piece t^(alpha-1) e^-rho on (rho, c]
     with mass m1 and an exponential piece c^(alpha-1) e^-t on (c, inf) with
     mass m2, c = max(rho, 1). The acceptance rate is
-    Gamma(alpha, rho) / (m1 + m2), which tends to 1 as rho -> 0.
+    Gamma(alpha, rho) / (m1 + m2), which tends to 1 as rho -> 0. The masses
+    are taken in log scale, so that rho^alpha may exceed the float range.
     """
     c = max(rho, 1.0)
-    if rho < c:
+    if rho < 1.0:  # c = 1, so m2 = e^-1
+        log_ratio = -math.log(rho)  # ln(c / rho)
         if alpha == 0.0:
-            m1 = math.exp(-rho) * math.log(c / rho)
+            log_m1 = -rho + math.log(log_ratio)
         else:
-            try:
-                m1 = math.exp(-rho) * (c**alpha - rho**alpha) / alpha
-            except OverflowError:
-                raise NumericsError(
-                    f"two-piece envelope: rho^alpha overflows at alpha={alpha}, rho={rho}"
-                ) from None
+            # expm = (c/rho)^alpha - 1, and m1 = e^-rho rho^alpha expm / alpha
+            expm = math.expm1(alpha * log_ratio)
+            log_m1 = -rho - alpha * log_ratio + math.log(expm / alpha)
+        p1 = 1.0 / (1.0 + math.exp(-1.0 - log_m1))  # m1 / (m1 + m2)
     else:
-        m1 = 0.0
-    m2 = math.exp((alpha - 1.0) * math.log(c) - c)
-    p1 = m1 / (m1 + m2) if m1 else 0.0  # m2 underflows for large rho
-    log_c = math.log(c)
+        p1 = 0.0
+
+    def exp_piece(k: int):
+        # T = c + Exp(1) and its acceptance ratio (T / c)^(alpha - 1)
+        t = gen.standard_exponential(k)
+        t += c
+        ratio = t / c
+        ratio **= alpha - 1.0
+        return t, ratio
 
     def propose(k: int):
-        pick = gen.random(k) < p1
-        t = np.empty(k)
-        n1 = int(pick.sum())
-        if n1:
-            v = gen.random(n1)
-            if alpha == 0.0:
-                t[pick] = rho * np.exp(v * math.log(c / rho))
-            else:
-                t[pick] = (rho**alpha + v * (c**alpha - rho**alpha)) ** (1.0 / alpha)
-        if k - n1:
-            t[~pick] = c + gen.standard_exponential(k - n1)
+        if p1 == 0.0:
+            t, ratio = exp_piece(k)
+            return t, np.less_equal(gen.random(k), ratio)
         u = gen.random(k)
-        acc = np.empty(k, dtype=bool)
-        acc[pick] = u[pick] <= np.exp(-(t[pick] - rho))
-        acc[~pick] = u[~pick] <= np.exp((alpha - 1.0) * (np.log(t[~pick]) - log_c))
-        return t, acc
+        w = gen.random(k)
+        other = np.flatnonzero(u >= p1)
+        u[other] = 0.0
+        # in place, by inversion on (rho, c] with v = u / p1 uniform on
+        # [0, 1) given u < p1: T = rho (1 + v expm1(alpha ln(c/rho)))^(1/alpha),
+        # with acceptance ratio e^-(T - rho)
+        if alpha == 0.0:
+            u *= log_ratio / p1
+        else:
+            u *= expm / p1
+            np.log1p(u, out=u)
+            u /= alpha
+        np.exp(u, out=u)
+        u *= rho
+        ratio = np.subtract(rho, u)
+        np.exp(ratio, out=ratio)
+        u[other], ratio[other] = exp_piece(other.size)
+        return u, np.less_equal(w, ratio)
 
     return _accept_and_fill(propose, _TWO_PIECE_OVERDRAW, n)
 
@@ -171,15 +194,23 @@ def _draw(p: FtgParams, n: int, gen: np.random.Generator):
     """n variates of p and the proposals they took (n at the boundaries)."""
     if p.is_pareto:
         # 1 - U in (0, 1]: never raises 0 to a negative power
-        u = 1.0 - gen.random(n)
-        return p.sigma * (u ** (1.0 / p.alpha) - 1.0), n
+        x = gen.random(n)
+        np.subtract(1.0, x, out=x)
+        x **= 1.0 / p.alpha
+        x -= 1.0
+        x *= p.sigma
+        return x, n
     if p.is_gamma:
-        return gen.gamma(p.alpha, size=n) / p.theta, n
+        x = gen.gamma(p.alpha, size=n)
+        x /= p.theta
+        return x, n
     if p.alpha < 1.0:
-        t, attempts = _trunc_gamma_two_piece(p.alpha, p.rho, n, gen)
+        x, attempts = _trunc_gamma_two_piece(p.alpha, p.rho, n, gen)
     else:
-        t, attempts = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
-    return (t - p.rho) / p.theta, attempts
+        x, attempts = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
+    x -= p.rho
+    x /= p.theta
+    return x, attempts
 
 
 def sample_ftg(p: Model, n: int, rng: RngStream) -> SampleBatch:

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ftgamma
 from ftgamma.cli import main
 from ftgamma.fit import FitResult
 
@@ -230,19 +232,22 @@ class TestPlotdata:
         assert 0 in ids and len(ids) == 3
 
 
+def run_module(*argv, timeout):
+    # the child imports the same ftgamma as this process, installed or not
+    src = os.path.dirname(os.path.dirname(ftgamma.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "ftgamma.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
 class TestEntryPoint:
     def test_installed_script(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ftgamma.cli", "fit", "--bundled",
-             "--family", "pareto"],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_module("fit", "--bundled", "--family", "pareto", timeout=120)
         assert proc.returncode == 0
         assert "Pareto distribution" in proc.stdout
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ftgamma.cli", "fit", "--family", "nope"],
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = run_module("fit", "--family", "nope", timeout=60)
         assert proc.returncode == 1
+        assert "invalid choice: 'nope'" in proc.stderr

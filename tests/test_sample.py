@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from scipy.stats import ks_2samp, kstest
 
 from ftgamma import (
     FtgParams,
-    NumericsError,
     RngStream,
     cdf,
     ftg_rvs,
@@ -28,6 +28,16 @@ PARETO_PTS = [FtgParams.pareto(-0.448, 1.382), FtgParams.pareto(-1.63, 2.01)]
 
 def _cdf_vec(p):
     return np.vectorize(lambda x: cdf(p, float(x)))
+
+
+def _assert_quantile_shares(p, vals):
+    # the share of draws at or below quantile(q) is binomial(n, q); a
+    # scale error of 2% in the draws moves it by several s.e.
+    n = vals.size
+    for q in (0.1, 0.5, 0.9):
+        share = np.count_nonzero(vals <= quantile(p, q)) / n
+        z = (share - q) / math.sqrt(q * (1.0 - q) / n)
+        assert abs(z) <= 4.5, (p, q, z)
 
 
 class TestRngStream:
@@ -112,11 +122,12 @@ class TestSampleFtg:
         with pytest.raises(ValueError):
             sample_ftg(GRID[0], 0, RngStream(1))
 
-    def test_unrepresentable_envelope_raises(self):
-        # rho^alpha beyond the float range: fail with a diagnostic
-        p = FtgParams.from_sigma(-30.0, 1.0, 1e-12)
-        with pytest.raises(NumericsError, match="overflows"):
-            sample_ftg(p, 1_000, RngStream(13))
+    def test_envelope_beyond_float_range(self):
+        # rho^alpha overflows a double here; the envelope's masses and its
+        # power-law proposal never form it
+        for i, (alpha, rho) in enumerate([(-30.0, 1e-12), (-50.0, 1e-7)]):
+            p = FtgParams.from_sigma(alpha, 1.0, rho)
+            _assert_quantile_shares(p, sample_ftg(p, 200_000, RngStream(13, i)).values)
 
 
 class TestBulkSampler:
@@ -124,21 +135,32 @@ class TestBulkSampler:
         # one sampler per regime: the diagnostic values are the bulk values
         for i, p in enumerate([ftg_fit.params, PARETO_PTS[0], FtgParams.gamma(2.0, 1.0),
                                FtgParams(1.7, 1.0, 0.5)]):
-            a = ftg_rvs(p, 20_000, RngStream(77, i))
-            b = sample_ftg(p, 20_000, RngStream(77, i)).values
+            a = ftg_rvs(p, 300_000, RngStream(77, i))
+            b = sample_ftg(p, 300_000, RngStream(77, i)).values
             assert np.array_equal(a, b), p
 
     def test_quantile_shares_away_from_fit(self):
-        # the share of draws at or below quantile(q) is binomial(n, q); a
-        # scale error of 2% in the draws moves it by several s.e.
-        n = 200_000
+        # every proposal branch, each over several blocks: the two-piece
+        # envelope with only the exponential piece (rho >= 1, p1 = 0) and
+        # with the power-law piece dense and the exponential piece patched,
+        # at p1 near 1 (rho = 1e-3; alpha = 0 is its log form), near 1/2
+        # (alpha = -0.2, rho = 0.5, p1 = 0.55) and small (alpha = 0.28,
+        # rho = 0.9, p1 = 0.10); alpha = 2 takes the shifted exponential
         pts = [FtgParams(a, 0.5, r) for a in (-1.5, -0.2, 0.28, 2.0) for r in (1e-3, 1.0)]
+        pts += [FtgParams(0.0, 0.5, 1e-3), FtgParams(-0.2, 0.5, 0.5), FtgParams(0.28, 0.5, 0.9)]
         for i, p in enumerate(pts):
-            vals = ftg_rvs(p, n, RngStream(905, i))
-            for q in (0.1, 0.5, 0.9):
-                share = np.count_nonzero(vals <= quantile(p, q)) / n
-                z = (share - q) / math.sqrt(q * (1.0 - q) / n)
-                assert abs(z) <= 4.5, (p, q, z)
+            _assert_quantile_shares(p, ftg_rvs(p, 200_000, RngStream(905, i)))
+
+    def test_peak_memory_stays_near_the_result(self, ftg_fit):
+        # proposals go in cache-sized blocks, so beyond the result only a
+        # few block-sized temporaries are ever live
+        tracemalloc.start()
+        try:
+            vals = ftg_rvs(ftg_fit.params, 2_000_000, RngStream(908))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * vals.nbytes, (peak, vals.nbytes)
 
     def test_ks_across_grid(self):
         for i, p in enumerate(GRID + PARETO_PTS):
