@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NumericsError
 from .specfun import log_upper_inc_gamma
@@ -118,9 +119,10 @@ class FtgParams:
     def is_gamma(self) -> bool:
         return self.regime == _GAMMA
 
-    @property
+    @cached_property
     def log_norm(self) -> float:
-        """log Gamma(alpha, rho), the log normalizing constant (interior/gamma)."""
+        """log Gamma(alpha, rho), the log normalizing constant (interior/gamma),
+        evaluated once per parameter point."""
         if self.is_pareto:
             raise ValueError("Pareto boundary has no incomplete-gamma norm")
         if self.rho == 0.0:

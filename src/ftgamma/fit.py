@@ -102,8 +102,11 @@ def loglik_ftg(sample, alpha: float, sigma: float, rho: float) -> float:
     return _loglik_from_stats(st, alpha, rho)
 
 
-def _loglik_from_stats(st: SufficientStats, alpha: float, rho: float) -> float:
-    d = log_upper_inc_gamma(alpha, rho)
+def _loglik_from_stats(st: SufficientStats, alpha: float, rho: float,
+                       d: float | None = None) -> float:
+    """Log-likelihood from statistics; d = log Gamma(alpha, rho) if known."""
+    if d is None:
+        d = log_upper_inc_gamma(alpha, rho)
     return -st.n * (
         d
         + math.log(st.sigma)
@@ -311,16 +314,20 @@ def _check_interior_exists(st: SufficientStats) -> None:
         raise InnerBoundaryError(st.sigma, st.s_bar, st.r_bar)
 
 
-def _inner_g(st: SufficientStats, alpha: float, rho: float):
-    ev = inc_gamma_eval(alpha, rho)
+def _inner_g(st: SufficientStats, alpha: float, rho: float, ev=None):
+    """Inner scores g1 = d_alpha - log rho - s_bar and g2 = r_bar - R at
+    (alpha, rho), with the evaluation and R = Gamma(alpha+1, rho) /
+    (rho Gamma(alpha, rho)). An evaluation already made there can be passed.
+    """
+    if ev is None:
+        ev = inc_gamma_eval(alpha, rho)
     g1 = ev.d_alpha - math.log(rho) - st.s_bar
-    # d_rho - alpha/rho equals -Gamma(alpha+1, rho) / (rho Gamma(alpha, rho))
-    # by the recurrence; the subtracted form cancels catastrophically for
-    # small rho, the ratio form never does
-    g2 = st.r_bar - math.exp(
+    # d_rho - alpha/rho equals -R by the recurrence; the subtracted form
+    # cancels catastrophically for small rho, the ratio form never does
+    ratio = math.exp(
         log_upper_inc_gamma(alpha + 1.0, rho) - math.log(rho) - ev.log_value
     )
-    return g1, g2, ev
+    return g1, st.r_bar - ratio, ev, ratio
 
 
 def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
@@ -330,19 +337,24 @@ def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
         alpha, rho = warm_start
         rho = min(max(rho, math.exp(_LOG_RHO_MIN)), math.exp(_LOG_RHO_MAX))
     lt = math.log(rho)
-    per_obs = lambda a, r: _loglik_from_stats(st, a, r) / st.n
-    merit = per_obs(alpha, rho)
+    rho = math.exp(lt)
+    ev = inc_gamma_eval(alpha, rho)
+    merit = _loglik_from_stats(st, alpha, rho, ev.log_value) / st.n
     for it in range(1, max_iter + 1):
         rho = math.exp(lt)
-        g1, g2, ev = _inner_g(st, alpha, rho)
+        g1, g2, ev, ratio = _inner_g(st, alpha, rho, ev)
         if abs(g1) < tol * max(1.0, abs(st.s_bar)) and abs(g2) < tol * max(1.0, st.r_bar):
             return alpha, rho, it
         if lt < -150.0:
             break  # rho^2 underflow territory: leave it to the 1-d fallback
+        # Jacobian of (g1, g2) in (alpha, log rho). Its g2 row is built from
+        # R and h = rho^alpha e^-rho / Gamma(alpha, rho) = -rho d_rho:
+        # dg2/dlog rho = R + h (1 - R) has no 1/rho-sized terms to cancel
         j11 = ev.d_alpha_alpha
-        j12 = (ev.d_alpha_rho - 1.0 / rho) * rho
-        j21 = ev.d_alpha_rho - 1.0 / rho
-        j22 = (ev.d_rho_rho + alpha / rho**2) * rho
+        j12 = ev.d_alpha_rho * rho - 1.0
+        j21 = j12 / rho
+        h = -rho * ev.d_rho
+        j22 = ratio + h * (1.0 - ratio)
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
             break
@@ -356,18 +368,21 @@ def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
         for _ in range(40):
             a_new = alpha + step * da
             t_new = min(max(lt + step * dt, _LOG_RHO_MIN), _LOG_RHO_MAX)
-            m_new = per_obs(a_new, math.exp(t_new))
+            r_new = math.exp(t_new)
+            # the trial point's evaluation serves the next iteration if taken
+            ev_new = inc_gamma_eval(a_new, r_new)
+            m_new = _loglik_from_stats(st, a_new, r_new, ev_new.log_value) / st.n
             if m_new >= merit - 1e-14 * max(1.0, abs(merit)):
                 break
             step *= 0.5
         else:
             break
-        alpha, lt, merit = a_new, t_new, m_new
+        alpha, lt, merit, ev = a_new, t_new, m_new, ev_new
     # fallback: eliminate alpha through its strictly monotone score equation
     # and bisect the remaining one-dimensional rho equation
     alpha, rho, ok = _inner_solve_1d(st, alpha, lt)
     if ok:
-        g1, g2, _ = _inner_g(st, alpha, rho)
+        g1, g2, _, _ = _inner_g(st, alpha, rho)
         if abs(g1) < tol * max(1.0, abs(st.s_bar)) and abs(g2) < tol * max(1.0, st.r_bar):
             return alpha, rho, max_iter + 1
     raise FitError(
@@ -410,7 +425,9 @@ def _inner_solve_1d(st: SufficientStats, alpha0: float, lt0: float):
 
     When no sign change shows up at the current resolution the scan zooms
     onto the grid minimum of |g2|: the existence precheck guarantees a root,
-    so it must be hiding in a dip narrower than the spacing.
+    so it must be hiding in a dip narrower than the spacing. A zoom that
+    finds no smaller |g2| ends the search: there is no dip, only the flat
+    Pareto-limit plateau of a root that lies below the rho range.
     """
     guess = {"a": alpha0}
 
@@ -454,8 +471,11 @@ def _inner_solve_1d(st: SufficientStats, alpha0: float, lt0: float):
         center = best[1]
         local = np.linspace(max(center - span, _LOG_RHO_MIN),
                             min(center + span, _LOG_RHO_MAX), 41)
+        deepest = best[0]
         bracket, best = scan(local)
         span /= 8.0
+        if bracket is None and best is not None and best[0] >= deepest:
+            break
     if bracket is None:
         return alpha0, math.exp(lt0), False
     # plain bisection: sign-tracked by hand, immune to the slight
@@ -482,7 +502,7 @@ def _inner_default_start(st: SufficientStats):
     for lt in np.linspace(-30.0, 5.0, 36):
         rho = math.exp(lt)
         try:
-            _, g2, _ = _inner_g(st, alpha, rho)
+            _, g2, _, _ = _inner_g(st, alpha, rho)
         except (ValueError, OverflowError):
             continue
         if abs(g2) < best:
@@ -789,10 +809,11 @@ def fit_ftg(sample) -> FitResult:
     sigma *= xbar
     params = FtgParams.from_sigma(alpha, sigma, rho)
     st = sufficient_stats(smp, sigma)
-    ll = loglik_ftg(st, alpha, sigma, rho)
-    score = score_ftg(st, alpha, sigma, rho)
+    ev = inc_gamma_eval(alpha, rho)
+    ll = _loglik_from_stats(st, alpha, rho, ev.log_value)
+    score = _score_from_stats(st, ev, alpha, rho)
     score_norm = max(abs(s) for s in score)
-    info = observed_information(st, alpha, sigma, rho)
+    info = _information_from_stats(st, ev, alpha, rho)
     jac = np.diag([1.0, sigma, rho])
     return FitResult(
         family="ftg",

