@@ -2,10 +2,11 @@
 
 Estimation uses the (alpha, sigma, rho) parameterization: for fixed
 dispersion sigma the FTG is a full exponential model in the canonical
-statistics (1 + x/sigma, log(1 + x/sigma)), so the inner problem in
-(alpha, rho) has a unique root of the score, found by a damped Newton
-iteration. The outer problem is a one-dimensional search of the profile
-log-likelihood over log sigma.
+statistics (1 + x/sigma, log(1 + x/sigma)) with natural parameters
+(alpha - 1, -rho), so the log-likelihood is concave in (alpha, rho) and the
+inner problem has at most one root of the score, found by damped Newton in
+those coordinates. The outer problem is a one-dimensional search of the
+profile log-likelihood over log sigma.
 
 Fitting standardizes the data to unit mean first and maps the optimum back
 through the scale closure of the family (alpha and rho are scale-invariant,
@@ -24,8 +25,9 @@ import numpy as np
 
 from .data import Sample
 from .dist import FtgParams, ParetoParams
-from .errors import FitError, NumericsError
-from .specfun import chi2_survival_1df, inc_gamma_eval, log_upper_inc_gamma
+from .errors import FitError
+from .specfun import (chi2_survival_1df, digamma_trigamma, inc_gamma_eval,
+                      log_upper_inc_gamma)
 
 _LOG_RHO_MIN = -600.0
 _LOG_RHO_MAX = math.log(700.0)
@@ -267,6 +269,30 @@ def _std_errors(info: np.ndarray) -> np.ndarray:
     return np.sqrt(diag)
 
 
+def _fit_result(family: str, params, loglik: float, score, info: np.ndarray,
+                log_scale, iterations: int, n: int, **extra) -> FitResult:
+    """FitResult at an estimate from its score and observed information.
+
+    log_scale is the diagonal of the Jacobian from the log-scale parameters
+    to the natural ones (1 for alpha, the value itself for sigma and rho).
+    A fit flagged with a boundary is never converged.
+    """
+    score_norm = max(abs(s) for s in score)
+    jac = np.diag(log_scale)
+    return FitResult(
+        family=family,
+        params=params,
+        loglik=loglik,
+        score_norm=score_norm,
+        observed_info=info,
+        std_errors=_std_errors(info),
+        converged=extra.get("boundary") is None and bool(score_norm < 1e-6 * n),
+        iterations=iterations,
+        observed_info_log=jac @ info @ jac,
+        **{"standardization_factor": 1.0, **extra},
+    )
+
+
 # --------------------------------------------------------------- inner solve
 class InnerBoundaryError(FitError):
     """For this sigma the likelihood supremum over (alpha, rho) sits at the
@@ -291,10 +317,10 @@ def inner_solve(sample, sigma: float, warm_start: tuple[float, float] | None = N
                 tol: float = 1e-9, max_iter: int = 200):
     """Joint root of the alpha- and rho-score equations for fixed sigma.
 
-    Returns (alpha_hat, rho_hat, iterations). Newton in (alpha, log rho)
-    with step damping on the likelihood; if Newton stalls, the problem is
-    reduced to one dimension by solving alpha out of its strictly monotone
-    score equation at each rho and bisecting what remains.
+    Returns (alpha_hat, rho_hat, iterations). For fixed sigma the model is a
+    truncated-gamma exponential family with natural parameters affine in
+    (alpha, rho), so the log-likelihood is concave there and damped Newton
+    with backtracking on the likelihood converges from any interior start.
 
     Raises InnerBoundaryError when no interior root exists (the supremum is
     the Pareto limit), and FitError on outright non-convergence.
@@ -314,39 +340,24 @@ def _check_interior_exists(st: SufficientStats) -> None:
         raise InnerBoundaryError(st.sigma, st.s_bar, st.r_bar)
 
 
-def _inner_g(st: SufficientStats, alpha: float, rho: float, ev=None):
-    """Inner scores g1 = d_alpha - log rho - s_bar and g2 = r_bar - R at
-    (alpha, rho), with the evaluation and R = Gamma(alpha+1, rho) /
-    (rho Gamma(alpha, rho)). An evaluation already made there can be passed.
-    """
-    if ev is None:
-        ev = inc_gamma_eval(alpha, rho)
-    g1 = ev.d_alpha - math.log(rho) - st.s_bar
-    # d_rho - alpha/rho equals -R by the recurrence; the subtracted form
-    # cancels catastrophically for small rho, the ratio form never does
-    ratio = math.exp(
-        log_upper_inc_gamma(alpha + 1.0, rho) - math.log(rho) - ev.log_value
-    )
-    return g1, st.r_bar - ratio, ev, ratio
-
-
 def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
+    rho_max = math.exp(_LOG_RHO_MAX)
     if warm_start is None:
-        alpha, rho = _inner_default_start(st)
+        alpha, rho = max(-1.0 / st.s_bar, -30.0), 1e-3
     else:
         alpha, rho = warm_start
-        rho = min(max(rho, math.exp(_LOG_RHO_MIN)), math.exp(_LOG_RHO_MAX))
-    lt = math.log(rho)
-    rho = math.exp(lt)
+        rho = min(max(rho, math.exp(_LOG_RHO_MIN)), rho_max)
     ev = inc_gamma_eval(alpha, rho)
     merit = _loglik_from_stats(st, alpha, rho, ev.log_value) / st.n
     for it in range(1, max_iter + 1):
-        rho = math.exp(lt)
-        g1, g2, ev, ratio = _inner_g(st, alpha, rho, ev)
-        if abs(g1) < tol * max(1.0, abs(st.s_bar)) and abs(g2) < tol * max(1.0, st.r_bar):
-            return alpha, rho, it
-        if lt < -150.0:
-            break  # rho^2 underflow territory: leave it to the 1-d fallback
+        # inner scores g1 = d_alpha - log rho - s_bar and g2 = r_bar - R, with
+        # R = Gamma(alpha+1, rho) / (rho Gamma(alpha, rho)); d_rho - alpha/rho
+        # equals -R by the recurrence, but only the ratio form never cancels
+        g1 = ev.d_alpha - math.log(rho) - st.s_bar
+        ratio = math.exp(
+            log_upper_inc_gamma(alpha + 1.0, rho) - math.log(rho) - ev.log_value
+        )
+        g2 = st.r_bar - ratio
         # Jacobian of (g1, g2) in (alpha, log rho). Its g2 row is built from
         # R and h = rho^alpha e^-rho / Gamma(alpha, rho) = -rho d_rho:
         # dg2/dlog rho = R + h (1 - R) has no 1/rho-sized terms to cancel
@@ -356,158 +367,33 @@ def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
         h = -rho * ev.d_rho
         j22 = ratio + h * (1.0 - ratio)
         det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
+        if det == 0.0:
             break
+        # the Newton step in (alpha, rho), where the likelihood is concave
         da = -(g1 * j22 - g2 * j12) / det
-        dt = -(j11 * g2 - j21 * g1) / det
-        clip = max(abs(da), abs(dt))
-        if clip > 3.0:  # long Newton jumps overshoot the concave region
-            da *= 3.0 / clip
-            dt *= 3.0 / clip
-        step = 1.0
-        for _ in range(40):
-            a_new = alpha + step * da
-            t_new = min(max(lt + step * dt, _LOG_RHO_MIN), _LOG_RHO_MAX)
-            r_new = math.exp(t_new)
-            # the trial point's evaluation serves the next iteration if taken
-            ev_new = inc_gamma_eval(a_new, r_new)
-            m_new = _loglik_from_stats(st, a_new, r_new, ev_new.log_value) / st.n
-            if m_new >= merit - 1e-14 * max(1.0, abs(merit)):
-                break
-            step *= 0.5
-        else:
+        dr = -rho * (j11 * g2 - j21 * g1) / det
+        if not math.isfinite(da + dr):
             break
-        alpha, lt, merit, ev = a_new, t_new, m_new, ev_new
-    # fallback: eliminate alpha through its strictly monotone score equation
-    # and bisect the remaining one-dimensional rho equation
-    alpha, rho, ok = _inner_solve_1d(st, alpha, lt)
-    if ok:
-        g1, g2, _, _ = _inner_g(st, alpha, rho)
         if abs(g1) < tol * max(1.0, abs(st.s_bar)) and abs(g2) < tol * max(1.0, st.r_bar):
-            return alpha, rho, max_iter + 1
+            return alpha + da, rho + dr, it
+        # halve until the trial point is inside the rho range and the
+        # likelihood does not fall; t -> 0 returns the current point, so
+        # this ends
+        t = 1.0
+        while True:
+            a_new, r_new = alpha + t * da, rho + t * dr
+            if 0.0 < r_new <= rho_max:
+                # the trial point's evaluation serves the next iteration if taken
+                ev_new = inc_gamma_eval(a_new, r_new)
+                m_new = _loglik_from_stats(st, a_new, r_new, ev_new.log_value) / st.n
+                if m_new >= merit - 1e-14 * max(1.0, abs(merit)):
+                    break
+            t *= 0.5
+        alpha, rho, merit, ev = a_new, r_new, m_new, ev_new
     raise FitError(
         f"inner score equations did not converge at sigma={st.sigma} "
         f"(last alpha={alpha}, rho={rho})"
     )
-
-
-def _alpha_given_rho(st: SufficientStats, rho: float, guess: float) -> float:
-    """Solve d_alpha(alpha, rho) = log rho + s_bar; strictly monotone in alpha."""
-    from scipy.optimize import brentq
-
-    def g1(a: float) -> float:
-        return inc_gamma_eval(a, rho).d_alpha - math.log(rho) - st.s_bar
-
-    cap = 1e6
-    lo = hi = min(max(guess, -cap), cap)
-    v = g1(lo)
-    step = 1.0
-    if v > 0.0:
-        while v > 0.0 and lo > -cap:
-            hi, lo = lo, max(lo - step, -cap)
-            v = g1(lo)
-            step *= 2.0
-        if v > 0.0:
-            raise FitError(f"alpha score unbracketable at rho={rho}")
-    else:
-        while v < 0.0 and hi < cap:
-            lo, hi = hi, min(hi + step, cap)
-            v = g1(hi)
-            step *= 2.0
-        if v < 0.0:
-            raise FitError(f"alpha score unbracketable at rho={rho}")
-    return brentq(g1, lo, hi, xtol=1e-13, maxiter=200)
-
-
-def _inner_solve_1d(st: SufficientStats, alpha0: float, lt0: float):
-    """Scan log rho, solving alpha out of its own equation at each point,
-    until the remaining rho-score changes sign; then bisect.
-
-    When no sign change shows up at the current resolution the scan zooms
-    onto the grid minimum of |g2|: the existence precheck guarantees a root,
-    so it must be hiding in a dip narrower than the spacing. A zoom that
-    finds no smaller |g2| ends the search: there is no dip, only the flat
-    Pareto-limit plateau of a root that lies below the rho range.
-    """
-    guess = {"a": alpha0}
-
-    def g2_of_lt(lt: float) -> float:
-        rho = math.exp(lt)
-        a = _alpha_given_rho(st, rho, guess["a"])
-        guess["a"] = a
-        return _inner_g(st, a, rho)[1]
-
-    def scan(grid):
-        prev_lt = prev_v = None
-        best = None  # (|v|, lt) over evaluable points
-        for lt in grid:
-            try:
-                v = g2_of_lt(float(lt))
-            except (ValueError, OverflowError, NumericsError, FitError):
-                prev_lt = prev_v = None
-                continue
-            if best is None or abs(v) < best[0]:
-                best = (abs(v), float(lt))
-            if prev_v is not None and (v == 0.0 or prev_v * v < 0.0):
-                return (prev_lt, prev_v, float(lt), v), best
-            prev_lt, prev_v = float(lt), v
-        return None, best
-
-    grid = np.unique(
-        np.concatenate(
-            (
-                np.array([lt0]),
-                np.linspace(max(lt0 - 12.0, _LOG_RHO_MIN),
-                            min(lt0 + 12.0, _LOG_RHO_MAX), 25),
-                np.linspace(_LOG_RHO_MIN, _LOG_RHO_MAX, 122),
-            )
-        )
-    )
-    bracket, best = scan(grid)
-    span = 5.0
-    for _ in range(10):
-        if bracket is not None or best is None:
-            break
-        center = best[1]
-        local = np.linspace(max(center - span, _LOG_RHO_MIN),
-                            min(center + span, _LOG_RHO_MAX), 41)
-        deepest = best[0]
-        bracket, best = scan(local)
-        span /= 8.0
-        if bracket is None and best is not None and best[0] >= deepest:
-            break
-    if bracket is None:
-        return alpha0, math.exp(lt0), False
-    # plain bisection: sign-tracked by hand, immune to the slight
-    # evaluation jitter the warm-started alpha solves introduce
-    a_lt, a_v, b_lt, b_v = bracket
-    for _ in range(80):
-        mid = 0.5 * (a_lt + b_lt)
-        mv = g2_of_lt(mid)
-        if mv == 0.0 or (b_lt - a_lt) < 1e-13:
-            a_lt = b_lt = mid
-            break
-        if (mv > 0.0) == (a_v > 0.0):
-            a_lt, a_v = mid, mv
-        else:
-            b_lt, b_v = mid, mv
-    rho = math.exp(0.5 * (a_lt + b_lt))
-    return _alpha_given_rho(st, rho, guess["a"]), rho, True
-
-
-def _inner_default_start(st: SufficientStats):
-    # moment-flavored start: Pareto-style alpha, rho from a coarse g2 scan
-    alpha = max(-1.0 / st.s_bar, -30.0) if st.s_bar > 0 else 0.5
-    best, best_rho = math.inf, 1e-3
-    for lt in np.linspace(-30.0, 5.0, 36):
-        rho = math.exp(lt)
-        try:
-            _, g2, _, _ = _inner_g(st, alpha, rho)
-        except (ValueError, OverflowError):
-            continue
-        if abs(g2) < best:
-            best, best_rho = abs(g2), rho
-    return alpha, best_rho
 
 
 # ------------------------------------------------------------- profile fits
@@ -550,28 +436,13 @@ def fit_pareto(sample) -> FitResult:
         n * (-1.0 / sigma + (alpha - 1.0) * st.s_bar_sigma),
     )
     info = pareto_observed_information(st, alpha, sigma)
-    jac = np.diag([1.0, sigma])
-    info_log = jac @ info @ jac
-    score_norm = max(abs(score[0]), abs(score[1]))
-    return FitResult(
-        family="pareto",
-        params=ParetoParams(alpha, sigma),
-        loglik=ll,
-        score_norm=score_norm,
-        observed_info=info,
-        std_errors=_std_errors(info),
-        converged=bool(score_norm < 1e-6 * n),
-        iterations=int(res.nfev),
-        standardization_factor=1.0,
-        observed_info_log=info_log,
-    )
+    return _fit_result("pareto", ParetoParams(alpha, sigma), ll, score, info,
+                       [1.0, sigma], int(res.nfev), n)
 
 
 def fit_gamma(sample) -> FitResult:
     """Gamma MLE: moment start, then Newton on the shape equation
     log(alpha) - psi(alpha) = log(xbar) - mean(log x)."""
-    from scipy.special import digamma, polygamma
-
     smp = Sample.coerce(sample)
     x = smp.values
     n = x.size
@@ -585,8 +456,9 @@ def fit_gamma(sample) -> FitResult:
     var = float(x.var())
     alpha = xbar * xbar / var if var > 0 else 1.0
     for it in range(20):
-        f = math.log(alpha) - digamma(alpha) - gap
-        fp = 1.0 / alpha - polygamma(1, alpha)
+        psi, psi1 = digamma_trigamma(alpha)
+        f = math.log(alpha) - psi - gap
+        fp = 1.0 / alpha - psi1
         step = f / fp
         new = alpha - step
         if new <= 0.0:
@@ -595,6 +467,7 @@ def fit_gamma(sample) -> FitResult:
         if abs(f) < 1e-13:
             break
     theta = alpha / xbar
+    psi, psi1 = digamma_trigamma(alpha)
     ll = n * (
         alpha * math.log(theta)
         - math.lgamma(alpha)
@@ -602,26 +475,12 @@ def fit_gamma(sample) -> FitResult:
         - theta * xbar
     )
     score = (
-        n * (math.log(theta) - digamma(alpha) + mean_log),
+        n * (math.log(theta) - psi + mean_log),
         n * (alpha / theta - xbar),
     )
-    info = n * np.array(
-        [[polygamma(1, alpha), -1.0 / theta], [-1.0 / theta, alpha / theta**2]]
-    )
-    jac = np.diag([1.0, theta])
-    score_norm = max(abs(score[0]), abs(score[1]))
-    return FitResult(
-        family="gamma",
-        params=FtgParams.gamma(alpha, theta),
-        loglik=ll,
-        score_norm=score_norm,
-        observed_info=info,
-        std_errors=_std_errors(info),
-        converged=bool(score_norm < 1e-6 * n),
-        iterations=it + 1,
-        standardization_factor=1.0,
-        observed_info_log=jac @ info @ jac,
-    )
+    info = n * np.array([[psi1, -1.0 / theta], [-1.0 / theta, alpha / theta**2]])
+    return _fit_result("gamma", FtgParams.gamma(alpha, theta), ll, score, info,
+                       [1.0, theta], it + 1, n)
 
 
 class _Profile:
@@ -812,23 +671,10 @@ def fit_ftg(sample) -> FitResult:
     ev = inc_gamma_eval(alpha, rho)
     ll = _loglik_from_stats(st, alpha, rho, ev.log_value)
     score = _score_from_stats(st, ev, alpha, rho)
-    score_norm = max(abs(s) for s in score)
     info = _information_from_stats(st, ev, alpha, rho)
-    jac = np.diag([1.0, sigma, rho])
-    return FitResult(
-        family="ftg",
-        params=params,
-        loglik=ll,
-        score_norm=score_norm,
-        observed_info=info,
-        std_errors=_std_errors(info),
-        converged=boundary is None and bool(score_norm < 1e-6 * n),
-        iterations=iters,
-        standardization_factor=xbar,
-        observed_info_log=jac @ info @ jac,
-        boundary=boundary,
-        pareto_fit=pareto_fit if boundary else None,
-    )
+    return _fit_result("ftg", params, ll, score, info, [1.0, sigma, rho], iters, n,
+                       standardization_factor=xbar, boundary=boundary,
+                       pareto_fit=pareto_fit if boundary else None)
 
 
 def _edge_supremum_result(smp: Sample, xbar: float, pinned: set) -> "FitResult | None":
@@ -878,25 +724,13 @@ def _rho_for_pareto_start(alpha: float, sigma: float) -> float:
             log_upper_inc_gamma(alpha + 1.0, r) - lt - log_upper_inc_gamma(alpha, r)
         )
 
-    grid = np.linspace(-60.0, math.log(500.0), 80)
-    vals = []
-    for lt in grid:
-        try:
-            vals.append(h(lt))
-        except (ValueError, OverflowError):
-            vals.append(math.nan)
-    best = 1e-3
-    for i in range(len(grid) - 1):
-        if math.isnan(vals[i]) or math.isnan(vals[i + 1]):
-            continue
-        if vals[i] == 0.0:
-            return math.exp(grid[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            return math.exp(brentq(h, grid[i], grid[i + 1], xtol=1e-12))
-    finite = [(abs(v), g) for v, g in zip(vals, grid) if not math.isnan(v)]
-    if finite:
-        best = math.exp(min(finite)[1])
-    return best
+    # h = 1 + 1/sigma - E[1 + X/sigma] rises with rho (its rho-derivative is
+    # the variance), so the two ends bracket the only root or the nearer wins
+    lo, hi = -60.0, math.log(500.0)
+    h_lo, h_hi = h(lo), h(hi)
+    if h_lo * h_hi < 0.0:
+        return math.exp(brentq(h, lo, hi, xtol=1e-12))
+    return math.exp(lo if abs(h_lo) <= abs(h_hi) else hi)
 
 
 def _newton_polish(smp: Sample, alpha: float, sigma: float, rho: float,

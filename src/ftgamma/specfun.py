@@ -82,7 +82,7 @@ _PSI1_ASYMPTOTIC = (
 )
 
 
-def _digamma_trigamma(x: float) -> tuple[float, float]:
+def digamma_trigamma(x: float) -> tuple[float, float]:
     """psi(x) and psi'(x) for x > 0: upward recurrence to x >= 10, then the
     asymptotic series, whose omitted terms are below 1e-16 there."""
     psi = psi1 = 0.0
@@ -201,7 +201,7 @@ def _log_series(alpha: float, rho: float, partials: bool, max_iter: int = 10000)
     if not partials:
         return value, math.nan, math.nan
     # Gamma(alpha, rho) = Gamma(alpha) (1 - P), P the regularized lower part
-    psi, psi1 = _digamma_trigamma(alpha)
+    psi, psi1 = digamma_trigamma(alpha)
     lp1 = lr + s1 / s - psi
     lp2 = s2 / s - (s1 / s) ** 2 - psi1
     w = math.exp(log_p) / -math.expm1(log_p)  # P / (1 - P)
@@ -229,7 +229,7 @@ def _small_shape_head_partials(a: float, lx: float, head: float, xa: float):
     """
     if abs(a) >= 0.05 or abs(a * lx) >= 0.25:
         g = math.exp(_lgamma1p(a))
-        psi, psi1 = _digamma_trigamma(1.0 + a)
+        psi, psi1 = digamma_trigamma(1.0 + a)
         h1 = (g * psi - xa * lx - head) / a
         return h1, (g * (psi * psi + psi1) - xa * lx * lx - 2.0 * h1) / a
     h1 = h2 = 0.0

@@ -209,6 +209,34 @@ class TestInnerSolve:
         with pytest.raises(InnerBoundaryError):
             inner_solve(y, 1.0)
 
+    def test_cold_start_finds_the_root_over_the_sigma_range(self, losses, ftg_fit):
+        # the likelihood is concave in (alpha, rho), so the fixed cold start
+        # must reach the same root as a solve warm-started next to it, at
+        # every sigma from 1e-3 to 1e3 times the mean, on the bundled losses
+        # and on 20 bootstrap replicates of their fit
+        from ftgamma.fit import InnerBoundaryError
+
+        samples = [losses] + [
+            Sample(ftg_rvs(ftg_fit.params, 40, RngStream(2000).child(b)))
+            for b in range(1, 21)
+        ]
+        roots = 0
+        for smp in samples:
+            y = smp.standardized()[0]
+            prev = None
+            for sigma in np.logspace(-3.0, 3.0, 25):
+                try:
+                    a, r, _ = inner_solve(y, float(sigma))
+                except InnerBoundaryError:
+                    continue
+                roots += 1
+                if prev is not None:
+                    a_warm, r_warm, _ = inner_solve(y, float(sigma), warm_start=prev)
+                    assert a == pytest.approx(a_warm, rel=1e-10), (sigma, prev)
+                    assert r == pytest.approx(r_warm, rel=1e-9), (sigma, prev)
+                prev = (a, r)
+        assert roots > 100
+
 
 class TestFitFtg:
     def test_reference_table(self, losses, ftg_fit):
@@ -291,20 +319,34 @@ class TestFitFtg:
             (1008, 39, ("-0.263724", "0.001083", "-149.544292")),
             (1009, 95, ("-0.232075", "0.0007348", "-179.053637")),
             (1010, 8, ("-0.020556", "0.0002513", "-190.296402")),
+            (1003, 32, ("0.360745", "0.000787", "-195.812577")),
+            (1003, 71, ("0.164299", "0.000159", "-191.631547")),
+            (1004, 86, ("0.195062", "0.003101", "-177.428132")),
+            (1005, 6, ("0.135721", "4.485e-05", "-196.111196")),
         ],
     )
     def test_slow_bootstrap_replicates_fit_without_rescue(self, ftg_fit, monkeypatch,
                                                           seed, child, printed):
         # bootstrap replicates of the bundled fit on which the inner solve
-        # used to stall: central-difference alpha-derivatives and a g2 row
-        # built from 1/rho-sized terms sent Newton into the 1-d fallback
-        # (23, 9 and 6 times) and left sentinels on the profile. With exact
-        # derivatives every inner solve converges by Newton, and the
-        # estimates keep the digits they printed before.
+        # used to stall. The first three sent central-difference
+        # alpha-derivatives and a g2 row built from 1/rho-sized terms into a
+        # rescue path and left sentinels on the profile; on the last four,
+        # Newton in (alpha, log rho) walked log rho down to the flat
+        # likelihood below -46 and ran out of iterations there. Newton in
+        # the concave (alpha, rho) coordinates converges on every inner
+        # solve, and the estimates keep the digits they printed before.
+        import inspect
+
         import ftgamma.fit
 
-        def no_fallback(*args):
-            raise AssertionError("inner solve fell back to the 1-d scan")
+        real_solve = ftgamma.fit.inner_solve
+        max_iter = inspect.signature(real_solve).parameters["max_iter"].default
+        iterations = []
+
+        def solve(*args, **kwargs):
+            out = real_solve(*args, **kwargs)
+            iterations.append(out[2])
+            return out
 
         sentinels = []
         real_value = ftgamma.fit._Profile.value
@@ -315,11 +357,12 @@ class TestFitFtg:
                 sentinels.append(log_sigma)
             return out
 
-        monkeypatch.setattr(ftgamma.fit, "_inner_solve_1d", no_fallback)
+        monkeypatch.setattr(ftgamma.fit, "inner_solve", solve)
         monkeypatch.setattr(ftgamma.fit._Profile, "value", value)
         x = ftg_rvs(ftg_fit.params, 40, RngStream(seed).child(child))
         fit = fit_ftg(Sample(x))
         assert sentinels == []
+        assert iterations and max(iterations) <= max_iter
         assert fit.converged and fit.boundary is None
         p = fit.params
         assert (f"{p.alpha:.6f}", f"{p.rho:.4g}", f"{fit.loglik:.6f}") == printed
