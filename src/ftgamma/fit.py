@@ -5,8 +5,10 @@ dispersion sigma the FTG is a full exponential model in the canonical
 statistics (1 + x/sigma, log(1 + x/sigma)) with natural parameters
 (alpha - 1, -rho), so the log-likelihood is concave in (alpha, rho) and the
 inner problem has at most one root of the score, found by damped Newton in
-those coordinates. The outer problem is a one-dimensional search of the
-profile log-likelihood over log sigma.
+those coordinates. The outer problem maximizes the profile log-likelihood
+over log sigma by safeguarded Newton: its slope is exact by the envelope
+theorem, and its curvature is the Schur complement of the (alpha, rho)
+block of the observed information.
 
 Fitting standardizes the data to unit mean first and maps the optimum back
 through the scale closure of the family (alpha and rho are scale-invariant,
@@ -39,8 +41,8 @@ class SufficientStats:
     """Sample means of r = 1 + x/sigma and s = log(1 + x/sigma), with the
     sigma-derivatives of both means (used by the score and information).
 
-    The two sigma-derivatives of s_bar each take a pass over the sample, so
-    they are computed on first use: a likelihood value needs only the
+    The two sigma-derivatives of s_bar take one more pass over the sample,
+    so they are computed on first use: a likelihood value needs only the
     log1p pass behind s_bar.
     """
 
@@ -53,13 +55,24 @@ class SufficientStats:
     x: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
+    def _q_moments(self) -> tuple[float, float]:
+        """Means of q = x/(sigma + x) and q^2, in one scratch array."""
+        q = self.x + self.sigma
+        np.divide(self.x, q, out=q)
+        q1 = float(q.mean())
+        q *= q
+        return q1, float(q.mean())
+
+    @cached_property
     def s_bar_sigma(self) -> float:
-        return -float((self.x / (self.sigma + self.x)).mean()) / self.sigma
+        return -self._q_moments[0] / self.sigma
 
     @cached_property
     def s_bar_sigma_sigma(self) -> float:
-        x, sigma = self.x, self.sigma
-        return float((x * (2.0 * sigma + x) / (sigma * (sigma + x)) ** 2).mean())
+        # mean of x (2 sigma + x) / (sigma (sigma + x))^2 = q (2 - q) / sigma^2;
+        # q^2 <= q on [0, 1), so the difference never cancels
+        q1, q2 = self._q_moments
+        return (2.0 * q1 - q2) / self.sigma**2
 
 
 def _mean_log1p(x: np.ndarray, sigma: float) -> float:
@@ -340,6 +353,19 @@ def _check_interior_exists(st: SufficientStats) -> None:
         raise InnerBoundaryError(st.sigma, st.s_bar, st.r_bar)
 
 
+def _inner_jacobian(ev, rho: float, ratio: float):
+    """Jacobian of the inner scores (g1, g2) in (alpha, log rho), from the
+    partials of log Gamma(alpha, rho) and R = Gamma(alpha+1, rho) /
+    (rho Gamma(alpha, rho)). n J diag(1, 1/rho) is the (alpha, rho) block
+    of the observed information."""
+    # the g2 row is built from R and h = rho^alpha e^-rho / Gamma(alpha, rho)
+    # = -rho d_rho: dg2/dlog rho = R + h (1 - R) has no 1/rho-sized terms to
+    # cancel
+    j12 = ev.d_alpha_rho * rho - 1.0
+    h = -rho * ev.d_rho
+    return ev.d_alpha_alpha, j12, j12 / rho, ratio + h * (1.0 - ratio)
+
+
 def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
     rho_max = math.exp(_LOG_RHO_MAX)
     if warm_start is None:
@@ -349,6 +375,7 @@ def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
         rho = min(max(rho, math.exp(_LOG_RHO_MIN)), rho_max)
     ev = inc_gamma_eval(alpha, rho)
     merit = _loglik_from_stats(st, alpha, rho, ev.log_value) / st.n
+    g1_tol = tol * max(1.0, abs(st.s_bar))
     for it in range(1, max_iter + 1):
         # inner scores g1 = d_alpha - log rho - s_bar and g2 = r_bar - R, with
         # R = Gamma(alpha+1, rho) / (rho Gamma(alpha, rho)); d_rho - alpha/rho
@@ -358,14 +385,7 @@ def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
             log_upper_inc_gamma(alpha + 1.0, rho) - math.log(rho) - ev.log_value
         )
         g2 = st.r_bar - ratio
-        # Jacobian of (g1, g2) in (alpha, log rho). Its g2 row is built from
-        # R and h = rho^alpha e^-rho / Gamma(alpha, rho) = -rho d_rho:
-        # dg2/dlog rho = R + h (1 - R) has no 1/rho-sized terms to cancel
-        j11 = ev.d_alpha_alpha
-        j12 = ev.d_alpha_rho * rho - 1.0
-        j21 = j12 / rho
-        h = -rho * ev.d_rho
-        j22 = ratio + h * (1.0 - ratio)
+        j11, j12, j21, j22 = _inner_jacobian(ev, rho, ratio)
         det = j11 * j22 - j12 * j21
         if det == 0.0:
             break
@@ -374,15 +394,28 @@ def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
         dr = -rho * (j11 * g2 - j21 * g1) / det
         if not math.isfinite(da + dr):
             break
-        if abs(g1) < tol * max(1.0, abs(st.s_bar)) and abs(g2) < tol * max(1.0, st.r_bar):
+        if abs(g1) < g1_tol and abs(g2) < tol * max(1.0, st.r_bar):
             return alpha + da, rho + dr, it
-        # halve until the trial point is inside the rho range and the
-        # likelihood does not fall; t -> 0 returns the current point, so
-        # this ends
+        if rho == rho_max and g2 < 0.0 and abs(g1) < g1_tol:
+            # the alpha-score vanishes on the rho cap and the likelihood still
+            # rises in rho: this is the box maximum, and by concavity no
+            # interior root exists
+            raise FitError(
+                f"inner optimum at sigma={st.sigma} lies beyond the rho cap "
+                f"{rho_max:g} (alpha={alpha})"
+            )
+        if rho + dr > rho_max:
+            # the Newton model's maximum lies past the cap: take its maximum
+            # on the cap, where alpha alone is free (j21 is the alpha-rho
+            # curvature in these coordinates)
+            dr = rho_max - rho
+            da = -(g1 + j21 * dr) / j11
+        # halve until rho stays positive and the likelihood does not fall;
+        # t -> 0 returns the current point, so this ends
         t = 1.0
         while True:
-            a_new, r_new = alpha + t * da, rho + t * dr
-            if 0.0 < r_new <= rho_max:
+            a_new, r_new = alpha + t * da, min(rho + t * dr, rho_max)
+            if r_new > 0.0:
                 # the trial point's evaluation serves the next iteration if taken
                 ev_new = inc_gamma_eval(a_new, r_new)
                 m_new = _loglik_from_stats(st, a_new, r_new, ev_new.log_value) / st.n
@@ -397,6 +430,19 @@ def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
 
 
 # ------------------------------------------------------------- profile fits
+def _pareto_profile(st: SufficientStats, log_sigma: float):
+    """Pareto profile log-likelihood n (-log s_bar - log sigma - 1 - s_bar),
+    at its closed-form alpha = -1/s_bar, with its slope and curvature in
+    log sigma."""
+    s_bar = st.s_bar
+    # u = d s_bar / d log sigma, and du its own log-sigma derivative
+    u = st.sigma * st.s_bar_sigma
+    du = u + st.sigma**2 * st.s_bar_sigma_sigma
+    return (st.n * (-math.log(s_bar) - log_sigma - 1.0 - s_bar),
+            -st.n * (u / s_bar + 1.0 + u),
+            -st.n * (du / s_bar - (u / s_bar) ** 2 + du))
+
+
 def fit_pareto(sample) -> FitResult:
     """Two-parameter Pareto MLE via the closed-form profile alpha(sigma) = -1/s_bar."""
     smp = Sample.coerce(sample)
@@ -406,28 +452,27 @@ def fit_pareto(sample) -> FitResult:
         raise FitError("Pareto fit needs at least 2 observations")
     if np.count_nonzero(x > 0) < 1:
         raise FitError("Pareto fit needs positive observations")
-    from scipy.optimize import minimize_scalar
+    evals = 0
 
-    xbar = float(x.mean())
+    def profile(log_sigma: float):
+        nonlocal evals
+        evals += 1
+        return _pareto_profile(sufficient_stats(smp, math.exp(log_sigma)), log_sigma)
 
-    def neg_profile(log_sigma: float) -> float:
-        sigma = math.exp(log_sigma)
-        s_bar = _mean_log1p(x, sigma)
-        return -n * (-math.log(s_bar) - log_sigma - 1.0 - s_bar)
-
-    lo, hi = math.log(xbar) - 4.0 * math.log(10.0), math.log(xbar) + 4.0 * math.log(10.0)
+    x0 = math.log(float(x.mean()))
+    lo, hi = x0 - 4.0 * math.log(10.0), x0 + 4.0 * math.log(10.0)
     for _ in range(8):
-        res = minimize_scalar(neg_profile, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        at_edge = min(res.x - lo, hi - res.x) < 1e-3
-        if not at_edge:
+        bracket, status = _bracket_maximum(profile, x0, lo, hi)
+        if bracket is not None:
+            x0 = _refine_maximum(profile, *bracket, xatol=1e-10)
             break
+        x0 = lo if status == "lo" else hi
         # light-tailed data pushes sigma (and -alpha) to infinity along the
         # exponential limit; past any practical tail weight, stop chasing it
-        if -1.0 / _mean_log1p(x, math.exp(res.x)) < -1e4:
+        if -1.0 / _mean_log1p(x, math.exp(x0)) < -1e4:
             break
         lo, hi = lo - 4.0, hi + 4.0
-    sigma = math.exp(res.x)
+    sigma = math.exp(x0)
     st = sufficient_stats(smp, sigma)
     alpha = -1.0 / st.s_bar
     ll = loglik_pareto(st, alpha, sigma)
@@ -437,7 +482,7 @@ def fit_pareto(sample) -> FitResult:
     )
     info = pareto_observed_information(st, alpha, sigma)
     return _fit_result("pareto", ParetoParams(alpha, sigma), ll, score, info,
-                       [1.0, sigma], int(res.nfev), n)
+                       [1.0, sigma], evals, n)
 
 
 def fit_gamma(sample) -> FitResult:
@@ -484,12 +529,16 @@ def fit_gamma(sample) -> FitResult:
 
 
 class _Profile:
-    """Profile log-likelihood over log sigma with warm-started inner solves.
+    """Profile log-likelihood over l = log sigma with warm-started inner solves.
 
-    Where no interior inner optimum exists the profile takes its supremum
-    value, which is the Pareto profile at that sigma; genuine numerical
-    failures are replaced by a sentinel so the outer search can route
-    around them.
+    Each evaluation returns the profile's value with its slope and curvature
+    in l. By the envelope theorem the slope is sigma l_sigma at the inner
+    optimum; the curvature is the Schur complement of the (alpha, rho) block
+    in the observed information (Murphy & van der Vaart, JASA 95, 2000).
+    Where no interior inner optimum exists the profile takes its supremum,
+    the Pareto profile at that sigma; genuine numerical failures are
+    replaced by a sentinel value with NaN derivatives so the search can
+    route around them.
     """
 
     _SENTINEL = -1e15
@@ -508,55 +557,101 @@ class _Profile:
         self.cache[log_sigma] = (a, r)
         return a, r
 
-    def value(self, log_sigma: float, start=None) -> float:
+    def value(self, log_sigma: float, start=None):
+        """(value, slope, curvature) of the profile at log_sigma."""
         # one statistics pass serves the inner solve and the value
         st = sufficient_stats(self.smp, math.exp(log_sigma))
         try:
             a, r = self.solve(log_sigma, start, st)
         except InnerBoundaryError:
-            # Pareto profile value, at its closed-form alpha = -1/s_bar
-            return st.n * (-math.log(st.s_bar) - log_sigma - 1.0 - st.s_bar)
+            return _pareto_profile(st, log_sigma)
         except FitError:
-            return self._SENTINEL
-        out = loglik_ftg(st, a, st.sigma, r)
+            return self._SENTINEL, math.nan, math.nan
+        ev = inc_gamma_eval(a, r)
+        out = _loglik_from_stats(st, a, r, ev.log_value)
         if self.best is None or out > self.best[0]:
             self.best = (out, log_sigma)
-        return out
+        sigma, n = st.sigma, st.n
+        # l-derivatives of the statistics, and of the log-likelihood at fixed
+        # (alpha, rho): the slope sigma l_sigma, and the curvature
+        # sigma^2 l_sigma_sigma + sigma l_sigma
+        u_s, u_r = sigma * st.s_bar_sigma, sigma * st.r_bar_sigma
+        slope = -n * (1.0 - (a - 1.0) * u_s + r * u_r)
+        fixed = slope - n * (-1.0 - (a - 1.0) * sigma**2 * st.s_bar_sigma_sigma
+                             + r * sigma**2 * st.r_bar_sigma_sigma)
+        # (alpha, rho) following sigma adds sigma^2 I_s,th I_th,th^-1 I_th,s,
+        # with I_th,th = n J diag(1, 1/rho) and R = r_bar at the root
+        j11, j12, j21, j22 = _inner_jacobian(ev, r, st.r_bar)
+        schur = n * (j22 * u_s**2 + 2.0 * j12 * u_s * u_r + r * j11 * u_r**2) / (
+            j11 * j22 - j12 * j21)
+        return out, slope, fixed + schur
 
 
 def _bracket_maximum(fun, x0: float, lo: float, hi: float, step: float = 0.5):
-    """Expand from x0 until fun has a local max strictly inside (a, c).
+    """Walk uphill from x0, as the slope points, until the slope turns.
 
-    Returns (bracket, status): bracket is ((a, x0, c), values) or None;
-    status is "ok", or "lo"/"hi" when the maximum ran into that bound.
+    fun returns (value, slope, curvature); a NaN slope (a failed evaluation)
+    ends the walk as a turned one does. Steps double from ``step``.
+    Returns (bracket, status): bracket is (a, fun(a), c, fun(c)), the
+    slope positive at a and not at c, or None; status is "ok", "lo"/"hi"
+    when the maximum ran into that bound, or "stuck" when fun fails at x0.
     """
     x0 = min(max(x0, lo + 1e-9), hi - 1e-9)
-    f0 = fun(x0)
-    a, c = max(lo, x0 - step), min(hi, x0 + step)
-    fa, fc = fun(a), fun(c)
+    p0 = fun(x0)
+    if math.isnan(p0[1]):
+        return None, "stuck"
+    up = p0[1] > 0.0
     for _ in range(200):
-        if f0 >= fa and f0 >= fc:
-            return ((a, x0, c), (fa, f0, fc)), "ok"
-        if fa > f0:
-            a, x0, c = max(lo, a - 2.0 * (x0 - a)), a, x0
-            fa, f0, fc = fun(a), fa, f0
-            if x0 == a:
-                return None, "lo"
-        else:
-            a, x0, c = x0, c, min(hi, c + 2.0 * (c - x0))
-            fa, f0, fc = f0, fc, fun(c)
-            if x0 == c:
-                return None, "hi"
+        x1 = min(hi, x0 + step) if up else max(lo, x0 - step)
+        if x1 == x0:
+            return None, "hi" if up else "lo"
+        p1 = fun(x1)
+        if not (p1[1] > 0.0 if up else p1[1] <= 0.0):
+            return ((x0, p0, x1, p1) if up else (x1, p1, x0, p0)), "ok"
+        x0, p0, step = x1, p1, 2.0 * step
     return None, "stuck"
+
+
+def _refine_maximum(fun, a: float, pa, c: float, pc, xatol: float) -> float:
+    """Safeguarded Newton on the slope inside a bracket from _bracket_maximum.
+
+    Starts from the higher end; a step that leaves (a, c), or a curvature
+    that is not negative, is replaced by bisection. A failed evaluation
+    (NaN slope) takes the place of the bracket end that failed, or of c.
+    Stops once a step or the bracket is shorter than xatol (or after 200
+    evaluations), and returns the last point.
+    """
+    x, (_, g, h) = (a, pa) if pa[0] >= pc[0] else (c, pc)
+    a_failed = math.isnan(pa[1])
+    for _ in range(200):
+        if c - a <= xatol:
+            break
+        xn = x - g / h if h < 0.0 else math.nan
+        if not a < xn < c:
+            xn = 0.5 * (a + c)
+        step, x = abs(xn - x), xn
+        _, g, h = fun(x)
+        if g > 0.0 or (math.isnan(g) and a_failed):
+            a = x
+        elif g == 0.0:
+            break
+        else:
+            c = x
+        if step < xatol:
+            break
+    return x
 
 
 def fit_ftg(sample) -> FitResult:
     """Three-parameter FTG MLE by profile likelihood in sigma.
 
-    Standardizes to unit mean, runs the outer Brent search from two
+    Standardizes to unit mean and searches the profile from two
     initializations (a gamma-model fit and a Pareto-model fit with the
-    matching rho), keeps the better optimum, polishes with full Newton
-    steps on the three-parameter score, and maps back to the data scale.
+    matching rho). From each, the profile's slope sign walks out a bracket
+    of its maximum, and safeguarded Newton on the slope refines it, unless
+    the bracket already holds the other start's optimum. Keeps the better
+    optimum, polishes with full Newton steps on the three-parameter score,
+    and maps back to the data scale.
 
     A fit drifting to the Pareto boundary (rho -> 0 with alpha < 0) is
     reported with boundary="pareto" and the Pareto fit attached instead of
@@ -589,8 +684,6 @@ def fit_ftg(sample) -> FitResult:
         except FitError:
             pass
 
-    from scipy.optimize import minimize_scalar
-
     best = None
     pinned: set[str] = set()
     for log_sig0, inner0 in starts:
@@ -599,31 +692,27 @@ def fit_ftg(sample) -> FitResult:
                 prof.solve(log_sig0, start=inner0)  # seed the warm cache
             except FitError:
                 pass  # prof.value degrades gracefully at bad points
-            bracket = None
+            x0 = log_sig0
             for attempt in range(6):
-                bracket, status = _bracket_maximum(prof.value, log_sig0, lo, hi)
+                bracket, status = _bracket_maximum(prof.value, x0, lo, hi)
                 if bracket is not None or status == "stuck":
                     break
                 # the spec'd search window expands when the maximum runs into
                 # an edge; a maximum still pinned after ~16 extra decades is a
                 # closure-boundary supremum, not a bracketing failure
                 if status == "lo":
-                    lo -= 3.0 * math.log(10.0)
+                    x0, lo = lo, lo - 3.0 * math.log(10.0)
                 elif status == "hi":
-                    hi += 3.0 * math.log(10.0)
+                    x0, hi = hi, hi + 3.0 * math.log(10.0)
             if bracket is None:
                 if status in ("lo", "hi"):
                     pinned.add(status)
                 continue
-            (a, b, c), _ = bracket
-            minimize_scalar(
-                lambda t: -prof.value(t),
-                bounds=(a, c),
-                method="bounded",
-                options={"xatol": 1e-8},
-            )
-            # read the optimum off the profile's own bookkeeping: the
-            # optimizer's final point may sit on a failed-evaluation cliff
+            # a bracket around the other start's optimum holds nothing new
+            if best is None or not bracket[0] <= best[1] <= bracket[2]:
+                _refine_maximum(prof.value, *bracket, xatol=1e-8)
+            # read the optimum off the profile's own bookkeeping: the last
+            # point may sit on a failed-evaluation cliff
             if prof.best is not None and (best is None or prof.best[0] > best[0]):
                 best = prof.best
         except FitError:

@@ -237,6 +237,56 @@ class TestInnerSolve:
                 prev = (a, r)
         assert roots > 100
 
+    def test_solve_past_the_rho_cap_stops_on_the_cap(self, monkeypatch):
+        # light-tailed data whose inner optimum at this sigma lies past the
+        # rho cap (the truncated-normal edge): once the alpha-score vanishes
+        # on the cap with the likelihood still rising in rho, the solve
+        # raises, instead of halving its steps toward the cap until max_iter
+        import ftgamma.fit
+        from ftgamma.fit import InnerBoundaryError
+
+        gen = np.random.default_rng(3)
+        gen.exponential(1.0, 20)
+        y = Sample(gen.exponential(1.0, 40)).standardized()[0]
+        calls = []
+        real = ftgamma.fit.inc_gamma_eval
+
+        def counting(alpha, rho):
+            calls.append(rho)
+            return real(alpha, rho)
+
+        monkeypatch.setattr(ftgamma.fit, "inc_gamma_eval", counting)
+        with pytest.raises(FitError, match="rho cap") as raised:
+            inner_solve(y, 100.0)
+        assert not isinstance(raised.value, InnerBoundaryError)
+        assert len(calls) < 50
+
+
+class TestProfile:
+    @pytest.mark.parametrize("offset", [-0.3, 0.1, 0.5, "pareto-edge"])
+    def test_slope_and_curvature_match_central_differences(self, losses, ftg_fit,
+                                                           offset):
+        # the slope is l_sigma at the inner optimum (envelope theorem) and the
+        # curvature the Schur complement of the (alpha, rho) information;
+        # where no interior inner optimum exists both come from the closed-
+        # form Pareto profile. All are derivatives in log sigma.
+        from ftgamma.fit import InnerBoundaryError, _Profile
+
+        y = losses.standardized()[0]
+        if offset == "pareto-edge":
+            log_sigma = 0.0
+            with pytest.raises(InnerBoundaryError):
+                inner_solve(y, 1.0)
+        else:
+            log_sigma = math.log(ftg_fit.params.sigma / ftg_fit.standardization_factor)
+            log_sigma += offset
+        prof = _Profile(y)
+        value, slope, curvature = prof.value(log_sigma)
+        h = 1e-3
+        up, down = prof.value(log_sigma + h)[0], prof.value(log_sigma - h)[0]
+        assert slope == pytest.approx((up - down) / (2.0 * h), rel=1e-5)
+        assert curvature == pytest.approx((up - 2.0 * value + down) / h**2, rel=1e-5)
+
 
 class TestFitFtg:
     def test_reference_table(self, losses, ftg_fit):
@@ -353,7 +403,7 @@ class TestFitFtg:
 
         def value(self, log_sigma, start=None):
             out = real_value(self, log_sigma, start)
-            if out == ftgamma.fit._Profile._SENTINEL:
+            if out[0] == ftgamma.fit._Profile._SENTINEL:
                 sentinels.append(log_sigma)
             return out
 
@@ -366,6 +416,24 @@ class TestFitFtg:
         assert fit.converged and fit.boundary is None
         p = fit.params
         assert (f"{p.alpha:.6f}", f"{p.rho:.4g}", f"{fit.loglik:.6f}") == printed
+
+    def test_bundled_fit_evaluation_budget(self, losses, monkeypatch):
+        # safeguarded Newton on the profile's analytic slope and curvature,
+        # with a bracket walked by the slope's sign: the bounded Brent
+        # search it replaced made 35 inner solves here
+        import ftgamma.fit
+
+        calls = []
+        real = ftgamma.fit.inner_solve
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ftgamma.fit, "inner_solve", counting)
+        fit = fit_ftg(losses)
+        assert fit.converged and fit.boundary is None
+        assert len(calls) <= 20
 
     def test_degenerate_samples_rejected(self):
         with pytest.raises(FitError):
