@@ -268,19 +268,18 @@ def quantile(p: FtgParams, prob: float) -> float:
 def mgf(p: FtgParams, t: float) -> float:
     """Moment generating function E[e^(tX)], defined for t < theta.
 
-    At the Pareto boundary the MGF exists only for t <= 0; t = 0 gives 1 and
-    t < 0 is evaluated by quadrature.
+    At the Pareto boundary the MGF exists only for t <= 0; t = 0 gives 1,
+    and t < 0 has the closed form (-alpha) e^s s^(-alpha) Gamma(alpha, s)
+    with s = -t sigma, evaluated in log scale.
     """
     if t == 0.0:
         return 1.0
     if p.is_pareto:
         if t > 0.0:
             raise ValueError("Pareto boundary has no MGF for t > 0")
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda x: math.exp(t * x) * pdf(p, x), 0.0, math.inf,
-                      limit=200)
-        return val
+        s = -t * p.sigma
+        return math.exp(math.log(-p.alpha) + s - p.alpha * math.log(s)
+                        + log_upper_inc_gamma(p.alpha, s))
     if t >= p.theta:
         raise ValueError(f"mgf requires t < theta = {p.theta}, got {t}")
     w = 1.0 - t / p.theta

@@ -283,14 +283,17 @@ def _std_errors(info: np.ndarray) -> np.ndarray:
 
 
 def _fit_result(family: str, params, loglik: float, score, info: np.ndarray,
-                log_scale, iterations: int, n: int, **extra) -> FitResult:
-    """FitResult at an estimate from its score and observed information.
+                log_scale, iterations: int, n: int,
+                standardization_factor: float = 1.0) -> FitResult:
+    """FitResult at an interior estimate from its score and observed
+    information.
 
     log_scale is the diagonal of the Jacobian from the log-scale parameters
     to the natural ones (1 for alpha, the value itself for sigma and rho).
-    A fit flagged with a boundary is never converged.
+    score_norm is the largest component of the log-scale score, so it and
+    the converged flag do not depend on the data's units.
     """
-    score_norm = max(abs(s) for s in score)
+    score_norm = max(abs(s * j) for s, j in zip(score, log_scale))
     jac = np.diag(log_scale)
     return FitResult(
         family=family,
@@ -299,10 +302,10 @@ def _fit_result(family: str, params, loglik: float, score, info: np.ndarray,
         score_norm=score_norm,
         observed_info=info,
         std_errors=_std_errors(info),
-        converged=extra.get("boundary") is None and bool(score_norm < 1e-6 * n),
+        converged=bool(score_norm < 1e-6 * n),
         iterations=iterations,
+        standardization_factor=standardization_factor,
         observed_info_log=jac @ info @ jac,
-        **{"standardization_factor": 1.0, **extra},
     )
 
 
@@ -529,7 +532,8 @@ def fit_gamma(sample) -> FitResult:
 
 
 class _Profile:
-    """Profile log-likelihood over l = log sigma with warm-started inner solves.
+    """Profile log-likelihood over l = log sigma, with a cold inner solve at
+    each point.
 
     Each evaluation returns the profile's value with its slope and curvature
     in l. By the envelope theorem the slope is sigma l_sigma at the inner
@@ -538,31 +542,22 @@ class _Profile:
     Where no interior inner optimum exists the profile takes its supremum,
     the Pareto profile at that sigma; genuine numerical failures are
     replaced by a sentinel value with NaN derivatives so the search can
-    route around them.
+    route around them. ``best`` holds the highest interior point evaluated
+    so far, as (value, log_sigma, alpha, rho).
     """
 
     _SENTINEL = -1e15
 
     def __init__(self, smp: Sample):
         self.smp = smp
-        self.cache: dict[float, tuple[float, float]] = {}
-        self.best: tuple[float, float] | None = None  # (value, log_sigma)
+        self.best: tuple[float, float, float, float] | None = None
 
-    def solve(self, log_sigma: float, start=None, st: SufficientStats | None = None):
-        sigma = math.exp(log_sigma)
-        if start is None and self.cache:
-            nearest = min(self.cache, key=lambda k: abs(k - log_sigma))
-            start = self.cache[nearest]
-        a, r, _ = inner_solve(self.smp if st is None else st, sigma, warm_start=start)
-        self.cache[log_sigma] = (a, r)
-        return a, r
-
-    def value(self, log_sigma: float, start=None):
+    def value(self, log_sigma: float):
         """(value, slope, curvature) of the profile at log_sigma."""
         # one statistics pass serves the inner solve and the value
         st = sufficient_stats(self.smp, math.exp(log_sigma))
         try:
-            a, r = self.solve(log_sigma, start, st)
+            a, r, _ = inner_solve(st, st.sigma)
         except InnerBoundaryError:
             return _pareto_profile(st, log_sigma)
         except FitError:
@@ -570,7 +565,7 @@ class _Profile:
         ev = inc_gamma_eval(a, r)
         out = _loglik_from_stats(st, a, r, ev.log_value)
         if self.best is None or out > self.best[0]:
-            self.best = (out, log_sigma)
+            self.best = (out, log_sigma, a, r)
         sigma, n = st.sigma, st.n
         # l-derivatives of the statistics, and of the log-likelihood at fixed
         # (alpha, rho): the slope sigma l_sigma, and the curvature
@@ -618,8 +613,8 @@ def _refine_maximum(fun, a: float, pa, c: float, pc, xatol: float) -> float:
     Starts from the higher end; a step that leaves (a, c), or a curvature
     that is not negative, is replaced by bisection. A failed evaluation
     (NaN slope) takes the place of the bracket end that failed, or of c.
-    Stops once a step or the bracket is shorter than xatol (or after 200
-    evaluations), and returns the last point.
+    Stops once a Newton step, proposed or taken, or the bracket is shorter
+    than xatol (or after 200 evaluations), and returns the last point.
     """
     x, (_, g, h) = (a, pa) if pa[0] >= pc[0] else (c, pc)
     a_failed = math.isnan(pa[1])
@@ -627,6 +622,11 @@ def _refine_maximum(fun, a: float, pa, c: float, pc, xatol: float) -> float:
         if c - a <= xatol:
             break
         xn = x - g / h if h < 0.0 else math.nan
+        if abs(xn - x) < xatol:
+            # converged. Once x has become a bracket end, a step this short
+            # can round onto x itself, and bisecting from there would walk
+            # the whole bracket down again
+            break
         if not a < xn < c:
             xn = 0.5 * (a + c)
         step, x = abs(xn - x), xn
@@ -645,17 +645,19 @@ def _refine_maximum(fun, a: float, pa, c: float, pc, xatol: float) -> float:
 def fit_ftg(sample) -> FitResult:
     """Three-parameter FTG MLE by profile likelihood in sigma.
 
-    Standardizes to unit mean and searches the profile from two
-    initializations (a gamma-model fit and a Pareto-model fit with the
-    matching rho). From each, the profile's slope sign walks out a bracket
-    of its maximum, and safeguarded Newton on the slope refines it, unless
-    the bracket already holds the other start's optimum. Keeps the better
-    optimum, polishes with full Newton steps on the three-parameter score,
-    and maps back to the data scale.
+    Standardizes to unit mean and fits the family's two closure edges
+    there, the Pareto (theta -> 0) and the gamma (rho -> 0). The profile is
+    searched from the Pareto fit's sigma and from sigma = 1. From each
+    start, the profile's slope sign walks out a bracket of its maximum, and
+    safeguarded Newton on the slope refines it, unless the bracket already
+    holds the other start's optimum. The best interior point is polished
+    with full Newton steps on the three-parameter score.
 
-    A fit drifting to the Pareto boundary (rho -> 0 with alpha < 0) is
-    reported with boundary="pareto" and the Pareto fit attached instead of
-    pretending an interior optimum exists.
+    The edge is decided once: of the interior optimum and the two edge
+    fits, the highest standardized log-likelihood wins, and an edge wins
+    any tie within 1e-6. A winning edge is refitted on the data and
+    reported with boundary="pareto" or "gamma" (see _edge_result); an
+    interior optimum is mapped back to the data scale.
     """
     smp = Sample.coerce(sample)
     x = smp.values
@@ -667,91 +669,47 @@ def fit_ftg(sample) -> FitResult:
         raise FitError("FTG fit needs at least two distinct positive values")
 
     y_smp, xbar = smp.standardized()
-    prof = _Profile(y_smp)
-    lo, hi = math.log(1e-4), math.log(1e4)
-
-    starts = []
-    # Pareto-model initialization, with rho from the rho-score relation
-    par_y = fit_pareto(y_smp)
-    a_p, s_p = par_y.params.alpha, par_y.params.sigma
-    rho_p = _rho_for_pareto_start(a_p, s_p)
-    starts.append((math.log(s_p), (a_p, rho_p)))
-    # gamma-model initialization at sigma = 1 (unit-mean data)
+    edges = [fit_pareto(y_smp)]
     if np.all(y_smp.values > 0.0):
         try:
-            gam_y = fit_gamma(y_smp)
-            starts.append((0.0, (gam_y.params.alpha, gam_y.params.theta)))
+            edges.append(fit_gamma(y_smp))
         except FitError:
             pass
 
+    prof = _Profile(y_smp)
+    lo, hi = math.log(1e-4), math.log(1e4)
     best = None
-    pinned: set[str] = set()
-    for log_sig0, inner0 in starts:
-        try:
-            try:
-                prof.solve(log_sig0, start=inner0)  # seed the warm cache
-            except FitError:
-                pass  # prof.value degrades gracefully at bad points
-            x0 = log_sig0
-            for attempt in range(6):
-                bracket, status = _bracket_maximum(prof.value, x0, lo, hi)
-                if bracket is not None or status == "stuck":
-                    break
-                # the spec'd search window expands when the maximum runs into
-                # an edge; a maximum still pinned after ~16 extra decades is a
-                # closure-boundary supremum, not a bracketing failure
-                if status == "lo":
-                    x0, lo = lo, lo - 3.0 * math.log(10.0)
-                elif status == "hi":
-                    x0, hi = hi, hi + 3.0 * math.log(10.0)
-            if bracket is None:
-                if status in ("lo", "hi"):
-                    pinned.add(status)
-                continue
-            # a bracket around the other start's optimum holds nothing new
-            if best is None or not bracket[0] <= best[1] <= bracket[2]:
-                _refine_maximum(prof.value, *bracket, xatol=1e-8)
-            # read the optimum off the profile's own bookkeeping: the last
-            # point may sit on a failed-evaluation cliff
-            if prof.best is not None and (best is None or prof.best[0] > best[0]):
-                best = prof.best
-        except FitError:
+    for x0 in (math.log(edges[0].params.sigma), 0.0):
+        for _ in range(6):
+            bracket, status = _bracket_maximum(prof.value, x0, lo, hi)
+            if bracket is not None or status == "stuck":
+                break
+            # the search window grows when the maximum runs into one of its
+            # ends; a maximum still there after ~16 extra decades is a
+            # closure-edge supremum, which the edge fits stand for
+            if status == "lo":
+                x0, lo = lo, lo - 3.0 * math.log(10.0)
+            else:
+                x0, hi = hi, hi + 3.0 * math.log(10.0)
+        if bracket is None:
             continue
-    if best is None or best[0] <= _Profile._SENTINEL:
-        edge = _edge_supremum_result(smp, xbar, pinned)
-        if edge is not None:
-            return edge
-        raise FitError("profile search failed from every initialization")
-    if pinned:
-        # an interior bracket was found from one start, but another start ran
-        # off to a closure edge; keep whichever likelihood is higher
-        edge = _edge_supremum_result(smp, xbar, pinned)
-        if edge is not None and edge.loglik > best[0] + 1e-9:
-            return edge
+        # a bracket around the other start's optimum holds nothing new
+        if best is None or not bracket[0] <= best[1] <= bracket[2]:
+            _refine_maximum(prof.value, *bracket, xatol=1e-8)
+        # read the optimum off the profile's own bookkeeping: the last
+        # point may sit on a failed-evaluation cliff
+        if prof.best is not None and (best is None or prof.best[0] > best[0]):
+            best = prof.best
 
-    ll_y, log_sig = best
-    try:
-        alpha, rho = prof.solve(log_sig)
-    except InnerBoundaryError:
-        return _edge_result(fit_pareto(smp), xbar)
-    sigma = math.exp(log_sig)
-    alpha, sigma, rho, iters = _newton_polish(y_smp, alpha, sigma, rho)
-
-    # boundary drift checks (rho is scale-invariant): a vanishing truncation
-    # parameter means the optimum lives on the Pareto (alpha < 0) or gamma
-    # (alpha > 0) edge of the family
-    boundary = pareto_fit = None
-    if rho < 1e-10:
-        ll_here = loglik_ftg(y_smp, alpha, sigma, rho) - n * math.log(xbar)
-        if alpha < 0.0:
-            pareto_fit = fit_pareto(smp)
-            if ll_here <= pareto_fit.loglik + 1e-6:
-                boundary = "pareto"
-        elif alpha > 0.0:
-            gamma_fit = fit_gamma(smp)
-            if ll_here <= gamma_fit.loglik + 1e-6:
-                return _edge_result(gamma_fit, xbar, iterations=iters)
-        rho = max(rho, 1e-150)  # keep 1/rho^2 representable below
+    ll_y = -math.inf
+    if best is not None:
+        _, log_sig, alpha, rho = best
+        alpha, sigma, rho, iters = _newton_polish(y_smp, alpha, math.exp(log_sig), rho)
+        ll_y = loglik_ftg(y_smp, alpha, sigma, rho)
+    edge = max(edges, key=lambda f: f.loglik)
+    if edge.loglik >= ll_y - 1e-6:
+        return _edge_result((fit_pareto if edge.family == "pareto" else fit_gamma)(smp),
+                            xbar)
 
     # de-standardize: alpha, rho unchanged; sigma scales with the mean
     sigma *= xbar
@@ -762,64 +720,20 @@ def fit_ftg(sample) -> FitResult:
     score = _score_from_stats(st, ev, alpha, rho)
     info = _information_from_stats(st, ev, alpha, rho)
     return _fit_result("ftg", params, ll, score, info, [1.0, sigma, rho], iters, n,
-                       standardization_factor=xbar, boundary=boundary,
-                       pareto_fit=pareto_fit if boundary else None)
+                       standardization_factor=xbar)
 
 
-def _edge_supremum_result(smp: Sample, xbar: float, pinned: set) -> "FitResult | None":
-    """Best closure-boundary model when the profile maximum ran off an edge.
-
-    sigma -> 0 approaches the gamma sub-family, sigma -> inf the Pareto-like
-    exponential mimicry; evaluate the attainable boundary fits and report
-    the better one with its boundary flag.
-    """
-    if not pinned:
-        return None
-    candidates: list[FitResult] = []
-    if "lo" in pinned:
-        try:
-            candidates.append(fit_gamma(smp))
-        except FitError:
-            pass
-    try:
-        candidates.append(fit_pareto(smp))
-    except FitError:
-        pass
-    if not candidates:
-        return None
-    return _edge_result(max(candidates, key=lambda f: f.loglik), xbar)
-
-
-def _edge_result(edge_fit: FitResult, xbar: float, **changes) -> FitResult:
+def _edge_result(edge_fit: FitResult, xbar: float) -> FitResult:
     """FTG fit whose optimum lies on the gamma or Pareto edge: the boundary
     model's own fit, flagged, rather than a fake interior optimum. A Pareto
     edge is never reported as converged and carries the Pareto fit."""
     if edge_fit.family == "pareto":
         pp = edge_fit.params
         changes = dict(params=FtgParams.pareto(pp.alpha, pp.sigma), converged=False,
-                       boundary="pareto", pareto_fit=edge_fit, **changes)
+                       boundary="pareto", pareto_fit=edge_fit)
     else:
-        changes = dict(boundary="gamma", **changes)
+        changes = dict(boundary="gamma")
     return replace(edge_fit, family="ftg", standardization_factor=xbar, **changes)
-
-
-def _rho_for_pareto_start(alpha: float, sigma: float) -> float:
-    """Solve d_rho - alpha/rho + 1 + 1/sigma = 0 for the initial rho."""
-    from scipy.optimize import brentq
-
-    def h(lt: float) -> float:
-        r = math.exp(lt)
-        return 1.0 + 1.0 / sigma - math.exp(
-            log_upper_inc_gamma(alpha + 1.0, r) - lt - log_upper_inc_gamma(alpha, r)
-        )
-
-    # h = 1 + 1/sigma - E[1 + X/sigma] rises with rho (its rho-derivative is
-    # the variance), so the two ends bracket the only root or the nearer wins
-    lo, hi = -60.0, math.log(500.0)
-    h_lo, h_hi = h(lo), h(hi)
-    if h_lo * h_hi < 0.0:
-        return math.exp(brentq(h, lo, hi, xtol=1e-12))
-    return math.exp(lo if abs(h_lo) <= abs(h_hi) else hi)
 
 
 def _newton_polish(smp: Sample, alpha: float, sigma: float, rho: float,

@@ -232,13 +232,16 @@ class TestPlotdata:
         assert 0 in ids and len(ids) == 3
 
 
-def run_module(*argv, timeout):
-    # the child imports the same ftgamma as this process, installed or not
+def child_env():
+    # a child imports the same ftgamma as this process, installed or not
     src = os.path.dirname(os.path.dirname(ftgamma.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def run_module(*argv, timeout):
     return subprocess.run([sys.executable, "-m", "ftgamma.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          capture_output=True, text=True, timeout=timeout, env=child_env())
 
 
 class TestEntryPoint:
@@ -251,3 +254,29 @@ class TestEntryPoint:
         proc = run_module("fit", "--family", "nope", timeout=60)
         assert proc.returncode == 1
         assert "invalid choice: 'nope'" in proc.stderr
+
+
+class TestWithoutScipy:
+    # the CLI's fit, gof, risk and plotdata paths import no SciPy; a child
+    # with sys.modules["scipy"] = None fails on any SciPy import
+    _CHILD = ("import sys\n"
+              "if sys.argv[1] == 'block':\n"
+              "    sys.modules['scipy'] = None\n"
+              "from ftgamma.cli import main\n"
+              "sys.exit(main(sys.argv[2:]))\n")
+
+    @pytest.mark.parametrize("argv", [
+        "fit --bundled --family all",
+        "gof --bundled --family ftg --n-boot 99 --seed 1",
+        "risk --bundled --n-sims 20000 --seed 1",
+        "risk --bundled --bootstrap 10 --n-sims 20000 --seed 1",
+        "plotdata --bundled --mode survival",
+    ])
+    def test_same_stdout_with_scipy_blocked(self, argv):
+        blocked, free = [
+            subprocess.run([sys.executable, "-c", self._CHILD, mode, *argv.split()],
+                           capture_output=True, text=True, timeout=300, env=child_env())
+            for mode in ("block", "free")]
+        assert blocked.returncode == 0, blocked.stderr
+        assert free.returncode == 0, free.stderr
+        assert blocked.stdout == free.stdout

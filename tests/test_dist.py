@@ -158,6 +158,19 @@ class TestMgf:
         val, _ = quad(tilted, 0, np.inf, limit=400)
         assert mgf(p, 0.1) == pytest.approx(val, rel=1e-8)
 
+    def test_pareto_closed_form_against_mpmath(self):
+        # E[e^(tX)] = (-alpha) e^s s^(-alpha) Gamma(alpha, s), s = -t sigma,
+        # at 40 digits; quadrature was 7.9% off at (-0.2, 1, -1e-6)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for a in (-0.2, -0.45, -1.0, -3.0, -10.0):
+                for sig in (0.1, 1.0, 100.0):
+                    for t in (-1e-6, -1e-3, -0.1, -1.0, -10.0):
+                        s = -mpmath.mpf(t) * sig
+                        want = -a * mpmath.exp(s) * s**-a * mpmath.gammainc(a, s)
+                        got = mgf(FtgParams.pareto(a, sig), t)
+                        assert got == pytest.approx(float(want), rel=1e-12), (a, sig, t)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             mgf(FtgParams(1.0, 2.0, 0.5), 2.0)

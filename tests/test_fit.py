@@ -288,6 +288,24 @@ class TestProfile:
         assert curvature == pytest.approx((up - 2.0 * value + down) / h**2, rel=1e-5)
 
 
+class TestRefineMaximum:
+    def test_stops_when_the_newton_step_rounds_onto_a_bracket_end(self):
+        # the slope at the optimum reads -1e-17, so x becomes the bracket's
+        # upper end and the next Newton step rounds onto x; bisecting from
+        # there took 25 more evaluations and stopped short of the optimum
+        from ftgamma.fit import _refine_maximum
+
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return -0.5 * (x - 0.3) ** 2, -(x - 0.3) - 1e-17, -1.0
+
+        x = _refine_maximum(fun, 0.0, fun(0.0), 1.0, fun(1.0), xatol=1e-8)
+        assert x == 0.3
+        assert len(calls) == 3
+
+
 class TestFitFtg:
     def test_reference_table(self, losses, ftg_fit):
         p = ftg_fit.params
@@ -347,8 +365,9 @@ class TestFitFtg:
             assert fit.std_errors[2] > 0.3 * fit.params.rho
 
     def test_interior_fit_runs_one_pareto_fit(self, losses, monkeypatch):
-        # the Pareto model seeds the standardized search; a fit on the raw
-        # sample is needed only to judge a Pareto-edge optimum
+        # the Pareto fit on the standardized sample is both a start and an
+        # edge candidate; a fit on the raw sample is made only when the
+        # Pareto edge wins
         import ftgamma.fit
 
         seen = []
@@ -401,8 +420,8 @@ class TestFitFtg:
         sentinels = []
         real_value = ftgamma.fit._Profile.value
 
-        def value(self, log_sigma, start=None):
-            out = real_value(self, log_sigma, start)
+        def value(self, log_sigma):
+            out = real_value(self, log_sigma)
             if out[0] == ftgamma.fit._Profile._SENTINEL:
                 sentinels.append(log_sigma)
             return out
@@ -435,6 +454,28 @@ class TestFitFtg:
         assert fit.converged and fit.boundary is None
         assert len(calls) <= 20
 
+    @staticmethod
+    def _assert_on_edge(x, boundary):
+        # the Pareto and gamma laws are closure edges of the family, so the
+        # FTG fit can never score below the better of their fits
+        smp = Sample(x)
+        fit = fit_ftg(smp)
+        assert fit.boundary == boundary
+        assert fit.loglik >= max(fit_pareto(smp).loglik, fit_gamma(smp).loglik) - 1e-6
+
+    @pytest.mark.parametrize("seed, child", [(1003, 24), (2, 635), (2, 939), (7, 365),
+                                             (12, 351)])
+    def test_gamma_edge_replicates(self, ftg_fit, seed, child):
+        # bundled-fit replicates that used to return interior fits 0.35-2.45
+        # below their gamma fit
+        self._assert_on_edge(ftg_rvs(ftg_fit.params, 40, RngStream(seed).child(child)),
+                             "gamma")
+
+    def test_pareto_edge_sample(self):
+        # used to return an interior fit 0.026 below its Pareto fit
+        x = ftg_rvs(FtgParams.pareto(-3.0, 1.0), 200, RngStream(4242).child(200, 4))
+        self._assert_on_edge(x, "pareto")
+
     def test_degenerate_samples_rejected(self):
         with pytest.raises(FitError):
             fit_ftg(Sample(np.array([1.0, 2.0])))
@@ -449,6 +490,17 @@ class TestFitFtg:
         assert fit_scaled.params.rho == pytest.approx(ftg_fit.params.rho, rel=1e-5)
         assert fit_scaled.params.sigma == pytest.approx(ftg_fit.params.sigma * c, rel=1e-6)
         assert fit_scaled.loglik == pytest.approx(ftg_fit.loglik - n * math.log(c), abs=1e-5)
+        # the flags come from the log-scale score, so no unit of the data
+        # changes them: the natural-scale sigma-score grows as 1/sigma, and
+        # read that way the gamma(0.5) sample failed its bar at 1e-3
+        gam = ftg_rvs(FtgParams.gamma(0.5, 1.0), 40, RngStream(4242).child(40, 1))
+        for x in (losses.values, gam):
+            fits = [fit_ftg(Sample(x * c)) for c in (1e-3, 1.0, 1e3)]
+            for fit in fits:
+                assert fit.boundary == fits[1].boundary
+                assert fit.converged == fits[1].converged
+                assert fit.params.alpha == pytest.approx(fits[1].params.alpha, rel=1e-8)
+            assert fits[1].converged
 
     def test_profile_sample_free_form(self, losses):
         # at inner-solve solutions the sample drops out of the profile value
