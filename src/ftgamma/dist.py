@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NumericsError
 from .specfun import log_upper_inc_gamma
 
 _INTERIOR = "interior"
@@ -157,6 +156,23 @@ def as_ftg(model: Model) -> FtgParams:
     return model
 
 
+def model_to_dict(model: Model) -> dict:
+    """JSON form of a parameter point, tagged with its family."""
+    if isinstance(model, ParetoParams):
+        return {"family": "pareto", "alpha": model.alpha, "sigma": model.sigma}
+    return {"family": "ftg", "alpha": model.alpha, "theta": model.theta,
+            "rho": model.rho, "sigma": model.sigma}
+
+
+def model_from_dict(d: dict) -> Model:
+    """The parameter point that model_to_dict wrote as d."""
+    if d["family"] == "pareto":
+        return ParetoParams(d["alpha"], d["sigma"])
+    if d["theta"] == 0.0:
+        return FtgParams.pareto(d["alpha"], d["sigma"])
+    return FtgParams(d["alpha"], d["theta"], d["rho"])
+
+
 @dataclass(frozen=True)
 class Moments:
     """First two moments plus the helper mu = e^-rho rho^alpha / Gamma(alpha, rho).
@@ -236,11 +252,12 @@ def cdf(p: FtgParams, x: float) -> float:
 
 
 def quantile(p: FtgParams, prob: float) -> float:
-    """Inverse CDF. prob in [0, 1); bracketing plus Brent refinement.
+    """Inverse CDF, prob in [0, 1).
 
-    The Pareto boundary inverts in closed form; elsewhere the bracket starts
-    at the mean and doubles until it straddles, after which scipy's brentq
-    polishes to |cdf(x) - prob| <= 1e-10.
+    The Pareto boundary inverts in closed form. Elsewhere survival(x) =
+    1 - prob is solved in u = log x, u in [-745, 709], by the fitter's
+    one-dimensional search: a walk from the log mean brackets the root,
+    and safeguarded Newton, with d survival / du = -x pdf(x), refines it.
     """
     if not 0.0 <= prob < 1.0:
         raise ValueError(f"prob must be in [0, 1), got {prob}")
@@ -248,20 +265,21 @@ def quantile(p: FtgParams, prob: float) -> float:
         return 0.0
     if p.is_pareto:
         return p.sigma * ((1.0 - prob) ** (1.0 / p.alpha) - 1.0)
-    from scipy.optimize import brentq
+    # imported here because fit imports this module
+    from .fit import _bracket_maximum, _refine_maximum
 
     target = 1.0 - prob
 
-    def fun(x: float) -> float:
-        return survival(p, x) - target
+    def fun(u: float):
+        # survival - target is the slope of a function whose maximum in u
+        # is the quantile
+        x = math.exp(u)
+        return 0.0, survival(p, x) - target, -math.exp(u + log_pdf(p, x))
 
-    m = moments(p).mean
-    hi = m if m > 0 else 1.0
-    while fun(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e306:
-            raise NumericsError("quantile bracket expansion ran away")
-    return brentq(fun, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    bracket, u = _bracket_maximum(fun, math.log(moments(p).mean), -745.0, 709.0)
+    if bracket is not None:
+        u = _refine_maximum(fun, *bracket, xatol=1e-14)
+    return math.exp(u)
 
 
 # ------------------------------------------------------------------- moments

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .data import Sample
-from .dist import FtgParams, ParetoParams
+from .dist import FtgParams, ParetoParams, model_from_dict, model_to_dict
 from .errors import FitError
 from .specfun import (chi2_survival_1df, digamma_trigamma, inc_gamma_eval,
                       log_upper_inc_gamma)
@@ -75,23 +75,19 @@ class SufficientStats:
         return (2.0 * q1 - q2) / self.sigma**2
 
 
-def _mean_log1p(x: np.ndarray, sigma: float) -> float:
-    """mean(log(1 + x/sigma)), in one scratch array the size of x."""
-    r = x / sigma
-    np.log1p(r, out=r)
-    return float(r.mean())
-
-
 def sufficient_stats(sample, sigma: float) -> SufficientStats:
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
     x = Sample.coerce(sample).values
     xbar = float(x.mean())
+    # log(1 + x/sigma) in one scratch array the size of x
+    s = x / sigma
+    np.log1p(s, out=s)
     return SufficientStats(
         sigma=sigma,
         n=x.size,
         r_bar=1.0 + xbar / sigma,
-        s_bar=_mean_log1p(x, sigma),
+        s_bar=float(s.mean()),
         r_bar_sigma=-xbar / sigma**2,
         r_bar_sigma_sigma=2.0 * xbar / sigma**3,
         x=x,
@@ -215,58 +211,19 @@ class FitResult:
     boundary: str | None = None
     pareto_fit: "FitResult | None" = None
 
-    @property
-    def n_params(self) -> int:
-        return len(self.std_errors)
+    _ARRAYS = ("observed_info", "std_errors", "observed_info_log")
 
     def to_dict(self) -> dict:
-        p = self.params
-        if isinstance(p, ParetoParams):
-            pd = {"family": "pareto", "alpha": p.alpha, "sigma": p.sigma}
-        else:
-            pd = {
-                "family": "ftg",
-                "alpha": p.alpha,
-                "theta": p.theta,
-                "rho": p.rho,
-                "sigma": p.sigma,
-            }
-        return {
-            "family": self.family,
-            "params": pd,
-            "loglik": self.loglik,
-            "score_norm": self.score_norm,
-            "observed_info": self.observed_info.tolist(),
-            "std_errors": self.std_errors.tolist(),
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "standardization_factor": self.standardization_factor,
-            "observed_info_log": self.observed_info_log.tolist(),
-            "boundary": self.boundary,
-        }
+        """JSON form of every field but pareto_fit."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        del d["pareto_fit"]
+        return {**d, "params": model_to_dict(self.params),
+                **{k: d[k].tolist() for k in self._ARRAYS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
-        pd = d["params"]
-        if pd["family"] == "pareto":
-            params: FtgParams | ParetoParams = ParetoParams(pd["alpha"], pd["sigma"])
-        elif pd["theta"] == 0.0:
-            params = FtgParams.pareto(pd["alpha"], pd["sigma"])
-        else:
-            params = FtgParams(pd["alpha"], pd["theta"], pd["rho"])
-        return cls(
-            family=d["family"],
-            params=params,
-            loglik=d["loglik"],
-            score_norm=d["score_norm"],
-            observed_info=np.asarray(d["observed_info"]),
-            std_errors=np.asarray(d["std_errors"]),
-            converged=d["converged"],
-            iterations=d["iterations"],
-            standardization_factor=d["standardization_factor"],
-            observed_info_log=np.asarray(d["observed_info_log"]),
-            boundary=d.get("boundary"),
-        )
+        return cls(**{**d, "params": model_from_dict(d["params"]),
+                      **{k: np.asarray(d[k]) for k in cls._ARRAYS}})
 
 
 def _std_errors(info: np.ndarray) -> np.ndarray:
@@ -447,7 +404,14 @@ def _pareto_profile(st: SufficientStats, log_sigma: float):
 
 
 def fit_pareto(sample) -> FitResult:
-    """Two-parameter Pareto MLE via the closed-form profile alpha(sigma) = -1/s_bar."""
+    """Two-parameter Pareto MLE via the closed-form profile alpha(sigma) = -1/s_bar.
+
+    One bracketing walk and safeguarded Newton on the profile's slope search
+    log sigma over a fixed window, from e^-28 / 1e4 to 1e4 times the sample
+    mean; a maximum past either end is reported at that end. Light-tailed
+    data heads past the upper one for the exponential limit, but there
+    s_bar < 1e-4, so -alpha already exceeds any practical tail weight.
+    """
     smp = Sample.coerce(sample)
     x = smp.values
     n = x.size
@@ -463,18 +427,10 @@ def fit_pareto(sample) -> FitResult:
         return _pareto_profile(sufficient_stats(smp, math.exp(log_sigma)), log_sigma)
 
     x0 = math.log(float(x.mean()))
-    lo, hi = x0 - 4.0 * math.log(10.0), x0 + 4.0 * math.log(10.0)
-    for _ in range(8):
-        bracket, status = _bracket_maximum(profile, x0, lo, hi)
-        if bracket is not None:
-            x0 = _refine_maximum(profile, *bracket, xatol=1e-10)
-            break
-        x0 = lo if status == "lo" else hi
-        # light-tailed data pushes sigma (and -alpha) to infinity along the
-        # exponential limit; past any practical tail weight, stop chasing it
-        if -1.0 / _mean_log1p(x, math.exp(x0)) < -1e4:
-            break
-        lo, hi = lo - 4.0, hi + 4.0
+    bracket, x0 = _bracket_maximum(profile, x0, x0 - 4.0 * math.log(10.0) - 28.0,
+                                   x0 + 4.0 * math.log(10.0))
+    if bracket is not None:
+        x0 = _refine_maximum(profile, *bracket, xatol=1e-10)
     sigma = math.exp(x0)
     st = sufficient_stats(smp, sigma)
     alpha = -1.0 / st.s_bar
@@ -582,29 +538,30 @@ class _Profile:
         return out, slope, fixed + schur
 
 
-def _bracket_maximum(fun, x0: float, lo: float, hi: float, step: float = 0.5):
-    """Walk uphill from x0, as the slope points, until the slope turns.
+def _bracket_maximum(fun, x0: float, lo: float, hi: float):
+    """Walk uphill from x0 inside [lo, hi], as the slope points, until the
+    slope turns.
 
     fun returns (value, slope, curvature); a NaN slope (a failed evaluation)
-    ends the walk as a turned one does. Steps double from ``step``.
-    Returns (bracket, status): bracket is (a, fun(a), c, fun(c)), the
-    slope positive at a and not at c, or None; status is "ok", "lo"/"hi"
-    when the maximum ran into that bound, or "stuck" when fun fails at x0.
+    ends the walk as a turned one does. Steps double from 0.5, so the walk
+    reaches either end of a finite window. Returns (bracket, x): bracket is
+    (a, fun(a), c, fun(c)), the slope positive at a and not at c, or None
+    when the walk ran into an end of the window or fun failed at x0; x is
+    the last point walked.
     """
     x0 = min(max(x0, lo + 1e-9), hi - 1e-9)
     p0 = fun(x0)
     if math.isnan(p0[1]):
-        return None, "stuck"
-    up = p0[1] > 0.0
-    for _ in range(200):
+        return None, x0
+    up, step = p0[1] > 0.0, 0.5
+    while True:
         x1 = min(hi, x0 + step) if up else max(lo, x0 - step)
         if x1 == x0:
-            return None, "hi" if up else "lo"
+            return None, x0
         p1 = fun(x1)
         if not (p1[1] > 0.0 if up else p1[1] <= 0.0):
-            return ((x0, p0, x1, p1) if up else (x1, p1, x0, p0)), "ok"
+            return ((x0, p0, x1, p1) if up else (x1, p1, x0, p0)), x1
         x0, p0, step = x1, p1, 2.0 * step
-    return None, "stuck"
 
 
 def _refine_maximum(fun, a: float, pa, c: float, pc, xatol: float) -> float:
@@ -648,10 +605,13 @@ def fit_ftg(sample) -> FitResult:
     Standardizes to unit mean and fits the family's two closure edges
     there, the Pareto (theta -> 0) and the gamma (rho -> 0). The profile is
     searched from the Pareto fit's sigma and from sigma = 1. From each
-    start, the profile's slope sign walks out a bracket of its maximum, and
-    safeguarded Newton on the slope refines it, unless the bracket already
-    holds the other start's optimum. The best interior point is polished
-    with full Newton steps on the three-parameter score.
+    start, the profile's slope sign walks out a bracket of its maximum
+    inside the one window sigma in [1e-22, 1e22], and safeguarded Newton on
+    the slope refines it, unless the bracket already holds the other
+    start's optimum. A walk that runs into an end of the window is heading
+    for a closure-edge supremum, which the edge fits stand for. The best
+    interior point is polished with full Newton steps on the
+    three-parameter score.
 
     The edge is decided once: of the interior optimum and the two edge
     fits, the highest standardized log-likelihood wins, and an edge wins
@@ -677,20 +637,9 @@ def fit_ftg(sample) -> FitResult:
             pass
 
     prof = _Profile(y_smp)
-    lo, hi = math.log(1e-4), math.log(1e4)
     best = None
     for x0 in (math.log(edges[0].params.sigma), 0.0):
-        for _ in range(6):
-            bracket, status = _bracket_maximum(prof.value, x0, lo, hi)
-            if bracket is not None or status == "stuck":
-                break
-            # the search window grows when the maximum runs into one of its
-            # ends; a maximum still there after ~16 extra decades is a
-            # closure-edge supremum, which the edge fits stand for
-            if status == "lo":
-                x0, lo = lo, lo - 3.0 * math.log(10.0)
-            else:
-                x0, hi = hi, hi + 3.0 * math.log(10.0)
+        bracket, _ = _bracket_maximum(prof.value, x0, math.log(1e-22), math.log(1e22))
         if bracket is None:
             continue
         # a bracket around the other start's optimum holds nothing new

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Sample
-from .dist import FtgParams, Model, ParetoParams, as_ftg, conditional_mean_excess
+from .dist import Model, as_ftg, conditional_mean_excess, model_to_dict
 from .errors import FitError
 from .fit import FitResult, fit_ftg, fit_pareto
 from .sample import RngStream, ftg_rvs
@@ -47,7 +47,7 @@ class RiskConfig:
 @dataclass(frozen=True)
 class RiskReport:
     risk_capital: float
-    severity_model: FtgParams | ParetoParams
+    severity_model: Model
     aggregate_quantiles: dict[float, float]
     n_sims: int
     seed: int
@@ -58,15 +58,9 @@ class RiskReport:
     fit: FitResult | None = None
 
     def to_dict(self) -> dict:
-        m = self.severity_model
-        if isinstance(m, ParetoParams):
-            md = {"family": "pareto", "alpha": m.alpha, "sigma": m.sigma}
-        else:
-            md = {"family": "ftg", "alpha": m.alpha, "theta": m.theta,
-                  "rho": m.rho, "sigma": m.sigma}
         return {
             "risk_capital": self.risk_capital,
-            "severity_model": md,
+            "severity_model": model_to_dict(self.severity_model),
             "aggregate_quantiles": {str(k): v for k, v in self.aggregate_quantiles.items()},
             "n_sims": self.n_sims,
             "seed": self.seed,

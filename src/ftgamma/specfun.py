@@ -365,11 +365,6 @@ def log_upper_inc_gamma(alpha: float, rho: float) -> float:
     return _log_upper_inc_gamma(alpha, rho, False)[0]
 
 
-def upper_inc_gamma(alpha: float, rho: float) -> float:
-    """Gamma(alpha, rho) in natural scale; may overflow where log does not."""
-    return math.exp(log_upper_inc_gamma(alpha, rho))
-
-
 @dataclass(frozen=True)
 class IncGammaEval:
     """d = log Gamma(alpha, rho) together with its first and second partials."""

@@ -257,13 +257,21 @@ class TestEntryPoint:
 
 
 class TestWithoutScipy:
-    # the CLI's fit, gof, risk and plotdata paths import no SciPy; a child
-    # with sys.modules["scipy"] = None fails on any SciPy import
-    _CHILD = ("import sys\n"
+    # ftgamma imports no SciPy: a child with sys.modules["scipy"] = None
+    # fails on any SciPy import, and must print what an unblocked one does
+    _BLOCK = ("import sys\n"
               "if sys.argv[1] == 'block':\n"
-              "    sys.modules['scipy'] = None\n"
-              "from ftgamma.cli import main\n"
-              "sys.exit(main(sys.argv[2:]))\n")
+              "    sys.modules['scipy'] = None\n")
+
+    @staticmethod
+    def _assert_same_stdout(child, argv=()):
+        blocked, free = [
+            subprocess.run([sys.executable, "-c", child, mode, *argv],
+                           capture_output=True, text=True, timeout=300, env=child_env())
+            for mode in ("block", "free")]
+        assert blocked.returncode == 0, blocked.stderr
+        assert free.returncode == 0, free.stderr
+        assert blocked.stdout == free.stdout
 
     @pytest.mark.parametrize("argv", [
         "fit --bundled --family all",
@@ -273,10 +281,10 @@ class TestWithoutScipy:
         "plotdata --bundled --mode survival",
     ])
     def test_same_stdout_with_scipy_blocked(self, argv):
-        blocked, free = [
-            subprocess.run([sys.executable, "-c", self._CHILD, mode, *argv.split()],
-                           capture_output=True, text=True, timeout=300, env=child_env())
-            for mode in ("block", "free")]
-        assert blocked.returncode == 0, blocked.stderr
-        assert free.returncode == 0, free.stderr
-        assert blocked.stdout == free.stdout
+        self._assert_same_stdout(self._BLOCK + "from ftgamma.cli import main\n"
+                                 "sys.exit(main(sys.argv[2:]))\n", argv.split())
+
+    def test_quantile_with_scipy_blocked(self):
+        self._assert_same_stdout(
+            self._BLOCK + "from ftgamma import FtgParams, quantile\n"
+            "print(repr(quantile(FtgParams(-0.2, 0.001, 4.3e-4), 0.999)))\n")

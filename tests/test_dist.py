@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from ftgamma import (
     FtgParams,
@@ -136,6 +136,27 @@ class TestQuantile:
                   FtgParams.from_sigma(-1.5, 1.0, 0.02)):
             for prob in (0.001, 0.5, 0.99, 0.999, 0.9999):
                 assert cdf(p, quantile(p, prob)) == pytest.approx(prob, abs=1e-8)
+
+    @pytest.mark.parametrize("p", [
+        FTG_REF, FtgParams(-0.2, 0.001, 4.3e-4),
+        FtgParams.gamma(0.3, 1.0), FtgParams.gamma(2.0, 1.0), FtgParams.gamma(50.0, 0.1),
+        FtgParams.from_sigma(-30.0, 1.0, 0.02), FtgParams.from_sigma(-5.0, 2.0, 1.0),
+        FtgParams.from_sigma(-1.5, 1.0, 0.02), FtgParams.from_sigma(0.28, 5.0, 1e-3),
+        FtgParams.from_sigma(1.0, 1.0, 1.0), FtgParams.from_sigma(20.0, 0.5, 3.0),
+        FtgParams.from_sigma(150.0, 1.0, 100.0),
+    ])
+    def test_matches_brentq(self, p):
+        # an independent solver as the reference: Brent's method on a
+        # bracket doubled up from the mean
+        for prob in (1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-8):
+            def fun(x, target=1.0 - prob):
+                return survival(p, x) - target
+
+            hi = moments(p).mean
+            while fun(hi) > 0.0:
+                hi *= 2.0
+            ref = brentq(fun, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+            assert quantile(p, prob) == pytest.approx(ref, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):

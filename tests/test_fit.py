@@ -463,13 +463,24 @@ class TestFitFtg:
         assert fit.boundary == boundary
         assert fit.loglik >= max(fit_pareto(smp).loglik, fit_gamma(smp).loglik) - 1e-6
 
-    @pytest.mark.parametrize("seed, child", [(1003, 24), (2, 635), (2, 939), (7, 365),
-                                             (12, 351)])
+    @pytest.mark.parametrize("seed, child", [(1003, 24), (2, 635), (7, 365), (12, 351)])
     def test_gamma_edge_replicates(self, ftg_fit, seed, child):
         # bundled-fit replicates that used to return interior fits 0.35-2.45
         # below their gamma fit
         self._assert_on_edge(ftg_rvs(ftg_fit.params, 40, RngStream(seed).child(child)),
                              "gamma")
+
+    def test_two_maxima_replicate(self, ftg_fit):
+        # the standardized profile has two local maxima: -2.89999 at log
+        # sigma -8.22, below the gamma fit's -1.28679, and -1.12309 at
+        # -17.55. A walk that stops short of the second returns the gamma
+        # edge; the fit is interior, with sigma below the smallest
+        # observation and a loglik (-180.03214, mpmath agrees to 1e-14)
+        # 0.164 above the gamma fit's
+        smp = Sample(ftg_rvs(ftg_fit.params, 40, RngStream(2).child(939)))
+        fit = fit_ftg(smp)
+        assert fit.boundary is None and fit.converged
+        assert fit.loglik >= fit_gamma(smp).loglik + 0.16
 
     def test_pareto_edge_sample(self):
         # used to return an interior fit 0.026 below its Pareto fit
