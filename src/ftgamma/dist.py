@@ -326,31 +326,19 @@ def moments(p: FtgParams) -> Moments:
         )
         return Moments(mean=mean, variance=var, mu=a)
     if p.is_gamma:
-        return Moments(mean=p.alpha / p.theta, variance=p.alpha / p.theta**2, mu=0.0)
+        return Moments(mean=p.alpha / p.theta, variance=p.alpha / p.theta / p.theta,
+                       mu=0.0)
     mu = math.exp(-p.rho + p.alpha * math.log(p.rho) - p.log_norm)
     mean = (p.alpha - p.rho + mu) / p.theta
-    var = (p.alpha + (1.0 + p.rho - p.alpha) * mu - mu * mu) / p.theta**2
+    # divided by theta twice: theta**2 under- or overflows outside 1e-154..1e154
+    var = (p.alpha + (1.0 + p.rho - p.alpha) * mu - mu * mu) / p.theta / p.theta
     return Moments(mean=mean, variance=var, mu=mu)
 
 
 def conditional_mean_excess(p: FtgParams, u: float) -> float:
-    """E[X | X > u]: the conditional expectation of X given exceedance of u.
-
-    Interior form (alpha - rho + mu')/theta with
-    mu' = e^-(rho + theta u) (rho + theta u)^alpha / Gamma(alpha, rho + theta u);
-    equivalently u plus the mean of the exceedance distribution truncate(p, u).
-    Infinite at the Pareto boundary when alpha >= -1.
-    """
-    if u < 0.0:
-        raise ValueError("threshold must be >= 0")
-    if u == 0.0:
-        return moments(p).mean
-    if p.is_pareto:
-        a = -p.alpha
-        return u + (p.sigma + u) / (a - 1.0) if a > 1.0 else math.inf
-    r2 = p.rho + p.theta * u
-    mu2 = math.exp(-r2 + p.alpha * math.log(r2) - log_upper_inc_gamma(p.alpha, r2))
-    return (p.alpha - p.rho + mu2) / p.theta
+    """E[X | X > u]: u plus the mean of the exceedance distribution
+    truncate(p, u). Infinite at the Pareto boundary when alpha >= -1."""
+    return u + moments(truncate(p, u)).mean
 
 
 # ------------------------------------------------------- closure transforms

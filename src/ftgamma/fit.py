@@ -31,8 +31,8 @@ from .errors import FitError
 from .specfun import (chi2_survival_1df, digamma_trigamma, inc_gamma_eval,
                       log_upper_inc_gamma)
 
-_LOG_RHO_MIN = -600.0
 _LOG_RHO_MAX = math.log(700.0)
+_INNER_TOL = 1e-9
 
 
 # ---------------------------------------------------------------- statistics
@@ -196,6 +196,11 @@ class FitResult:
     log-scale information (parameters alpha, log sigma, log rho, or
     alpha, log sigma for Pareto) is exposed alongside because the optimizer
     works there and heavy-tail fits are better conditioned in it.
+
+    iterations counts profile-likelihood evaluations for fit_pareto and for
+    an interior fit_ftg (over both of its starts), and Newton steps on the
+    shape equation for fit_gamma; an FTG fit on an edge carries the count
+    of that edge's own fit.
     """
 
     family: str
@@ -286,8 +291,7 @@ class InnerBoundaryError(FitError):
         )
 
 
-def inner_solve(sample, sigma: float, warm_start: tuple[float, float] | None = None,
-                tol: float = 1e-9, max_iter: int = 200):
+def inner_solve(sample, sigma: float, max_iter: int = 200):
     """Joint root of the alpha- and rho-score equations for fixed sigma.
 
     Returns (alpha_hat, rho_hat, iterations). For fixed sigma the model is a
@@ -300,7 +304,7 @@ def inner_solve(sample, sigma: float, warm_start: tuple[float, float] | None = N
     """
     st = _stats(sample, sigma)
     _check_interior_exists(st)
-    return _inner_solve_stats(st, warm_start, tol, max_iter)
+    return _inner_solve_stats(st, max_iter)
 
 
 def _check_interior_exists(st: SufficientStats) -> None:
@@ -326,16 +330,12 @@ def _inner_jacobian(ev, rho: float, ratio: float):
     return ev.d_alpha_alpha, j12, j12 / rho, ratio + h * (1.0 - ratio)
 
 
-def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
+def _inner_solve_stats(st: SufficientStats, max_iter: int):
     rho_max = math.exp(_LOG_RHO_MAX)
-    if warm_start is None:
-        alpha, rho = max(-1.0 / st.s_bar, -30.0), 1e-3
-    else:
-        alpha, rho = warm_start
-        rho = min(max(rho, math.exp(_LOG_RHO_MIN)), rho_max)
+    alpha, rho = max(-1.0 / st.s_bar, -30.0), 1e-3
     ev = inc_gamma_eval(alpha, rho)
     merit = _loglik_from_stats(st, alpha, rho, ev.log_value) / st.n
-    g1_tol = tol * max(1.0, abs(st.s_bar))
+    g1_tol = _INNER_TOL * max(1.0, abs(st.s_bar))
     for it in range(1, max_iter + 1):
         # inner scores g1 = d_alpha - log rho - s_bar and g2 = r_bar - R, with
         # R = Gamma(alpha+1, rho) / (rho Gamma(alpha, rho)); d_rho - alpha/rho
@@ -354,7 +354,7 @@ def _inner_solve_stats(st: SufficientStats, warm_start, tol, max_iter):
         dr = -rho * (j11 * g2 - j21 * g1) / det
         if not math.isfinite(da + dr):
             break
-        if abs(g1) < g1_tol and abs(g2) < tol * max(1.0, st.r_bar):
+        if abs(g1) < g1_tol and abs(g2) < _INNER_TOL * max(1.0, st.r_bar):
             return alpha + da, rho + dr, it
         if rho == rho_max and g2 < 0.0 and abs(g1) < g1_tol:
             # the alpha-score vanishes on the rho cap and the likelihood still
@@ -499,7 +499,8 @@ class _Profile:
     the Pareto profile at that sigma; genuine numerical failures are
     replaced by a sentinel value with NaN derivatives so the search can
     route around them. ``best`` holds the highest interior point evaluated
-    so far, as (value, log_sigma, alpha, rho).
+    so far, as (value, log_sigma, alpha, rho), and ``evals`` counts the
+    evaluations.
     """
 
     _SENTINEL = -1e15
@@ -507,9 +508,11 @@ class _Profile:
     def __init__(self, smp: Sample):
         self.smp = smp
         self.best: tuple[float, float, float, float] | None = None
+        self.evals = 0
 
     def value(self, log_sigma: float):
         """(value, slope, curvature) of the profile at log_sigma."""
+        self.evals += 1
         # one statistics pass serves the inner solve and the value
         st = sufficient_stats(self.smp, math.exp(log_sigma))
         try:
@@ -609,9 +612,9 @@ def fit_ftg(sample) -> FitResult:
     inside the one window sigma in [1e-22, 1e22], and safeguarded Newton on
     the slope refines it, unless the bracket already holds the other
     start's optimum. A walk that runs into an end of the window is heading
-    for a closure-edge supremum, which the edge fits stand for. The best
-    interior point is polished with full Newton steps on the
-    three-parameter score.
+    for a closure-edge supremum, which the edge fits stand for. The
+    interior optimum is the highest profile point evaluated, and
+    ``iterations`` counts the profile evaluations of both starts.
 
     The edge is decided once: of the interior optimum and the two edge
     fits, the highest standardized log-likelihood wins, and an edge wins
@@ -637,38 +640,31 @@ def fit_ftg(sample) -> FitResult:
             pass
 
     prof = _Profile(y_smp)
-    best = None
     for x0 in (math.log(edges[0].params.sigma), 0.0):
+        other = prof.best
         bracket, _ = _bracket_maximum(prof.value, x0, math.log(1e-22), math.log(1e22))
-        if bracket is None:
-            continue
         # a bracket around the other start's optimum holds nothing new
-        if best is None or not bracket[0] <= best[1] <= bracket[2]:
+        if bracket and not (other and bracket[0] <= other[1] <= bracket[2]):
             _refine_maximum(prof.value, *bracket, xatol=1e-8)
-        # read the optimum off the profile's own bookkeeping: the last
-        # point may sit on a failed-evaluation cliff
-        if prof.best is not None and (best is None or prof.best[0] > best[0]):
-            best = prof.best
 
-    ll_y = -math.inf
-    if best is not None:
-        _, log_sig, alpha, rho = best
-        alpha, sigma, rho, iters = _newton_polish(y_smp, alpha, math.exp(log_sig), rho)
-        ll_y = loglik_ftg(y_smp, alpha, sigma, rho)
+    # the optimum is read off the profile's own bookkeeping: the last point
+    # may sit on a failed-evaluation cliff
+    ll_y = -math.inf if prof.best is None else prof.best[0]
     edge = max(edges, key=lambda f: f.loglik)
     if edge.loglik >= ll_y - 1e-6:
         return _edge_result((fit_pareto if edge.family == "pareto" else fit_gamma)(smp),
                             xbar)
 
     # de-standardize: alpha, rho unchanged; sigma scales with the mean
-    sigma *= xbar
+    _, log_sig, alpha, rho = prof.best
+    sigma = math.exp(log_sig) * xbar
     params = FtgParams.from_sigma(alpha, sigma, rho)
     st = sufficient_stats(smp, sigma)
     ev = inc_gamma_eval(alpha, rho)
     ll = _loglik_from_stats(st, alpha, rho, ev.log_value)
     score = _score_from_stats(st, ev, alpha, rho)
     info = _information_from_stats(st, ev, alpha, rho)
-    return _fit_result("ftg", params, ll, score, info, [1.0, sigma, rho], iters, n,
+    return _fit_result("ftg", params, ll, score, info, [1.0, sigma, rho], prof.evals, n,
                        standardization_factor=xbar)
 
 
@@ -683,60 +679,6 @@ def _edge_result(edge_fit: FitResult, xbar: float) -> FitResult:
     else:
         changes = dict(boundary="gamma")
     return replace(edge_fit, family="ftg", standardization_factor=xbar, **changes)
-
-
-def _newton_polish(smp: Sample, alpha: float, sigma: float, rho: float,
-                   max_iter: int = 60):
-    """Full Newton on the (alpha, log sigma, log rho) score, guarded by the
-    likelihood, with Levenberg-style damping so nearly flat or indefinite
-    curvature (the alpha = 1 ridge) still makes monotone progress."""
-    n = len(smp)
-    ll = loglik_ftg(smp, alpha, sigma, rho)
-    it = 0
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        if rho < 1e-150:
-            break  # curvature in rho is not representable this far down
-        st = sufficient_stats(smp, sigma)
-        ev = inc_gamma_eval(alpha, rho)
-        score = np.array(_score_from_stats(st, ev, alpha, rho))
-        if np.max(np.abs(score)) < 1e-9 * n:
-            break
-        info = _information_from_stats(st, ev, alpha, rho)
-        jac = np.diag([1.0, sigma, rho])
-        info_log = jac @ info @ jac
-        score_log = jac @ score
-        ridge_scale = max(float(np.max(np.abs(np.diag(info_log)))), 1.0)
-        accepted = False
-        for _ in range(40):
-            try:
-                step = np.linalg.solve(
-                    info_log + lam * ridge_scale * np.eye(3), score_log
-                )
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                clip = np.max(np.abs(step))
-                if clip > 1.0:
-                    step = step / clip
-                a_new = alpha + step[0]
-                s_new = sigma * math.exp(step[1])
-                r_new = min(max(rho * math.exp(step[2]),
-                                math.exp(_LOG_RHO_MIN)), math.exp(_LOG_RHO_MAX))
-                try:
-                    ll_new = loglik_ftg(smp, a_new, s_new, r_new)
-                except (ValueError, OverflowError):
-                    ll_new = -math.inf
-                if ll_new > ll - 1e-13 * max(1.0, abs(ll)):
-                    alpha, sigma, rho = a_new, s_new, r_new
-                    accepted = ll_new > ll
-                    ll = max(ll, ll_new)
-                    lam = lam / 4.0 if lam > 1e-12 else 0.0
-                    break
-            lam = max(lam * 8.0, 1e-8)
-        if not accepted and lam > 1e6:
-            break
-    return alpha, sigma, rho, it
 
 
 def lrt_pareto_vs_ftg(sample) -> tuple[float, float]:

@@ -158,6 +158,15 @@ class TestQuantile:
             ref = brentq(fun, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
             assert quantile(p, prob) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("theta", [1e-200, 1e300])
+    def test_extreme_scales(self, theta):
+        # theta is a pure scale, so theta x_p does not depend on it; the
+        # search starts from moments(p), whose variance once divided by
+        # theta**2 and raised ZeroDivisionError or OverflowError here
+        for law in (lambda t: FtgParams.gamma(1.0, t), lambda t: FtgParams(1.5, t, 0.5)):
+            assert quantile(law(theta), 0.5) * theta == pytest.approx(
+                quantile(law(1.0), 0.5), rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             quantile(FTG_REF, 1.0)

@@ -210,10 +210,11 @@ class TestInnerSolve:
             inner_solve(y, 1.0)
 
     def test_cold_start_finds_the_root_over_the_sigma_range(self, losses, ftg_fit):
-        # the likelihood is concave in (alpha, rho), so the fixed cold start
-        # must reach the same root as a solve warm-started next to it, at
-        # every sigma from 1e-3 to 1e3 times the mean, on the bundled losses
-        # and on 20 bootstrap replicates of their fit
+        # the likelihood is concave in (alpha, rho), so a root of the
+        # (alpha, rho) score is the inner maximum: the fixed cold start must
+        # reach one, at or above the previous sigma's root, at every sigma
+        # from 1e-3 to 1e3 times the mean, on the bundled losses and on 20
+        # bootstrap replicates of their fit
         from ftgamma.fit import InnerBoundaryError
 
         samples = [losses] + [
@@ -223,17 +224,21 @@ class TestInnerSolve:
         roots = 0
         for smp in samples:
             y = smp.standardized()[0]
+            n = len(y)
             prev = None
             for sigma in np.logspace(-3.0, 3.0, 25):
+                sigma = float(sigma)
                 try:
-                    a, r, _ = inner_solve(y, float(sigma))
+                    a, r, _ = inner_solve(y, sigma)
                 except InnerBoundaryError:
                     continue
                 roots += 1
+                l_a, _, l_r = score_ftg(y, a, sigma, r)
+                assert abs(l_a) < 1e-10 * n and abs(r * l_r) < 1e-10 * n, sigma
                 if prev is not None:
-                    a_warm, r_warm, _ = inner_solve(y, float(sigma), warm_start=prev)
-                    assert a == pytest.approx(a_warm, rel=1e-10), (sigma, prev)
-                    assert r == pytest.approx(r_warm, rel=1e-9), (sigma, prev)
+                    a_prev, r_prev = prev
+                    assert (loglik_ftg(y, a, sigma, r)
+                            >= loglik_ftg(y, a_prev, sigma, r_prev) - 1e-9), (sigma, prev)
                 prev = (a, r)
         assert roots > 100
 
@@ -453,6 +458,34 @@ class TestFitFtg:
         fit = fit_ftg(losses)
         assert fit.converged and fit.boundary is None
         assert len(calls) <= 20
+
+    def test_iterations_count_profile_evaluations(self, losses, monkeypatch):
+        # as for fit_pareto, iterations counts the profile evaluations
+        import ftgamma.fit
+
+        calls = []
+        real = ftgamma.fit._Profile.value
+
+        def counting(self, log_sigma):
+            calls.append(log_sigma)
+            return real(self, log_sigma)
+
+        monkeypatch.setattr(ftgamma.fit._Profile, "value", counting)
+        fit = fit_ftg(losses)
+        assert fit.boundary is None
+        assert fit.iterations == len(calls) > 0
+
+    @pytest.mark.parametrize("n, i", [(40, 2), (40, 4), (200, 2), (200, 3), (200, 8)])
+    def test_rho_cap_samples(self, n, i):
+        # samples of an interior law whose profile maximum lies on the rho
+        # cap (the truncated-normal edge, which has no edge fit yet): the
+        # fit stays interior and unconverged, and never scores below the
+        # Pareto and gamma edges
+        smp = Sample(ftg_rvs(FtgParams.from_sigma(1.5, 1.0, 0.5), n,
+                             RngStream(4242).child(n, i)))
+        fit = fit_ftg(smp)
+        assert fit.boundary is None and not fit.converged
+        assert fit.loglik >= max(fit_pareto(smp).loglik, fit_gamma(smp).loglik) - 1e-6
 
     @staticmethod
     def _assert_on_edge(x, boundary):
