@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +40,8 @@ class SufficientStats:
     """Sample means of r = 1 + x/sigma and s = log(1 + x/sigma), with the
     sigma-derivatives of both means (used by the score and information).
 
-    The two sigma-derivatives of s_bar take one more pass over the sample,
-    so they are computed on first use: a likelihood value needs only the
-    log1p pass behind s_bar.
+    Every field is computed when the statistics are made: each profile point
+    reads all of them.
     """
 
     sigma: float
@@ -52,46 +50,33 @@ class SufficientStats:
     s_bar: float
     r_bar_sigma: float
     r_bar_sigma_sigma: float
-    x: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def _q_moments(self) -> tuple[float, float]:
-        """Means of q = x/(sigma + x) and q^2, in one scratch array."""
-        q = self.x + self.sigma
-        np.divide(self.x, q, out=q)
-        q1 = float(q.mean())
-        q *= q
-        return q1, float(q.mean())
-
-    @cached_property
-    def s_bar_sigma(self) -> float:
-        return -self._q_moments[0] / self.sigma
-
-    @cached_property
-    def s_bar_sigma_sigma(self) -> float:
-        # mean of x (2 sigma + x) / (sigma (sigma + x))^2 = q (2 - q) / sigma^2;
-        # q^2 <= q on [0, 1), so the difference never cancels
-        q1, q2 = self._q_moments
-        return (2.0 * q1 - q2) / self.sigma**2
+    s_bar_sigma: float
+    s_bar_sigma_sigma: float
 
 
 def sufficient_stats(sample, sigma: float) -> SufficientStats:
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
     x = Sample.coerce(sample).values
-    xbar = float(x.mean())
-    # log(1 + x/sigma) in one scratch array the size of x
-    s = x / sigma
-    np.log1p(s, out=s)
-    return SufficientStats(
-        sigma=sigma,
-        n=x.size,
-        r_bar=1.0 + xbar / sigma,
-        s_bar=float(s.mean()),
-        r_bar_sigma=-xbar / sigma**2,
-        r_bar_sigma_sigma=2.0 * xbar / sigma**3,
-        x=x,
-    )
+    n = x.size
+    # np.add.reduce(x) / n is x.mean() without its dispatch: the same
+    # pairwise sum, so the same bits
+    xbar = float(np.add.reduce(x) / n)
+    # one scratch array the size of x holds q = x/(sigma + x), then q^2,
+    # then log(1 + x/sigma)
+    w = x + sigma
+    np.divide(x, w, out=w)
+    q1 = float(np.add.reduce(w) / n)
+    np.multiply(w, w, out=w)
+    q2 = float(np.add.reduce(w) / n)
+    np.divide(x, sigma, out=w)
+    np.log1p(w, out=w)
+    # s_bar_sigma_sigma is the mean of x (2 sigma + x) / (sigma (sigma + x))^2
+    # = q (2 - q) / sigma^2; q^2 <= q on [0, 1), so the difference never
+    # cancels
+    return SufficientStats(sigma, n, 1.0 + xbar / sigma, float(np.add.reduce(w) / n),
+                           -xbar / sigma**2, 2.0 * xbar / sigma**3, -q1 / sigma,
+                           (2.0 * q1 - q2) / sigma**2)
 
 
 def _stats(sample, sigma: float) -> SufficientStats:
@@ -320,8 +305,10 @@ def _check_interior_exists(st: SufficientStats) -> None:
 def _inner_jacobian(ev, rho: float, ratio: float):
     """Jacobian of the inner scores (g1, g2) in (alpha, log rho), from the
     partials of log Gamma(alpha, rho) and R = Gamma(alpha+1, rho) /
-    (rho Gamma(alpha, rho)). n J diag(1, 1/rho) is the (alpha, rho) block
-    of the observed information."""
+    (rho Gamma(alpha, rho)), which the inner solve reads off the same
+    evaluation (ev.log_value_up) and the profile takes as r_bar at the root.
+    n J diag(1, 1/rho) is the (alpha, rho) block of the observed
+    information."""
     # the g2 row is built from R and h = rho^alpha e^-rho / Gamma(alpha, rho)
     # = -rho d_rho: dg2/dlog rho = R + h (1 - R) has no 1/rho-sized terms to
     # cancel
@@ -339,11 +326,11 @@ def _inner_solve_stats(st: SufficientStats, max_iter: int):
     for it in range(1, max_iter + 1):
         # inner scores g1 = d_alpha - log rho - s_bar and g2 = r_bar - R, with
         # R = Gamma(alpha+1, rho) / (rho Gamma(alpha, rho)); d_rho - alpha/rho
-        # equals -R by the recurrence, but only the ratio form never cancels
-        g1 = ev.d_alpha - math.log(rho) - st.s_bar
-        ratio = math.exp(
-            log_upper_inc_gamma(alpha + 1.0, rho) - math.log(rho) - ev.log_value
-        )
+        # equals -R by the recurrence, but only the ratio form never cancels.
+        # Both logs come from one special-function pass
+        log_rho = math.log(rho)
+        g1 = ev.d_alpha - log_rho - st.s_bar
+        ratio = math.exp(ev.log_value_up - log_rho - ev.log_value)
         g2 = st.r_bar - ratio
         j11, j12, j21, j22 = _inner_jacobian(ev, rho, ratio)
         det = j11 * j22 - j12 * j21
@@ -355,7 +342,10 @@ def _inner_solve_stats(st: SufficientStats, max_iter: int):
         if not math.isfinite(da + dr):
             break
         if abs(g1) < g1_tol and abs(g2) < _INNER_TOL * max(1.0, st.r_bar):
-            return alpha + da, rho + dr, it
+            # the scores already pass here; the last Newton step polishes
+            # them as long as it keeps rho > 0, which it need not for a root
+            # within one step of the Pareto limit rho -> 0
+            return (alpha + da, rho + dr, it) if rho + dr > 0.0 else (alpha, rho, it)
         if rho == rho_max and g2 < 0.0 and abs(g1) < g1_tol:
             # the alpha-score vanishes on the rho cap and the likelihood still
             # rises in rho: this is the box maximum, and by concavity no

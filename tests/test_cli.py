@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +178,28 @@ class TestGof:
         payload = json.loads(out)
         assert 1.0 / 100.0 <= payload["p_w2"] <= 1.0
         assert payload["w2"] > 0.0
+
+
+class TestPinnedStdout:
+    # text stdout captured before the fitter's specfun and statistics passes
+    # were merged: a speed change must not move a printed digit
+    DATA = Path(__file__).parent / "data"
+
+    def test_fit_bundled_all(self, capsys):
+        code, out, _ = run_cli(capsys, "fit", "--bundled", "--family", "all")
+        assert code == 0
+        assert out.encode() == (self.DATA / "fit_bundled_all.txt").read_bytes()
+
+    def test_gof_ftg_statistics(self, capsys):
+        # W^2 and A^2 of the bundled fit use no random draws; the p-values
+        # follow NumPy's Generator stream and are left out
+        code, out, _ = run_cli(capsys, "gof", "--bundled", "--family", "ftg",
+                               "--n-boot", "99", "--seed", "7")
+        assert code == 0
+        stats = [line.split("   p = ")[0] for line in out.splitlines()
+                 if line.startswith(("W^2", "A^2"))]
+        want = (self.DATA / "gof_ftg_bundled_statistics.txt").read_text().splitlines()
+        assert stats == want
 
 
 class TestPlotdata:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ftgamma import (
     sufficient_stats,
 )
 from ftgamma.errors import FitError
-from ftgamma.specfun import log_upper_inc_gamma
+from ftgamma.specfun import inc_gamma_eval, log_upper_inc_gamma
 
 from oracles import fd_gradient, fd_hessian, loglik_sample_free
 
@@ -64,6 +65,35 @@ class TestSufficientStats:
             assert st.s_bar_sigma_sigma == pytest.approx(
                 (up.s_bar_sigma - dn.s_bar_sigma) / (2 * h), rel=1e-6
             )
+
+    @pytest.mark.parametrize("n", [40, 100_000])
+    def test_fields_equal_the_plain_numpy_expressions(self, n):
+        # one statistics pass, with the same arithmetic and the same
+        # pairwise sums as x.mean(): every field keeps its bits
+        x = ftg_rvs(FtgParams.from_sigma(-0.2, 0.65, 4.3e-4), n, RngStream(40).child(n))
+        sigma = 0.65
+        st = sufficient_stats(Sample(x), sigma)
+        xbar = float(x.mean())
+        q = x / (x + sigma)
+        q1, q2 = float(q.mean()), float((q * q).mean())
+        assert st.n == n and st.sigma == sigma
+        assert st.r_bar == 1.0 + xbar / sigma
+        assert st.s_bar == float(np.log1p(x / sigma).mean())
+        assert st.r_bar_sigma == -xbar / sigma**2
+        assert st.r_bar_sigma_sigma == 2.0 * xbar / sigma**3
+        assert st.s_bar_sigma == -q1 / sigma
+        assert st.s_bar_sigma_sigma == (2.0 * q1 - q2) / sigma**2
+
+    def test_one_scratch_array(self):
+        # a million-point fit holds the sample and one array of its size
+        smp = Sample(RngStream(41).generator.exponential(1.0, 100_000))
+        tracemalloc.start()
+        try:
+            sufficient_stats(smp, 0.65)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * smp.values.nbytes
 
     def test_stats_stand_in_for_the_sample(self, losses):
         alpha, sigma, rho = REF_FTG
@@ -241,6 +271,56 @@ class TestInnerSolve:
                             >= loglik_ftg(y, a_prev, sigma, r_prev) - 1e-9), (sigma, prev)
                 prev = (a, r)
         assert roots > 100
+
+    @staticmethod
+    def _record_evaluations(monkeypatch):
+        import ftgamma.fit
+
+        points = []
+        real = ftgamma.fit.inc_gamma_eval
+
+        def recording(alpha, rho):
+            points.append((alpha, rho))
+            return real(alpha, rho)
+
+        monkeypatch.setattr(ftgamma.fit, "inc_gamma_eval", recording)
+        return points
+
+    @pytest.mark.parametrize("s_bar", [0.6, 0.75])
+    def test_root_a_newton_step_from_rho_zero_keeps_rho_positive(self, s_bar,
+                                                                 monkeypatch):
+        # statistics just inside the Pareto test of _check_interior_exists,
+        # r_bar (1 - s_bar) = 1 - 1.5e-10: the inner root lies within one
+        # Newton step of the Pareto limit rho -> 0, and the last step, taken
+        # once the scores pass, would cross rho = 0 (to -2.3e-15 and -6.9e-29)
+        from ftgamma.fit import (SufficientStats, _check_interior_exists,
+                                 _inner_solve_stats)
+
+        st = SufficientStats(1.0, 40, (1.0 - 1.5e-10) / (1.0 - s_bar), s_bar,
+                             0.0, 0.0, 0.0, 0.0)
+        _check_interior_exists(st)
+        points = self._record_evaluations(monkeypatch)
+        alpha, rho, _ = _inner_solve_stats(st, 200)
+        # the guard returns the evaluated point whose scores passed
+        assert rho > 0.0 and (alpha, rho) == points[-1]
+        ev = inc_gamma_eval(alpha, rho)
+        g1 = ev.d_alpha - math.log(rho) - s_bar
+        g2 = st.r_bar - math.exp(ev.log_value_up - math.log(rho) - ev.log_value)
+        assert abs(g1) < 1e-9 and abs(g2) < 1e-9 * st.r_bar
+
+    def test_replicate_whose_root_is_a_step_from_rho_zero(self, monkeypatch):
+        # a replicate of the bundled fit whose profile passes a sigma where
+        # the inner root lies within one Newton step of rho -> 0: returning
+        # that last step gave rho = -4e-35, and the profile point raised in
+        # inc_gamma_eval
+        p = FtgParams(-0.1964803671608535, 0.0006594575534190036, 0.0004295490596932579)
+        smp = Sample(ftg_rvs(p, 40, RngStream(1202005).child(52)))
+        y, _ = smp.standardized()
+        points = self._record_evaluations(monkeypatch)
+        alpha, rho, _ = inner_solve(y, 0.22313062563470307)
+        assert rho > 0.0 and (alpha, rho) == points[-1]
+        fit = fit_ftg(smp)
+        assert fit.boundary is None and fit.converged
 
     def test_solve_past_the_rho_cap_stops_on_the_cap(self, monkeypatch):
         # light-tailed data whose inner optimum at this sigma lies past the
@@ -458,6 +538,26 @@ class TestFitFtg:
         fit = fit_ftg(losses)
         assert fit.converged and fit.boundary is None
         assert len(calls) <= 20
+
+    def test_inner_solve_reads_its_ratio_off_the_same_evaluation(self, losses, ftg_fit,
+                                                                monkeypatch):
+        # R = Gamma(alpha+1, rho) / (rho Gamma(alpha, rho)) comes from
+        # inc_gamma_eval's log_value_up: no value-only call at alpha + 1
+        # (there used to be about 70 per fit)
+        import ftgamma.fit
+
+        calls = []
+        real = ftgamma.fit.log_upper_inc_gamma
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ftgamma.fit, "log_upper_inc_gamma", counting)
+        fit_ftg(losses)
+        for b in range(1, 21):
+            fit_ftg(Sample(ftg_rvs(ftg_fit.params, 40, RngStream(1000).child(b))))
+        assert calls == []
 
     def test_iterations_count_profile_evaluations(self, losses, monkeypatch):
         # as for fit_pareto, iterations counts the profile evaluations

@@ -141,17 +141,24 @@ class TestIncGammaEval:
 
 
 class TestMpmathOracle:
-    """All six outputs of inc_gamma_eval against mpmath at 60 digits.
+    """All seven outputs of inc_gamma_eval against mpmath at 60 digits.
 
     The points cover the box alpha in [-50, 200] x rho in [1e-12, 700] and
     every branch seam: rho = max(1, alpha + 1) and just above it, alpha at
-    and just above -30, 0.5 and 1, and chain anchors at a = 0 (alpha = 0,
-    -1, -30 + 1e-9). Derivatives come from mpmath's own differentiation of
-    log Gamma(alpha, rho) and of the closed-form d_rho.
+    and just above -30, -0.5, 0.5 and 1, and chain anchors at a = 0
+    (alpha = 0, -1, -30 + 1e-9). Derivatives come from mpmath's own
+    differentiation of log Gamma(alpha, rho) and of the closed-form d_rho;
+    log_value_up is checked against log Gamma(alpha + 1, rho).
 
     Measured maxima of |error| / max(1, |reference|) on these points:
     log_value 5.8e-15, d_alpha 6.3e-14, d_rho 2.5e-13, d_alpha_alpha
-    6.0e-13, d_alpha_rho 1.8e-13, d_rho_rho 6.3e-12. A 1,000-point random
+    6.0e-13, d_alpha_rho 1.8e-13, d_rho_rho 6.3e-12, log_value_up 2.6e-15.
+    On the inner solve's region (alpha in [-3, 1], rho up to 1.6; see
+    test_value_up_where_the_inner_solve_reads_it) log_value_up is within
+    4.0e-14, at (-2.022, 0.604), where a value-only call at alpha + 1 has
+    the same error: there log_value_up is that call's chain link. The
+    small-shape series' own log_value_up, alpha in (-0.5, 0.5], was within
+    2.9e-15 over 2,000 random points. A 1,000-point random
     sweep of the box, weighted toward the seams, found at most 8.6e-14 on
     the value, 1.2e-12 on d_alpha and 4.5e-11 on d_alpha_alpha, just above
     alpha = 0.05, where the small-shape head leaves its Taylor series for
@@ -161,8 +168,8 @@ class TestMpmathOracle:
     1.1e-7 in d_alpha_rho on these points.
     """
 
-    ALPHAS = (-50.0, -30.0, -30.0 + 1e-9, -12.5, -1.0, -0.5, -0.196, 0.0, 1e-6,
-              0.3, 0.5, 0.5 + 1e-9, 1.0, 1.0 + 1e-9, 12.0, 200.0)
+    ALPHAS = (-50.0, -30.0, -30.0 + 1e-9, -12.5, -1.0, -0.5, -0.5 + 1e-9, -0.196,
+              0.0, 1e-6, 0.3, 0.5, 0.5 + 1e-9, 1.0, 1.0 + 1e-9, 12.0, 200.0)
     TOL = {
         "log_value": 1e-12,
         "d_alpha": 1e-10,
@@ -170,6 +177,7 @@ class TestMpmathOracle:
         "d_alpha_alpha": 1e-7,
         "d_alpha_rho": 1e-10,
         "d_rho_rho": 1e-10,
+        "log_value_up": 1e-12,
     }
 
     @staticmethod
@@ -189,6 +197,7 @@ class TestMpmathOracle:
             "d_alpha_alpha": mp.diff(lambda t: d(t, x), a, 2),
             "d_alpha_rho": mp.diff(lambda t: dr(t, x), a),
             "d_rho_rho": mp.diff(lambda y: dr(a, y), x),
+            "log_value_up": d(a + 1, x),
         }
 
     def test_value_and_partials_over_box_and_seams(self):
@@ -197,7 +206,8 @@ class TestMpmathOracle:
         with mpmath.workdps(60):
             for a in self.ALPHAS:
                 seam = max(1.0, a + 1.0)
-                for r in (1e-12, 4.3e-4, 0.7, seam, seam * (1.0 + 1e-9), 30.0, 700.0):
+                for r in (1e-12, 4.3e-4, 0.7, 1.5, seam, seam * (1.0 + 1e-9), 30.0,
+                          700.0):
                     ev = inc_gamma_eval(a, r)
                     for name, want in self._reference(mpmath, a, r).items():
                         err = float(abs(getattr(ev, name) - want) / max(1, abs(want)))
@@ -205,6 +215,26 @@ class TestMpmathOracle:
                             worst[name] = (err, (a, r))
         for name, (err, point) in worst.items():
             assert err <= self.TOL[name], (name, err, point)
+
+    def test_value_up_where_the_inner_solve_reads_it(self):
+        # log Gamma(alpha + 1, rho) for the inner solve's ratio, where fits
+        # of heavy-tailed data read it: step-down chains of up to three
+        # links, their small-shape anchors, and the continued fraction just
+        # past rho = 1
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(187)
+        points = [(-2.022, 0.604)]
+        points += [(float(rng.uniform(-3.0, 1.0)),
+                    float(10.0 ** rng.uniform(-12.0, math.log10(1.6))))
+                   for _ in range(400)]
+        worst = (0.0, None)
+        with mpmath.workdps(60):
+            for a, r in points:
+                want = mpmath.log(mpmath.gammainc(mpmath.mpf(a) + 1, r))
+                err = float(abs(inc_gamma_eval(a, r).log_value_up - want)
+                            / max(1, abs(want)))
+                worst = max(worst, (err, (a, r)))
+        assert worst[0] <= self.TOL["log_value_up"], worst
 
     def test_digamma_trigamma(self):
         # psi and psi' serve the small-shape series here and the gamma fit's
