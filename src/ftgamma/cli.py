@@ -59,6 +59,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _file_digest(path: str) -> str:
+    """_digest of a file's bytes, read in 1 MB blocks."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()[:16]
+
+
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is None:
         return secrets.randbits(48)
@@ -71,8 +80,7 @@ def _load(args) -> tuple[Sample, str]:
         return smp, _digest(smp.values.tobytes())
     if not args.data:
         raise DataError("provide --data PATH or --bundled")
-    with open(args.data, "rb") as fh:
-        digest = _digest(fh.read())
+    digest = _file_digest(args.data)
     column = args.column
     if isinstance(column, str) and column.isdigit():
         column = int(column)
@@ -143,13 +151,15 @@ def cmd_fit(args) -> int:
                 None, digest, __version__, _now()).emit()
     pareto = ftg = gamma = None
     lrt = None
-    if args.family in ("pareto", "all"):
-        pareto = fit_pareto(smp)
     if args.family in ("ftg", "all"):
         ftg = fit_ftg(smp)
+    if args.family == "pareto":
+        pareto = fit_pareto(smp)
     if args.family == "gamma":
         gamma = fit_gamma(smp)
     if args.family == "all":
+        # the FTG fit made the Pareto fit as an edge candidate
+        pareto = ftg.pareto_fit
         lrt = lrt_from_fits(pareto, ftg)
     if args.json:
         payload = {
@@ -325,8 +335,7 @@ def cmd_plotdata(args) -> int:
     RunManifest("plotdata", {"mode": args.mode}, None, digest,
                 __version__, _now()).emit()
     ftg = fit_ftg(smp)
-    pareto = fit_pareto(smp)
-    p_f, p_p = as_ftg(ftg.params), as_ftg(pareto.params)
+    p_f, p_p = as_ftg(ftg.params), as_ftg(ftg.pareto_fit.params)
     if args.mode == "survival":
         rows = ["x empirical ftg pareto"]
         for x, s_emp in zip(*empirical_survival(smp)):

@@ -90,52 +90,88 @@ def _csv_field(line: str, col: int) -> str:
     return fields[col].strip() if -len(fields) <= col < len(fields) else ""
 
 
-def read_dataset(path: str, column: int | str | None = None) -> DatasetFile:
-    """Parse a plain or CSV loss file into nonnegative values.
+# lines per block: readlines stops once a block passes this many characters
+_BLOCK_HINT = 1 << 16
 
-    Plain files hold one number per line; CSV files one column of numbers
-    (selected by index or header name, default first). Unparseable,
-    non-finite or negative entries, and CSV rows without the column, are
-    rejected with their line numbers.
+
+def _parse_block(block: list[str], first_line: int, csv_col: int | None):
+    """Values of one block of lines and the line numbers of its bad entries.
+
+    The whole block goes through float() in one call, which ignores the
+    whitespace and line end around each number. Only a block that fails
+    there (a blank line, a bad token or a CSV row without the column) is
+    parsed line by line; blank lines are skipped, and unparseable,
+    non-finite or negative entries are reported by their line numbers
+    (counted from first_line).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    is_csv = str(path).lower().endswith(".csv") or any("," in ln for ln in lines[:5])
-    col_idx = 0
-    col_name = None
-    start = 0
-    if is_csv:
-        if isinstance(column, int):
-            col_idx = column
-        header = [t.strip() for t in lines[0].split(",")] if lines else []
-        if isinstance(column, str):
-            if column not in header:
-                raise DataError(f"column {column!r} not found in {path}")
-            col_idx = header.index(column)
-            col_name = column
-            start = 1
-        elif header and _try_float(header[min(col_idx, len(header) - 1)]) is None:
-            start = 1  # unnamed numeric column under a header row
-    body = lines[start:]
-    if is_csv:
-        tokens = [_csv_field(ln, col_idx) for ln in body if ln.strip()]
-    else:
-        tokens = [t for t in map(str.strip, body) if t]
-    if not tokens:
-        raise DataError(f"{path}: no parseable values")
+    tokens = block if csv_col is None else [_csv_field(ln, csv_col) for ln in block]
+    linenos = range(first_line, first_line + len(block))
     try:
         # float() on every token in one call: the same bits as a Python loop
         values = np.array(tokens, dtype=np.float64)
     except ValueError:
+        kept = [(i, t) for i, ln, t in zip(linenos, block, tokens) if ln.strip()]
+        linenos = [i for i, _ in kept]
         # NaN marks the unparseable tokens for the mask below
-        values = np.array([math.nan if v is None else v for v in map(_try_float, tokens)])
+        values = np.array([math.nan if v is None else v
+                           for v in (_try_float(t) for _, t in kept)], dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(values) | (values < 0.0))
-    if bad.size:
-        linenos = [i for i, ln in enumerate(body, start=start + 1) if ln.strip()]
-        head = ", ".join(str(linenos[i]) for i in bad[:10])
+    return values, [linenos[i] for i in bad]
+
+
+def read_dataset(path: str, column: int | str | None = None) -> DatasetFile:
+    """Parse a plain or CSV loss file into nonnegative values.
+
+    Plain files hold one number per line; CSV files one column of numbers
+    (selected by index or header name, default first). Blank lines are
+    skipped. Unparseable, non-finite or negative entries, and CSV rows
+    without the column, are rejected with their line numbers; lines end at
+    newlines, read in universal-newline mode (\\n, \\r\\n or \\r).
+
+    The file is read in blocks of about 64 KiB of lines, each converted in
+    one NumPy call, so no list of every line is ever held.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        block = fh.readlines(_BLOCK_HINT)
+        while 0 < len(block) < 5:
+            # the CSV sniff below reads the first five lines
+            more = fh.readlines(_BLOCK_HINT)
+            if not more:
+                break
+            block += more
+        is_csv = str(path).lower().endswith(".csv") or any("," in ln for ln in block[:5])
+        col_idx = 0
+        col_name = None
+        start = 0
+        if is_csv:
+            if isinstance(column, int):
+                col_idx = column
+            header = [t.strip() for t in block[0].split(",")] if block else []
+            if isinstance(column, str):
+                if column not in header:
+                    raise DataError(f"column {column!r} not found in {path}")
+                col_idx = header.index(column)
+                col_name = column
+                start = 1
+            elif header and _try_float(header[min(col_idx, len(header) - 1)]) is None:
+                start = 1  # unnamed numeric column under a header row
+        parts, bad_lines, n_bad = [], [], 0
+        block, lineno = block[start:], start + 1
+        while block:
+            values, bad = _parse_block(block, lineno, col_idx if is_csv else None)
+            parts.append(values)
+            n_bad += len(bad)
+            bad_lines += bad[:10 - len(bad_lines)]
+            lineno += len(block)
+            block = fh.readlines(_BLOCK_HINT)
+    values = np.concatenate(parts) if parts else np.empty(0)
+    if not values.size:
+        raise DataError(f"{path}: no parseable values")
+    if n_bad:
+        head = ", ".join(map(str, bad_lines))
         raise DataError(
-            f"{path}: {bad.size} unparseable/non-finite/negative entries "
-            f"(lines {head}{', ...' if bad.size > 10 else ''})"
+            f"{path}: {n_bad} unparseable/non-finite/negative entries "
+            f"(lines {head}{', ...' if n_bad > 10 else ''})"
         )
     return DatasetFile(path=str(path), format="csv" if is_csv else "plain",
                        column=col_name, values=values)

@@ -186,6 +186,11 @@ class FitResult:
     an interior fit_ftg (over both of its starts), and Newton steps on the
     shape equation for fit_gamma; an FTG fit on an edge carries the count
     of that edge's own fit.
+
+    pareto_fit is set on every fit_ftg result: the Pareto fit of the same
+    sample, which fit_ftg makes once as an edge candidate and profile
+    start, so a caller that also reports the Pareto model reads it here
+    instead of fitting it again. It is None on Pareto and gamma fits.
     """
 
     family: str
@@ -231,7 +236,8 @@ def _std_errors(info: np.ndarray) -> np.ndarray:
 
 def _fit_result(family: str, params, loglik: float, score, info: np.ndarray,
                 log_scale, iterations: int, n: int,
-                standardization_factor: float = 1.0) -> FitResult:
+                standardization_factor: float = 1.0,
+                pareto_fit: FitResult | None = None) -> FitResult:
     """FitResult at an interior estimate from its score and observed
     information.
 
@@ -253,6 +259,7 @@ def _fit_result(family: str, params, loglik: float, score, info: np.ndarray,
         iterations=iterations,
         standardization_factor=standardization_factor,
         observed_info_log=jac @ info @ jac,
+        pareto_fit=pareto_fit,
     )
 
 
@@ -595,9 +602,10 @@ def _refine_maximum(fun, a: float, pa, c: float, pc, xatol: float) -> float:
 def fit_ftg(sample) -> FitResult:
     """Three-parameter FTG MLE by profile likelihood in sigma.
 
-    Standardizes to unit mean and fits the family's two closure edges
-    there, the Pareto (theta -> 0) and the gamma (rho -> 0). The profile is
-    searched from the Pareto fit's sigma and from sigma = 1. From each
+    Fits the family's two closure edges once, on the sample as given: the
+    Pareto (theta -> 0) and the gamma (rho -> 0). The profile is searched
+    on the sample standardized to unit mean, from the Pareto fit's sigma
+    (divided by the mean) and from sigma = 1. From each
     start, the profile's slope sign walks out a bracket of its maximum
     inside the one window sigma in [1e-22, 1e22], and safeguarded Newton on
     the slope refines it, unless the bracket already holds the other
@@ -608,9 +616,11 @@ def fit_ftg(sample) -> FitResult:
 
     The edge is decided once: of the interior optimum and the two edge
     fits, the highest standardized log-likelihood wins, and an edge wins
-    any tie within 1e-6. A winning edge is refitted on the data and
-    reported with boundary="pareto" or "gamma" (see _edge_result); an
-    interior optimum is mapped back to the data scale.
+    any tie within 1e-6. An edge fit's standardized log-likelihood is its
+    own plus n log(mean). A winning edge is reported as fitted, with
+    boundary="pareto" or "gamma" (see _edge_result); an interior optimum
+    is mapped back to the data scale. Every result carries the Pareto fit
+    in pareto_fit.
     """
     smp = Sample.coerce(sample)
     x = smp.values
@@ -618,19 +628,20 @@ def fit_ftg(sample) -> FitResult:
     if n < 3:
         raise FitError("FTG fit needs at least 3 observations")
     pos = x[x > 0]
-    if pos.size < 2 or np.unique(pos).size < 2:
+    if pos.size < 2 or pos.min() == pos.max():
         raise FitError("FTG fit needs at least two distinct positive values")
 
-    y_smp, xbar = smp.standardized()
-    edges = [fit_pareto(y_smp)]
-    if np.all(y_smp.values > 0.0):
+    pareto = fit_pareto(smp)
+    edges = [pareto]
+    if np.all(x > 0.0):
         try:
-            edges.append(fit_gamma(y_smp))
+            edges.append(fit_gamma(smp))
         except FitError:
             pass
 
+    y_smp, xbar = smp.standardized()
     prof = _Profile(y_smp)
-    for x0 in (math.log(edges[0].params.sigma), 0.0):
+    for x0 in (math.log(pareto.params.sigma / xbar), 0.0):
         other = prof.best
         bracket, _ = _bracket_maximum(prof.value, x0, math.log(1e-22), math.log(1e22))
         # a bracket around the other start's optimum holds nothing new
@@ -641,9 +652,8 @@ def fit_ftg(sample) -> FitResult:
     # may sit on a failed-evaluation cliff
     ll_y = -math.inf if prof.best is None else prof.best[0]
     edge = max(edges, key=lambda f: f.loglik)
-    if edge.loglik >= ll_y - 1e-6:
-        return _edge_result((fit_pareto if edge.family == "pareto" else fit_gamma)(smp),
-                            xbar)
+    if edge.loglik + n * math.log(xbar) >= ll_y - 1e-6:
+        return _edge_result(edge, xbar, pareto)
 
     # de-standardize: alpha, rho unchanged; sigma scales with the mean
     _, log_sig, alpha, rho = prof.best
@@ -655,20 +665,21 @@ def fit_ftg(sample) -> FitResult:
     score = _score_from_stats(st, ev, alpha, rho)
     info = _information_from_stats(st, ev, alpha, rho)
     return _fit_result("ftg", params, ll, score, info, [1.0, sigma, rho], prof.evals, n,
-                       standardization_factor=xbar)
+                       standardization_factor=xbar, pareto_fit=pareto)
 
 
-def _edge_result(edge_fit: FitResult, xbar: float) -> FitResult:
+def _edge_result(edge_fit: FitResult, xbar: float, pareto: FitResult) -> FitResult:
     """FTG fit whose optimum lies on the gamma or Pareto edge: the boundary
     model's own fit, flagged, rather than a fake interior optimum. A Pareto
-    edge is never reported as converged and carries the Pareto fit."""
+    edge is never reported as converged."""
     if edge_fit.family == "pareto":
         pp = edge_fit.params
         changes = dict(params=FtgParams.pareto(pp.alpha, pp.sigma), converged=False,
-                       boundary="pareto", pareto_fit=edge_fit)
+                       boundary="pareto")
     else:
         changes = dict(boundary="gamma")
-    return replace(edge_fit, family="ftg", standardization_factor=xbar, **changes)
+    return replace(edge_fit, family="ftg", standardization_factor=xbar,
+                   pareto_fit=pareto, **changes)
 
 
 def lrt_pareto_vs_ftg(sample) -> tuple[float, float]:
@@ -679,10 +690,8 @@ def lrt_pareto_vs_ftg(sample) -> tuple[float, float]:
     space, so the chi-square(1) reference is the conventional (not
     boundary-corrected) choice.
     """
-    smp = Sample.coerce(sample)
-    ftg = fit_ftg(smp)
-    pareto = ftg.pareto_fit if ftg.pareto_fit is not None else fit_pareto(smp)
-    return lrt_from_fits(pareto, ftg)
+    ftg = fit_ftg(sample)
+    return lrt_from_fits(ftg.pareto_fit, ftg)
 
 
 def lrt_from_fits(pareto: FitResult, ftg: FitResult) -> tuple[float, float]:

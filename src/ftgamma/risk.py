@@ -175,8 +175,8 @@ class BootstrapStudy:
 
 def _study_row(smp: Sample, cfg: RiskConfig, rng: RngStream, sample_id: int) -> BootstrapRow:
     try:
-        pareto = fit_pareto(smp)
         ftg = fit_ftg(smp)
+        pareto = ftg.pareto_fit
         rc_p = simulate_aggregate(pareto.params, cfg, rng.child(sample_id, 0))
         rc_f = simulate_aggregate(ftg.params, cfg, rng.child(sample_id, 1))
         return BootstrapRow(

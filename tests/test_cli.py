@@ -64,6 +64,22 @@ class TestFit:
         assert code == 2
         assert "lines 2, 3" in err
 
+    def test_data_digest_reads_file_in_blocks(self, tmp_path):
+        # the manifest digest is the SHA-256 of the whole file, though the
+        # file is hashed 1 MB at a time
+        import argparse
+        import hashlib
+
+        from ftgamma.cli import _load
+
+        path = tmp_path / "large.txt"
+        x = np.random.default_rng(8).pareto(1.0, 100_000)
+        path.write_text("\n".join(map(repr, x.tolist())) + "\n")
+        assert path.stat().st_size > 1 << 20
+        smp, digest = _load(argparse.Namespace(bundled=False, data=str(path), column=None))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        assert np.array_equal(smp.values, x)
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--data", "/nonexistent/x.txt")
         assert code == 2

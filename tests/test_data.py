@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,74 @@ class TestReadDataset:
                    read_dataset(str(csv), column="loss")):
             assert ds.values.dtype == np.float64
             assert np.array_equal(ds.values, want)
+
+    @staticmethod
+    def _multi_block_lines():
+        # about 250 KiB of numbers: several of read_dataset's 64 KiB blocks,
+        # with every fault past the first block
+        rng = np.random.default_rng(5)
+        lines = list(map(repr, rng.pareto(1.0, 14_000).tolist()))
+        faults = {9_000: "", 9_001: "oops", 9_500: "-2.5", 10_000: "nan", 12_000: "",
+                  12_001: "1e400", 12_002: "x", 13_000: "-1", 13_001: "inf",
+                  13_002: "?", 13_500: "-0.5", 13_998: "bad", 11_000: "-3",
+                  13_999: "-7"}
+        for i, t in faults.items():
+            lines[i] = t
+        # 1-based numbers of the non-blank faults
+        bad = [i + 1 for i, t in sorted(faults.items()) if t]
+        return lines, bad
+
+    def test_faults_in_later_blocks_listed_by_line(self, tmp_path):
+        lines, bad = self._multi_block_lines()
+        plain = tmp_path / "x.txt"
+        plain.write_text("\n".join(lines) + "\n")
+        assert plain.stat().st_size > 3 * 65536
+        head = ", ".join(map(str, bad[:10]))
+        with pytest.raises(DataError, match=rf"{len(bad)} .* \(lines {head}, \.\.\.\)"):
+            read_dataset(str(plain))
+        # a header and a year column shift every line number by one
+        csv = tmp_path / "x.csv"
+        csv.write_text("year,loss\n" + "".join(
+            f"{i},{t}\n" if t else "\n" for i, t in enumerate(lines)))
+        head = ", ".join(str(i + 1) for i in bad[:10])
+        for column in (1, "loss"):
+            with pytest.raises(DataError, match=rf"\(lines {head}, \.\.\.\)"):
+                read_dataset(str(csv), column=column)
+
+    def test_crlf_files_parse(self, tmp_path):
+        plain = tmp_path / "x.txt"
+        plain.write_bytes(b"1.5\r\n\r\n2.5\r\n3e2\r\n")
+        assert np.array_equal(read_dataset(str(plain)).values, [1.5, 2.5, 300.0])
+        csv = tmp_path / "x.csv"
+        csv.write_bytes(b"loss,year\r\n1.5,2001\r\n2.5,2002\r\n")
+        ds = read_dataset(str(csv), column="loss")
+        assert ds.column == "loss" and np.array_equal(ds.values, [1.5, 2.5])
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1.0\r\nfoo\r\n\r\n-3.0\r\n")
+        with pytest.raises(DataError, match=r"\(lines 2, 4\)"):
+            read_dataset(str(bad))
+
+    @pytest.mark.parametrize("column", [None, "loss"])
+    def test_header_only_csv(self, tmp_path, column):
+        p = tmp_path / "x.csv"
+        p.write_text("loss,year\n")
+        with pytest.raises(DataError, match="no parseable values"):
+            read_dataset(str(p), column=column)
+
+    def test_parse_holds_no_list_of_lines(self, tmp_path):
+        # the file is parsed a block of lines at a time: a list of every
+        # line as Python strings would cost about 12 times the values
+        x = np.random.default_rng(3).pareto(1.0, 200_000)
+        p = tmp_path / "x.txt"
+        p.write_text("\n".join(map(repr, x.tolist())) + "\n")
+        tracemalloc.start()
+        try:
+            ds = read_dataset(str(p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.values, x)
+        assert peak < 4 * ds.values.nbytes
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "x.csv"

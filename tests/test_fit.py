@@ -449,23 +449,54 @@ class TestFitFtg:
         if fit.converged and not fit.boundary:
             assert fit.std_errors[2] > 0.3 * fit.params.rho
 
-    def test_interior_fit_runs_one_pareto_fit(self, losses, monkeypatch):
-        # the Pareto fit on the standardized sample is both a start and an
-        # edge candidate; a fit on the raw sample is made only when the
-        # Pareto edge wins
+    @pytest.mark.parametrize("case, boundary", [("interior", None), ("pareto", "pareto"),
+                                                 ("gamma", "gamma")])
+    def test_one_pareto_fit_per_fit(self, losses, ftg_fit, monkeypatch, case, boundary):
+        # the Pareto fit of the raw sample is both an edge candidate and,
+        # divided by the mean, a profile start; every result carries it, and
+        # a winning edge is returned without a refit
+        import ftgamma.fit
+
+        smp = {
+            "interior": losses,
+            "pareto": Sample(ftg_rvs(FtgParams.pareto(-3.0, 1.0), 200,
+                                     RngStream(4242).child(200, 4))),
+            "gamma": Sample(ftg_rvs(ftg_fit.params, 40, RngStream(1003).child(24))),
+        }[case]
+        seen = []
+        real = ftgamma.fit.fit_pareto
+
+        def counting(arg):
+            seen.append(arg)
+            return real(arg)
+
+        monkeypatch.setattr(ftgamma.fit, "fit_pareto", counting)
+        fit = fit_ftg(smp)
+        assert fit.boundary == boundary
+        assert len(seen) == 1 and seen[0] is smp
+        assert fit.pareto_fit is not None and fit.pareto_fit.family == "pareto"
+        assert fit.pareto_fit.loglik == real(smp).loglik
+        if boundary == "pareto":
+            assert fit.loglik == fit.pareto_fit.loglik
+        elif boundary == "gamma":
+            assert fit.loglik == fit_gamma(smp).loglik
+
+    def test_fit_all_makes_one_pareto_fit(self, capsys, monkeypatch):
+        import ftgamma.cli
         import ftgamma.fit
 
         seen = []
         real = ftgamma.fit.fit_pareto
 
-        def counting(smp):
-            seen.append(smp.provenance)
-            return real(smp)
+        def counting(arg):
+            seen.append(arg)
+            return real(arg)
 
         monkeypatch.setattr(ftgamma.fit, "fit_pareto", counting)
-        fit = fit_ftg(losses)
-        assert fit.converged and fit.boundary is None
-        assert seen == ["standardized"]
+        monkeypatch.setattr(ftgamma.cli, "fit_pareto", counting)
+        assert ftgamma.cli.main(["fit", "--bundled", "--family", "all"]) == 0
+        assert "Pareto distribution" in capsys.readouterr().out
+        assert len(seen) == 1
 
     @pytest.mark.parametrize(
         "seed, child, printed",
@@ -625,6 +656,13 @@ class TestFitFtg:
             fit_ftg(Sample(np.array([1.0, 2.0])))
         with pytest.raises(FitError):
             fit_ftg(Sample(np.array([3.0, 3.0, 3.0, 3.0])))
+        for values in ([0.0, 3.0, 3.0, 3.0], [0.0, 0.0, 5.0, 5.0]):
+            with pytest.raises(FitError, match="two distinct positive values"):
+                fit_ftg(Sample(np.array(values)))
+
+    def test_two_distinct_positive_values_accepted(self):
+        fit = fit_ftg(Sample(np.array([0.0, 1.0, 2.0])))
+        assert fit.pareto_fit is not None
 
     def test_scale_equivariance(self, losses, ftg_fit):
         c = 37.5
