@@ -6,12 +6,10 @@ profile-likelihood fitting, goodness-of-fit statistics and a compound-
 Poisson operational-risk simulator.
 """
 
-from .data import DataError, DatasetFile, Sample, load_external_fraud, read_dataset
+from .data import DataError, Sample, load_external_fraud, read_dataset
 from .dist import (
     FtgParams,
     Moments,
-    ParetoParams,
-    as_ftg,
     cdf,
     conditional_mean_excess,
     log_pdf,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BootstrapStudy",
     "DataError",
-    "DatasetFile",
     "FitError",
     "FitResult",
     "FtgParams",
@@ -78,14 +75,12 @@ __all__ = [
     "LogBinnedHistogram",
     "Moments",
     "NumericsError",
-    "ParetoParams",
     "RiskConfig",
     "RiskReport",
     "RngStream",
     "Sample",
     "SampleBatch",
     "SufficientStats",
-    "as_ftg",
     "bootstrap_pvalue",
     "bootstrap_study",
     "cdf",

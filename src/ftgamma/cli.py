@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .data import DataError, Sample, load_external_fraud, read_dataset
-from .dist import FtgParams, ParetoParams, as_ftg, pdf, survival
+from .dist import FtgParams, pdf, survival
 from .errors import FitError, NumericsError
-from .fit import FitResult, fit_ftg, fit_gamma, fit_pareto, lrt_from_fits
+from .fit import FitResult, fit_ftg, fit_gamma, fit_pareto, lrt_pareto_vs_ftg
 from .gof import bootstrap_pvalue, empirical_survival, log_binned_histogram
 from .risk import RiskConfig, bootstrap_study, risk_capital
 from .sample import RngStream, sample_ftg
@@ -84,7 +84,7 @@ def _load(args) -> tuple[Sample, str]:
     column = args.column
     if isinstance(column, str) and column.isdigit():
         column = int(column)
-    return read_dataset(args.data, column=column).sample(), digest
+    return read_dataset(args.data, column=column), digest
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -160,7 +160,7 @@ def cmd_fit(args) -> int:
     if args.family == "all":
         # the FTG fit made the Pareto fit as an edge candidate
         pareto = ftg.pareto_fit
-        lrt = lrt_from_fits(pareto, ftg)
+        lrt = lrt_pareto_vs_ftg(ftg)
     if args.json:
         payload = {
             "command": "fit",
@@ -288,7 +288,7 @@ def cmd_risk(args) -> int:
         fit = report.fit
         p = fit.params
         lines = [f"severity family: {args.family}"]
-        if isinstance(p, ParetoParams):
+        if fit.family == "pareto":
             lines.append(f"  alpha={p.alpha:.4f} sigma={p.sigma:.4f}")
         else:
             lines.append(f"  alpha={p.alpha:.4f} sigma={p.sigma:.4f} rho={p.rho:.4e}")
@@ -335,7 +335,7 @@ def cmd_plotdata(args) -> int:
     RunManifest("plotdata", {"mode": args.mode}, None, digest,
                 __version__, _now()).emit()
     ftg = fit_ftg(smp)
-    p_f, p_p = as_ftg(ftg.params), as_ftg(ftg.pareto_fit.params)
+    p_f, p_p = ftg.params, ftg.pareto_fit.params
     if args.mode == "survival":
         rows = ["x empirical ftg pareto"]
         for x, s_emp in zip(*empirical_survival(smp)):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -15,14 +15,12 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class Sample:
-    """Nonnegative exceedance observations with a provenance tag.
-
-    provenance records how the values arose ("raw", "standardized",
-    "bootstrap", ...); it never affects numerics.
+    """Nonnegative exceedance observations: the one container for every
+    dataset, whether bundled, read from a file, standardized, resampled or
+    simulated. The values are a read-only 1-d float copy.
     """
 
     values: np.ndarray
-    provenance: str = "raw"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -37,10 +35,10 @@ class Sample:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def coerce(cls, x, provenance: str = "raw") -> "Sample":
+    def coerce(cls, x) -> "Sample":
         if isinstance(x, Sample):
             return x
-        return cls(np.asarray(x, dtype=float), provenance)
+        return cls(np.asarray(x, dtype=float))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -57,24 +55,11 @@ class Sample:
         m = self.mean
         if m <= 0.0:
             raise DataError("sample mean must be positive to standardize")
-        return Sample(self.values / m, provenance="standardized"), m
+        return Sample(self.values / m), m
 
     def resample(self, gen: np.random.Generator) -> "Sample":
         idx = gen.integers(0, len(self), size=len(self))
-        return Sample(self.values[idx], provenance="bootstrap")
-
-
-@dataclass(frozen=True)
-class DatasetFile:
-    """A parsed data file: newline-delimited numbers or single-column CSV."""
-
-    path: str
-    format: str
-    column: str | None
-    values: np.ndarray = field(repr=False)
-
-    def sample(self) -> Sample:
-        return Sample(self.values)
+        return Sample(self.values[idx])
 
 
 def _try_float(token: str) -> float | None:
@@ -119,8 +104,8 @@ def _parse_block(block: list[str], first_line: int, csv_col: int | None):
     return values, [linenos[i] for i in bad]
 
 
-def read_dataset(path: str, column: int | str | None = None) -> DatasetFile:
-    """Parse a plain or CSV loss file into nonnegative values.
+def read_dataset(path: str, column: int | str | None = None) -> Sample:
+    """Parse a plain or CSV loss file into a Sample of nonnegative values.
 
     Plain files hold one number per line; CSV files one column of numbers
     (selected by index or header name, default first). Blank lines are
@@ -141,7 +126,6 @@ def read_dataset(path: str, column: int | str | None = None) -> DatasetFile:
             block += more
         is_csv = str(path).lower().endswith(".csv") or any("," in ln for ln in block[:5])
         col_idx = 0
-        col_name = None
         start = 0
         if is_csv:
             if isinstance(column, int):
@@ -151,7 +135,6 @@ def read_dataset(path: str, column: int | str | None = None) -> DatasetFile:
                 if column not in header:
                     raise DataError(f"column {column!r} not found in {path}")
                 col_idx = header.index(column)
-                col_name = column
                 start = 1
             elif header and _try_float(header[min(col_idx, len(header) - 1)]) is None:
                 start = 1  # unnamed numeric column under a header row
@@ -173,8 +156,7 @@ def read_dataset(path: str, column: int | str | None = None) -> DatasetFile:
             f"{path}: {n_bad} unparseable/non-finite/negative entries "
             f"(lines {head}{', ...' if n_bad > 10 else ''})"
         )
-    return DatasetFile(path=str(path), format="csv" if is_csv else "plain",
-                       column=col_name, values=values)
+    return Sample(values)
 
 
 def load_external_fraud() -> Sample:
@@ -183,4 +165,4 @@ def load_external_fraud() -> Sample:
     threshold zero and sample mean 100."""
     text = resources.files("ftgamma").joinpath("data/external_fraud.txt").read_text()
     vals = [float(tok) for tok in text.split()]
-    return Sample(np.asarray(vals), provenance="raw")
+    return Sample(np.asarray(vals))

@@ -46,6 +46,10 @@ class FtgParams:
     the (alpha, sigma, rho) parameterization preferred during estimation;
     ``FtgParams.pareto`` for the Pareto boundary, where sigma must be given
     explicitly because rho/theta is indeterminate.
+
+    This is the package's only parameter type: the Pareto law is the
+    family's closure edge theta -> 0 with sigma = rho / theta held fixed,
+    so a Pareto fit's params are ``FtgParams.pareto(alpha, sigma)``.
     """
 
     alpha: float
@@ -129,46 +133,18 @@ class FtgParams:
         return log_upper_inc_gamma(self.alpha, self.rho)
 
 
-@dataclass(frozen=True)
-class ParetoParams:
-    """Pareto model with survival (1 + x/sigma)^alpha, alpha < 0, sigma > 0."""
-
-    alpha: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (self.alpha < 0.0):
-            raise ValueError(f"Pareto alpha must be < 0, got {self.alpha}")
-        if not (self.sigma > 0.0):
-            raise ValueError(f"Pareto sigma must be > 0, got {self.sigma}")
-
-    def as_ftg(self) -> FtgParams:
-        return FtgParams.pareto(self.alpha, self.sigma)
+def model_to_dict(p: FtgParams, family: str) -> dict:
+    """JSON form of a parameter point, tagged with the family of its fit: a
+    Pareto fit writes (alpha, sigma), any other fit all four parameters."""
+    if family == "pareto":
+        return {"family": "pareto", "alpha": p.alpha, "sigma": p.sigma}
+    return {"family": "ftg", "alpha": p.alpha, "theta": p.theta,
+            "rho": p.rho, "sigma": p.sigma}
 
 
-Model = FtgParams | ParetoParams
-
-
-def as_ftg(model: Model) -> FtgParams:
-    """Coerce an FtgParams or ParetoParams to the FtgParams representation."""
-    if isinstance(model, ParetoParams):
-        return model.as_ftg()
-    return model
-
-
-def model_to_dict(model: Model) -> dict:
-    """JSON form of a parameter point, tagged with its family."""
-    if isinstance(model, ParetoParams):
-        return {"family": "pareto", "alpha": model.alpha, "sigma": model.sigma}
-    return {"family": "ftg", "alpha": model.alpha, "theta": model.theta,
-            "rho": model.rho, "sigma": model.sigma}
-
-
-def model_from_dict(d: dict) -> Model:
+def model_from_dict(d: dict) -> FtgParams:
     """The parameter point that model_to_dict wrote as d."""
-    if d["family"] == "pareto":
-        return ParetoParams(d["alpha"], d["sigma"])
-    if d["theta"] == 0.0:
+    if d["family"] == "pareto" or d["theta"] == 0.0:
         return FtgParams.pareto(d["alpha"], d["sigma"])
     return FtgParams(d["alpha"], d["theta"], d["rho"])
 
@@ -264,7 +240,8 @@ def quantile(p: FtgParams, prob: float) -> float:
     if prob == 0.0:
         return 0.0
     if p.is_pareto:
-        return p.sigma * ((1.0 - prob) ** (1.0 / p.alpha) - 1.0)
+        # (1 - prob)^(1/alpha) - 1 in log scale keeps the lower tail's digits
+        return p.sigma * math.expm1(math.log1p(-prob) / p.alpha)
     # imported here because fit imports this module
     from .fit import _bracket_maximum, _refine_maximum
 

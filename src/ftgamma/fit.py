@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import Sample
-from .dist import FtgParams, ParetoParams, model_from_dict, model_to_dict
+from .dist import FtgParams, model_from_dict, model_to_dict
 from .errors import FitError
 from .specfun import (chi2_survival_1df, digamma_trigamma, inc_gamma_eval,
                       log_upper_inc_gamma)
@@ -194,7 +194,7 @@ class FitResult:
     """
 
     family: str
-    params: FtgParams | ParetoParams
+    params: FtgParams
     loglik: float
     score_norm: float
     observed_info: np.ndarray = field(repr=False)
@@ -209,10 +209,11 @@ class FitResult:
     _ARRAYS = ("observed_info", "std_errors", "observed_info_log")
 
     def to_dict(self) -> dict:
-        """JSON form of every field but pareto_fit."""
+        """JSON form of every field but pareto_fit; params are tagged with
+        the fit's family (see model_to_dict)."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         del d["pareto_fit"]
-        return {**d, "params": model_to_dict(self.params),
+        return {**d, "params": model_to_dict(self.params, self.family),
                 **{k: d[k].tolist() for k in self._ARRAYS}}
 
     @classmethod
@@ -437,7 +438,7 @@ def fit_pareto(sample) -> FitResult:
         n * (-1.0 / sigma + (alpha - 1.0) * st.s_bar_sigma),
     )
     info = pareto_observed_information(st, alpha, sigma)
-    return _fit_result("pareto", ParetoParams(alpha, sigma), ll, score, info,
+    return _fit_result("pareto", FtgParams.pareto(alpha, sigma), ll, score, info,
                        [1.0, sigma], evals, n)
 
 
@@ -672,34 +673,25 @@ def _edge_result(edge_fit: FitResult, xbar: float, pareto: FitResult) -> FitResu
     """FTG fit whose optimum lies on the gamma or Pareto edge: the boundary
     model's own fit, flagged, rather than a fake interior optimum. A Pareto
     edge is never reported as converged."""
-    if edge_fit.family == "pareto":
-        pp = edge_fit.params
-        changes = dict(params=FtgParams.pareto(pp.alpha, pp.sigma), converged=False,
-                       boundary="pareto")
-    else:
-        changes = dict(boundary="gamma")
-    return replace(edge_fit, family="ftg", standardization_factor=xbar,
-                   pareto_fit=pareto, **changes)
+    return replace(edge_fit, family="ftg", boundary=edge_fit.family,
+                   converged=edge_fit.converged and edge_fit.family != "pareto",
+                   standardization_factor=xbar, pareto_fit=pareto)
 
 
-def lrt_pareto_vs_ftg(sample) -> tuple[float, float]:
-    """Likelihood-ratio test of the Pareto null inside the FTG alternative.
+def lrt_pareto_vs_ftg(ftg: FitResult) -> tuple[float, float]:
+    """Likelihood-ratio test of the Pareto null inside the FTG alternative,
+    from a fit_ftg result and the Pareto fit it carries in pareto_fit.
 
     statistic = 2 (l_FTG - l_Pareto), referenced to chi-square with one
     degree of freedom. The Pareto sits on the rho = 0 edge of the parameter
     space, so the chi-square(1) reference is the conventional (not
-    boundary-corrected) choice.
+    boundary-corrected) choice. The FTG family contains the Pareto, so a
+    statistic below 0 (an FTG fit short of the Pareto likelihood) is read
+    as 0.
     """
-    ftg = fit_ftg(sample)
-    return lrt_from_fits(ftg.pareto_fit, ftg)
-
-
-def lrt_from_fits(pareto: FitResult, ftg: FitResult) -> tuple[float, float]:
-    """The LRT of ``lrt_pareto_vs_ftg`` from Pareto and FTG fits of one sample.
-
-    The FTG family contains the Pareto, so a statistic below 0 (an FTG fit
-    short of the Pareto likelihood) is read as 0.
-    """
+    pareto = ftg.pareto_fit
+    if pareto is None:
+        raise ValueError("the LRT needs a fit_ftg result, which carries its Pareto fit")
     if not (ftg.converged or ftg.boundary == "pareto") or not pareto.converged:
         warnings.warn("LRT computed from a fit that did not fully converge")
     stat = max(2.0 * (ftg.loglik - pareto.loglik), 0.0)

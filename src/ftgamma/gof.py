@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Sample
-from .dist import Model, as_ftg, cdf
+from .dist import FtgParams, cdf
 from .errors import FitError
 from .fit import fit_ftg, fit_pareto
 from .sample import RngStream, ftg_rvs
@@ -47,7 +47,7 @@ class GofReport:
         }
 
 
-def cvm_ad_statistics(sample, model: Model) -> tuple[float, float]:
+def cvm_ad_statistics(sample, model: FtgParams) -> tuple[float, float]:
     """Cramer-von Mises W^2 and Anderson-Darling A^2 against a fitted model.
 
     z_i = F(x_(i)) on the sorted sample;
@@ -57,9 +57,8 @@ def cvm_ad_statistics(sample, model: Model) -> tuple[float, float]:
     interval (with a warning) so A^2 stays finite.
     """
     smp = Sample.coerce(sample)
-    p = as_ftg(model)
     xs = smp.sorted()
-    z = np.array([cdf(p, float(v)) for v in xs])
+    z = np.array([cdf(model, float(v)) for v in xs])
     if np.any(z <= 0.0) or np.any(z >= 1.0):
         warnings.warn("probability transforms hit 0 or 1 exactly; clamped")
         z = np.clip(z, _Z_CLAMP, 1.0 - _Z_CLAMP)
@@ -99,7 +98,7 @@ def bootstrap_pvalue(sample, family: str, n_boot: int, rng: RngStream) -> GofRep
     done = 0
     for b in range(n_boot):
         sub = rng.child(b + 1)
-        sim = Sample(ftg_rvs(model, n, sub), provenance="bootstrap")
+        sim = Sample(ftg_rvs(model, n, sub))
         try:
             refit = _fit_family(sim, family)
             w2_b, a2_b = cvm_ad_statistics(sim, refit.params)
@@ -145,17 +144,16 @@ class LogBinnedHistogram:
 
 def log_binned_histogram(sample, decade_origin: float = 8.0,
                          bins_per_decade: int = 5,
-                         edge_offset: float | None = None,
                          x_range: tuple[float, float] | None = None) -> LogBinnedHistogram:
     """Histogram on bins l_s = offset * 10^(origin + s/b).
 
-    With the default five bins per decade the offset is 0.5 * 11^(1/5),
-    matching the tropical-cyclone preset; other bin counts
-    default to geometric midpoints 10^(-1/(2b)). Evaluation points are
-    10^(origin + s/b), one inside each bin, which constrains the offset to
-    (10^(-1/b), 1). Bins are laid to cover the data (or x_range if given);
-    observations outside the covered span are excluded from counts but still
-    included in the density normalization.
+    With five bins per decade the offset is 0.5 * 11^(1/5), matching the
+    tropical-cyclone preset; other bin counts use geometric midpoints,
+    offset 10^(-1/(2b)). Evaluation points are 10^(origin + s/b); both
+    offsets lie in (10^(-1/b), 1), so each falls inside its bin. Bins are
+    laid to cover the data (or x_range if given); observations outside the
+    covered span are excluded from counts but still included in the density
+    normalization.
     """
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
@@ -164,23 +162,17 @@ def log_binned_histogram(sample, decade_origin: float = 8.0,
     if x.size == 0:
         raise ValueError("need positive observations")
     b = int(bins_per_decade)
-    if edge_offset is None:
-        edge_offset = 0.5 * 11.0 ** (1.0 / 5.0) if b == 5 else 10.0 ** (-0.5 / b)
-    if not 10.0 ** (-1.0 / b) < edge_offset < 1.0:
-        raise ValueError(
-            f"edge_offset {edge_offset:.4f} must lie in (10^(-1/{b}), 1) so "
-            "evaluation points fall inside their bins"
-        )
+    offset = 0.5 * 11.0 ** (1.0 / 5.0) if b == 5 else 10.0 ** (-0.5 / b)
     lo, hi = (float(x.min()), float(x.max())) if x_range is None else x_range
     if not 0.0 < lo <= hi:
         raise ValueError("x_range must be positive and ordered")
     # smallest s with edge >= lo, largest with edge <= hi, padded to cover
-    s_lo = math.floor(b * (math.log10(lo) - math.log10(edge_offset)) - b * decade_origin)
-    s_hi = math.ceil(b * (math.log10(hi) - math.log10(edge_offset)) - b * decade_origin)
-    while edge_offset * 10.0 ** (decade_origin + s_lo / b) >= lo:
+    s_lo = math.floor(b * (math.log10(lo) - math.log10(offset)) - b * decade_origin)
+    s_hi = math.ceil(b * (math.log10(hi) - math.log10(offset)) - b * decade_origin)
+    while offset * 10.0 ** (decade_origin + s_lo / b) >= lo:
         s_lo -= 1  # bins are left-open: the minimum must lie strictly inside
     s = np.arange(s_lo, s_hi + 1)
-    edges = edge_offset * 10.0 ** (decade_origin + s / b)
+    edges = offset * 10.0 ** (decade_origin + s / b)
     eval_points = 10.0 ** (decade_origin + s[:-1] / b)
     counts, _ = np.histogram(x, bins=edges)
     # np.histogram closes the left edge; the convention here is (l, l+1]

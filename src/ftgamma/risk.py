@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Sample
-from .dist import Model, as_ftg, conditional_mean_excess, model_to_dict
+from .dist import FtgParams, conditional_mean_excess, model_to_dict
 from .errors import FitError
 from .fit import FitResult, fit_ftg, fit_pareto
 from .sample import RngStream, ftg_rvs
@@ -47,7 +47,7 @@ class RiskConfig:
 @dataclass(frozen=True)
 class RiskReport:
     risk_capital: float
-    severity_model: Model
+    severity_model: FtgParams
     aggregate_quantiles: dict[float, float]
     n_sims: int
     seed: int
@@ -58,9 +58,12 @@ class RiskReport:
     fit: FitResult | None = None
 
     def to_dict(self) -> dict:
+        """JSON form; severity_model is tagged with the fit's family, or as
+        "ftg" when the report has no fit."""
+        family = self.fit.family if self.fit else "ftg"
         return {
             "risk_capital": self.risk_capital,
-            "severity_model": model_to_dict(self.severity_model),
+            "severity_model": model_to_dict(self.severity_model, family),
             "aggregate_quantiles": {str(k): v for k, v in self.aggregate_quantiles.items()},
             "n_sims": self.n_sims,
             "seed": self.seed,
@@ -78,7 +81,7 @@ def _empirical_quantile(sorted_vals: np.ndarray, level: float) -> float:
     return float(sorted_vals[k - 1])
 
 
-def simulate_aggregate(severity: Model, cfg: RiskConfig,
+def simulate_aggregate(severity: FtgParams, cfg: RiskConfig,
                        rng: RngStream | None = None) -> RiskReport:
     """Simulate cfg.n_sims draws of the aggregate loss and read off quantiles.
 
@@ -86,23 +89,21 @@ def simulate_aggregate(severity: Model, cfg: RiskConfig,
     reports are reproducible; an infinite-mean Pareto severity is simulated
     as-is (inversion needs no moments) and only flagged.
     """
-    model = severity
-    p = as_ftg(severity)
     if rng is None:
         rng = RngStream(cfg.seed)
     counts = rng.child(0).generator.poisson(cfg.lam, cfg.n_sims)
     total = int(counts.sum())
-    sevs = ftg_rvs(p, total, rng.child(1))
+    sevs = ftg_rvs(severity, total, rng.child(1))
     agg = np.bincount(
         np.repeat(np.arange(cfg.n_sims), counts), weights=sevs, minlength=cfg.n_sims
     )
     agg.sort()
     levels = sorted(set(_REPORT_LEVELS) | {cfg.quantile_level})
     quantiles = {lvl: _empirical_quantile(agg, lvl) for lvl in levels}
-    infinite = p.is_pareto and p.alpha >= -1.0
+    infinite = severity.is_pareto and severity.alpha >= -1.0
     return RiskReport(
         risk_capital=quantiles[cfg.quantile_level],
-        severity_model=model,
+        severity_model=severity,
         aggregate_quantiles=quantiles,
         n_sims=cfg.n_sims,
         seed=cfg.seed,
@@ -129,7 +130,7 @@ def risk_capital(sample, family: str, cfg: RiskConfig,
     else:
         raise ValueError(f"unknown family {family!r}")
     report = simulate_aggregate(fit.params, cfg, rng)
-    tail = conditional_mean_excess(as_ftg(fit.params), report.risk_capital)
+    tail = conditional_mean_excess(fit.params, report.risk_capital)
     return replace(report, tail_expectation=tail, fit=fit)
 
 
@@ -143,7 +144,7 @@ def rescale_to_threshold(raw, threshold: float, target_mean: float) -> Sample:
     if not target_mean > 0.0:
         raise ValueError("target_mean must be > 0")
     shifted = x - threshold
-    return Sample(target_mean * shifted / shifted.mean(), provenance="standardized")
+    return Sample(target_mean * shifted / shifted.mean())
 
 
 @dataclass(frozen=True)

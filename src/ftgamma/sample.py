@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import FtgParams, Model, as_ftg
+from .dist import FtgParams
 
 _BLOCK = 1 << 16
 # proposals per still-missing variate in each block, by envelope
@@ -213,7 +213,7 @@ def _draw(p: FtgParams, n: int, gen: np.random.Generator):
     return x, attempts
 
 
-def sample_ftg(p: Model, n: int, rng: RngStream) -> SampleBatch:
+def sample_ftg(p: FtgParams, n: int, rng: RngStream) -> SampleBatch:
     """Draw n variates with rejection diagnostics.
 
     The values are exactly those of ``ftg_rvs`` on the same stream. For
@@ -222,17 +222,16 @@ def sample_ftg(p: Model, n: int, rng: RngStream) -> SampleBatch:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    p = as_ftg(p)
     values, attempts = _draw(p, n, rng.generator)
     return SampleBatch(values=values, params=p, attempts=attempts,
                        acceptance_rate=n / attempts)
 
 
-def ftg_rvs(p: Model, n: int, rng: RngStream) -> np.ndarray:
+def ftg_rvs(p: FtgParams, n: int, rng: RngStream) -> np.ndarray:
     """n variates of p; the values of ``sample_ftg`` without its diagnostics."""
     if n == 0:
         return np.empty(0)
-    return _draw(as_ftg(p), n, rng.generator)[0]
+    return _draw(p, n, rng.generator)[0]
 
 
 def sample_poisson(lam: float, rng: RngStream, size: int | None = None):

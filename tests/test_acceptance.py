@@ -80,7 +80,7 @@ def test_criterion_1_mle_table(losses):
     t0 = time.time()
     par = fit_pareto(losses)
     ftg = fit_ftg(losses)
-    stat, pval = lrt_pareto_vs_ftg(losses)
+    stat, pval = lrt_pareto_vs_ftg(ftg)
     elapsed = time.time() - t0
     pp, fp = par.params, ftg.params
     checks = [
@@ -106,7 +106,7 @@ def test_criterion_1_mle_table(losses):
 # --------------------------------------------------------------- criterion 2
 @pytest.fixture(scope="module")
 def fitted_models(losses):
-    return fit_pareto(losses).params.as_ftg(), fit_ftg(losses).params
+    return fit_pareto(losses).params, fit_ftg(losses).params
 
 
 def test_criterion_2a_tail_quantiles(fitted_models):

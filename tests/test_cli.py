@@ -166,6 +166,29 @@ class TestRisk:
         assert "infinite mean" in err
         assert math.log10(payload["risk_capital"]) == pytest.approx(9.8, abs=1.2)
 
+    def test_pareto_severity_model_json(self, capsys):
+        _, out, _ = run_cli(capsys, "risk", "--bundled", "--family", "pareto",
+                            "--n-sims", "20000", "--seed", "5", "--json")
+        model = json.loads(out)["severity_model"]
+        assert model.keys() == {"family", "alpha", "sigma"}
+        assert model["family"] == "pareto"
+
+    def test_ftg_severity_on_the_pareto_edge(self, capsys, tmp_path):
+        # an FTG fit on the Pareto edge still reports as FTG: four parameters
+        # in JSON, and a rho column in text
+        x = ftgamma.ftg_rvs(ftgamma.FtgParams.pareto(-1.5, 1.0), 40,
+                            ftgamma.RngStream(4242).child(40, 16))
+        data = tmp_path / "edge.txt"
+        data.write_text("\n".join(map(repr, x.tolist())) + "\n")
+        args = ("risk", "--data", str(data), "--family", "ftg", "--n-sims", "20000",
+                "--seed", "3")
+        _, out, _ = run_cli(capsys, *args, "--json")
+        model = json.loads(out)["severity_model"]
+        assert model["family"] == "ftg"
+        assert model["theta"] == 0.0 and model["rho"] == 0.0
+        _, out, _ = run_cli(capsys, *args)
+        assert "rho=0.0000e+00" in out.splitlines()[1]
+
     def test_byte_identical_reruns(self, capsys):
         args = ("risk", "--bundled", "--family", "ftg", "--n-sims", "15000",
                 "--seed", "12", "--json")

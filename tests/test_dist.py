@@ -7,7 +7,6 @@ from scipy.optimize import brentq, minimize_scalar
 
 from ftgamma import (
     FtgParams,
-    ParetoParams,
     cdf,
     conditional_mean_excess,
     log_pdf,
@@ -64,9 +63,11 @@ class TestParams:
 
     def test_pareto_params_validation(self):
         with pytest.raises(ValueError):
-            ParetoParams(0.1, 1.0)
+            FtgParams.pareto(0.1, 1.0)
         with pytest.raises(ValueError):
-            ParetoParams(-0.5, 0.0)
+            FtgParams.pareto(-0.5, 0.0)
+        with pytest.raises(ValueError):
+            FtgParams.pareto(-0.5, -1.0)
 
 
 class TestPdf:
@@ -130,6 +131,16 @@ class TestQuantile:
     def test_reference_high_quantiles(self):
         assert quantile(PARETO_REF, 0.999) == pytest.approx(6.95e6, rel=0.10)
         assert quantile(FTG_REF, 0.999) == pytest.approx(3.93e3, rel=0.10)
+
+    def test_pareto_closed_form_keeps_the_lower_tail(self):
+        # sigma ((1 - prob)^(1/alpha) - 1) at 50 digits; in double precision
+        # 1 - prob rounds to 1 at prob 1e-20, and loses four digits at 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        p = FtgParams.pareto(-1.5, 2.0)
+        with mpmath.workdps(50):
+            for prob in (1e-20, 1e-12, 0.5, 0.999):
+                want = 2 * ((1 - mpmath.mpf(prob)) ** (mpmath.mpf(-2) / 3) - 1)
+                assert quantile(p, prob) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
     def test_round_trip(self):
         for p in (FTG_REF, PARETO_REF, FtgParams.gamma(2.0, 1.0),

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from ftgamma import (
+    FitResult,
     FtgParams,
     RngStream,
     Sample,
@@ -782,16 +784,61 @@ class TestFitGamma:
 
 
 class TestLrt:
-    def test_reference_values(self, losses):
-        stat, p = lrt_pareto_vs_ftg(losses)
+    def test_reference_values(self, ftg_fit):
+        stat, p = lrt_pareto_vs_ftg(ftg_fit)
         assert stat == pytest.approx(4.14, abs=0.1)
         assert p == pytest.approx(0.042, abs=0.002)
 
     def test_nonnegative_on_pareto_data(self):
         vals = ftg_rvs(FtgParams.pareto(-0.8, 1.0), 300, RngStream(42))
-        stat, p = lrt_pareto_vs_ftg(Sample(vals))
+        stat, p = lrt_pareto_vs_ftg(fit_ftg(Sample(vals)))
         assert stat >= -1e-8
         assert 0.0 <= p <= 1.0
 
     def test_chi2_map(self):
         assert chi2_survival_1df(24.96) == pytest.approx(5.8e-7, abs=1e-8)
+
+    def test_needs_an_ftg_fit(self, pareto_fit):
+        with pytest.raises(ValueError, match="fit_ftg"):
+            lrt_pareto_vs_ftg(pareto_fit)
+
+
+# a sample whose FTG fit lands on the Pareto edge
+PARETO_EDGE_SAMPLE = ftg_rvs(FtgParams.pareto(-1.5, 1.0), 40, RngStream(4242).child(40, 16))
+
+
+class TestFitResultJson:
+    # every fit holds an FtgParams; the JSON tag comes from the fit's family,
+    # so only a Pareto fit writes the two-parameter form, and an FTG fit on
+    # either edge writes all four parameters
+    FOUR = {"family", "alpha", "theta", "rho", "sigma"}
+
+    @staticmethod
+    def _round_trip(fit) -> dict:
+        d = json.loads(json.dumps(fit.to_dict()))
+        assert FitResult.from_dict(d).to_dict() == d
+        return d
+
+    def test_pareto_fit(self):
+        d = self._round_trip(fit_pareto(Sample(PARETO_EDGE_SAMPLE)))
+        assert d["family"] == "pareto"
+        assert d["params"].keys() == {"family", "alpha", "sigma"}
+        assert d["params"]["family"] == "pareto"
+
+    def test_ftg_fit_on_the_pareto_edge(self):
+        fit = fit_ftg(Sample(PARETO_EDGE_SAMPLE))
+        assert fit.boundary == "pareto"
+        d = self._round_trip(fit)
+        assert d["params"].keys() == self.FOUR
+        assert d["params"]["family"] == "ftg"
+        assert d["params"]["theta"] == 0.0 and d["params"]["rho"] == 0.0
+        assert d["params"]["alpha"] == fit.pareto_fit.params.alpha
+        assert d["params"]["sigma"] == fit.pareto_fit.params.sigma
+
+    def test_ftg_fit_on_the_gamma_edge(self):
+        fit = fit_ftg(Sample(RngStream(1234).generator.gamma(3.0, size=400)))
+        assert fit.boundary == "gamma"
+        d = self._round_trip(fit)
+        assert d["params"].keys() == self.FOUR
+        assert d["params"]["family"] == "ftg"
+        assert d["params"]["rho"] == 0.0 and d["params"]["theta"] > 0.0

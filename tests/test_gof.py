@@ -5,7 +5,6 @@ import pytest
 
 from ftgamma import (
     FtgParams,
-    ParetoParams,
     RngStream,
     Sample,
     cvm_ad_statistics,
@@ -68,10 +67,6 @@ class TestCvmAdStatistics:
         scaled = cvm_ad_statistics(Sample(xs * c), scale(model, c))
         assert base == pytest.approx(scaled, rel=1e-12)
 
-    def test_accepts_pareto_params(self, losses, pareto_fit):
-        w2_a = cvm_ad_statistics(losses, pareto_fit.params)
-        w2_b = cvm_ad_statistics(losses, pareto_fit.params.as_ftg())
-        assert w2_a == pytest.approx(w2_b, rel=1e-14)
 
 
 class TestBootstrapPvalue:
@@ -94,7 +89,7 @@ class TestBootstrapPvalue:
     def test_null_uniformity(self):
         # data drawn from the fitted null: p-values should look uniform, so
         # p < 0.05 should occur in 0..8 of 50 repetitions
-        model = ParetoParams(-0.9, 1.4)
+        model = FtgParams.pareto(-0.9, 1.4)
         gen_stream = RngStream(60601)
         hits_w2 = hits_a2 = 0
         for rep in range(50):
@@ -162,11 +157,6 @@ class TestLogBinnedHistogram:
                                     bins_per_decade=5, x_range=(2e12, 2e13))
         slope, _ = loglog_least_squares(hist)
         assert slope == pytest.approx(-2.63, abs=0.1)
-
-    def test_offset_validation(self):
-        with pytest.raises(ValueError):
-            log_binned_histogram(Sample(np.array([1.0])), decade_origin=0.0,
-                                 bins_per_decade=5, edge_offset=0.5)
 
 
 class TestLogLogLeastSquares:
