@@ -290,6 +290,9 @@ def cmd_risk(args) -> int:
         lines = [f"severity family: {args.family}"]
         if fit.family == "pareto":
             lines.append(f"  alpha={p.alpha:.4f} sigma={p.sigma:.4f}")
+        elif p.is_gamma:
+            # sigma = rho / theta is 0 on this edge: theta sets the scale
+            lines.append(f"  alpha={p.alpha:.4f} theta={p.theta:.4e}")
         else:
             lines.append(f"  alpha={p.alpha:.4f} sigma={p.sigma:.4f} rho={p.rho:.4e}")
         lines.append(f"loglik {fit.loglik:.4f}")

@@ -13,6 +13,9 @@ is a scale parameter, rho truncates the left tail, and -alpha is the Pareto
 tail weight, so the family interpolates between exponential-type and
 power-law tails.
 
+The gamma edge is the interior formula at rho = 0, where Gamma(alpha, 0) =
+Gamma(alpha), so only the Pareto edge has formulas of its own.
+
 A quirk worth knowing: at alpha = 1 the interior density collapses to the
 exponential with rate theta for *every* rho, so (theta, rho) are not jointly
 identifiable there. The fitting code surfaces this as a large standard error
@@ -124,12 +127,11 @@ class FtgParams:
 
     @cached_property
     def log_norm(self) -> float:
-        """log Gamma(alpha, rho), the log normalizing constant (interior/gamma),
-        evaluated once per parameter point."""
+        """log Gamma(alpha, rho), the log normalizing constant, evaluated once
+        per parameter point; on the gamma edge it is the interior formula at
+        rho = 0, log Gamma(alpha)."""
         if self.is_pareto:
             raise ValueError("Pareto boundary has no incomplete-gamma norm")
-        if self.rho == 0.0:
-            return math.lgamma(self.alpha)
         return log_upper_inc_gamma(self.alpha, self.rho)
 
 
@@ -177,54 +179,38 @@ def log_pdf(p: FtgParams, x: float) -> float:
             - math.log(p.sigma)
             + (p.alpha - 1.0) * math.log1p(x / p.sigma)
         )
-    if p.is_gamma:
-        if x == 0.0:
-            if p.alpha < 1.0:
-                return math.inf
-            return math.log(p.theta) if p.alpha == 1.0 else -math.inf
-        return (
-            p.alpha * math.log(p.theta)
-            + (p.alpha - 1.0) * math.log(x)
-            - p.theta * x
-            - math.lgamma(p.alpha)
-        )
     t = p.rho + p.theta * x
+    if t == 0.0:
+        # the gamma edge at the origin, where t^(alpha-1) has no logarithm
+        if p.alpha < 1.0:
+            return math.inf
+        return math.log(p.theta) if p.alpha == 1.0 else -math.inf
     return math.log(p.theta) + (p.alpha - 1.0) * math.log(t) - t - p.log_norm
 
 
 def pdf(p: FtgParams, x: float) -> float:
-    out = log_pdf(p, x)
-    return math.exp(out) if out != math.inf else math.inf
+    return math.exp(log_pdf(p, x))
+
+
+def _log_survival(p: FtgParams, x: float) -> float:
+    """log P(X > x) for x > 0, as a gamma ratio (never from the cdf)."""
+    if p.is_pareto:
+        return p.alpha * math.log1p(x / p.sigma)
+    return log_upper_inc_gamma(p.alpha, p.rho + p.theta * x) - p.log_norm
 
 
 def survival(p: FtgParams, x: float) -> float:
-    """P(X > x), computed directly as a gamma ratio (never 1 - cdf)."""
-    if x < 0.0:
+    """P(X > x) = Gamma(alpha, rho + theta x) / Gamma(alpha, rho)."""
+    if x <= 0.0:
         return 1.0
-    if x == 0.0:
-        return 1.0
-    if p.is_pareto:
-        return math.exp(p.alpha * math.log1p(x / p.sigma))
-    if p.is_gamma:
-        return math.exp(
-            log_upper_inc_gamma(p.alpha, p.theta * x) - math.lgamma(p.alpha)
-        )
-    return math.exp(log_upper_inc_gamma(p.alpha, p.rho + p.theta * x) - p.log_norm)
+    return math.exp(_log_survival(p, x))
 
 
 def cdf(p: FtgParams, x: float) -> float:
     """P(X <= x) = 1 - Gamma(alpha, rho + theta x) / Gamma(alpha, rho)."""
     if x <= 0.0:
         return 0.0
-    if p.is_pareto:
-        return -math.expm1(p.alpha * math.log1p(x / p.sigma))
-    if p.is_gamma:
-        return -math.expm1(
-            log_upper_inc_gamma(p.alpha, p.theta * x) - math.lgamma(p.alpha)
-        )
-    return -math.expm1(
-        log_upper_inc_gamma(p.alpha, p.rho + p.theta * x) - p.log_norm
-    )
+    return -math.expm1(_log_survival(p, x))
 
 
 def quantile(p: FtgParams, prob: float) -> float:
@@ -278,13 +264,11 @@ def mgf(p: FtgParams, t: float) -> float:
     if t >= p.theta:
         raise ValueError(f"mgf requires t < theta = {p.theta}, got {t}")
     w = 1.0 - t / p.theta
-    if p.is_gamma:
-        return math.exp(-p.alpha * math.log(w))
+    # the gamma ratio first: it is exactly 0 on the gamma edge (rho = 0)
     return math.exp(
-        -p.alpha * math.log(w)
+        (log_upper_inc_gamma(p.alpha, p.rho * w) - p.log_norm)
+        - p.alpha * math.log(w)
         - p.rho * t / p.theta
-        + log_upper_inc_gamma(p.alpha, p.rho * w)
-        - p.log_norm
     )
 
 
@@ -302,10 +286,8 @@ def moments(p: FtgParams) -> Moments:
             p.sigma**2 * a / ((a - 1.0) ** 2 * (a - 2.0)) if a > 2.0 else math.inf
         )
         return Moments(mean=mean, variance=var, mu=a)
-    if p.is_gamma:
-        return Moments(mean=p.alpha / p.theta, variance=p.alpha / p.theta / p.theta,
-                       mu=0.0)
-    mu = math.exp(-p.rho + p.alpha * math.log(p.rho) - p.log_norm)
+    # mu -> 0 as rho -> 0 (alpha > 0): the gamma edge's mean alpha/theta
+    mu = math.exp(-p.rho + p.alpha * math.log(p.rho) - p.log_norm) if p.rho else 0.0
     mean = (p.alpha - p.rho + mu) / p.theta
     # divided by theta twice: theta**2 under- or overflows outside 1e-154..1e154
     var = (p.alpha + (1.0 + p.rho - p.alpha) * mu - mu * mu) / p.theta / p.theta

@@ -174,14 +174,9 @@ def log_binned_histogram(sample, decade_origin: float = 8.0,
     s = np.arange(s_lo, s_hi + 1)
     edges = offset * 10.0 ** (decade_origin + s / b)
     eval_points = 10.0 ** (decade_origin + s[:-1] / b)
-    counts, _ = np.histogram(x, bins=edges)
-    # np.histogram closes the left edge; the convention here is (l, l+1]
-    for j in range(counts.size):
-        on_edge = np.count_nonzero(x == edges[j])
-        if on_edge:
-            counts[j] -= on_edge
-            if j > 0:
-                counts[j - 1] += on_edge
+    # bin j is (edges[j], edges[j+1]]
+    j = np.searchsorted(edges, x, side="left") - 1
+    counts = np.bincount(j[(j >= 0) & (j < s.size - 1)], minlength=s.size - 1)
     widths = np.diff(edges)
     n = len(smp)
     return LogBinnedHistogram(

@@ -10,12 +10,12 @@ unstable the Pareto capital estimate is next to the full-tails gamma one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Sample
-from .dist import FtgParams, conditional_mean_excess, model_to_dict
+from .dist import FtgParams, conditional_mean_excess, model_to_dict, moments
 from .errors import FitError
 from .fit import FitResult, fit_ftg, fit_pareto
 from .sample import RngStream, ftg_rvs
@@ -100,7 +100,6 @@ def simulate_aggregate(severity: FtgParams, cfg: RiskConfig,
     agg.sort()
     levels = sorted(set(_REPORT_LEVELS) | {cfg.quantile_level})
     quantiles = {lvl: _empirical_quantile(agg, lvl) for lvl in levels}
-    infinite = severity.is_pareto and severity.alpha >= -1.0
     return RiskReport(
         risk_capital=quantiles[cfg.quantile_level],
         severity_model=severity,
@@ -109,7 +108,7 @@ def simulate_aggregate(severity: FtgParams, cfg: RiskConfig,
         seed=cfg.seed,
         lam=cfg.lam,
         quantile_level=cfg.quantile_level,
-        infinite_mean_severity=infinite,
+        infinite_mean_severity=moments(severity).infinite_mean,
     )
 
 
@@ -166,9 +165,6 @@ class BootstrapStudy:
     rows: list[BootstrapRow]
     original: BootstrapRow
     selection_rule: str
-    n_bootstrap: int
-    keep_every: int
-    config: RiskConfig = field(repr=False)
 
     def all_rows(self) -> list[BootstrapRow]:
         return [*self.rows, self.original]
@@ -228,7 +224,4 @@ def bootstrap_study(sample, n_bootstrap: int, keep_every: int,
             f"sorted by Pareto alpha, kept every {keep_every}-th of "
             f"{n_bootstrap} resamples; fit failures listed last"
         ),
-        n_bootstrap=n_bootstrap,
-        keep_every=keep_every,
-        config=cfg,
     )

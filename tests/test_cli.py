@@ -13,6 +13,9 @@ from ftgamma.cli import main
 from ftgamma.fit import FitResult
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -173,21 +176,27 @@ class TestRisk:
         assert model.keys() == {"family", "alpha", "sigma"}
         assert model["family"] == "pareto"
 
-    def test_ftg_severity_on_the_pareto_edge(self, capsys, tmp_path):
+    def test_ftg_severity_on_the_pareto_edge(self, capsys):
         # an FTG fit on the Pareto edge still reports as FTG: four parameters
-        # in JSON, and a rho column in text
-        x = ftgamma.ftg_rvs(ftgamma.FtgParams.pareto(-1.5, 1.0), 40,
-                            ftgamma.RngStream(4242).child(40, 16))
-        data = tmp_path / "edge.txt"
-        data.write_text("\n".join(map(repr, x.tolist())) + "\n")
-        args = ("risk", "--data", str(data), "--family", "ftg", "--n-sims", "20000",
-                "--seed", "3")
+        # in JSON, and a rho column in text (the sample is
+        # ftg_rvs(FtgParams.pareto(-1.5, 1.0), 40, RngStream(4242).child(40, 16)))
+        args = ("risk", "--data", str(DATA / "pareto_edge_sample.txt"), "--family",
+                "ftg", "--n-sims", "20000", "--seed", "3")
         _, out, _ = run_cli(capsys, *args, "--json")
         model = json.loads(out)["severity_model"]
         assert model["family"] == "ftg"
         assert model["theta"] == 0.0 and model["rho"] == 0.0
         _, out, _ = run_cli(capsys, *args)
         assert "rho=0.0000e+00" in out.splitlines()[1]
+
+    def test_ftg_severity_on_the_gamma_edge_prints_theta(self, capsys):
+        # sigma = rho / theta is 0 on the gamma edge; theta sets the scale
+        # (the sample is 400 draws of RngStream(1234).generator.gamma(3.0))
+        code, out, _ = run_cli(capsys, "risk", "--data",
+                               str(DATA / "gamma_edge_sample.txt"), "--family",
+                               "ftg", "--n-sims", "20000", "--seed", "3")
+        assert code == 0
+        assert out.splitlines()[1] == "  alpha=2.8897 theta=9.8909e-01"
 
     def test_byte_identical_reruns(self, capsys):
         args = ("risk", "--bundled", "--family", "ftg", "--n-sims", "15000",
@@ -222,12 +231,31 @@ class TestGof:
 class TestPinnedStdout:
     # text stdout captured before the fitter's specfun and statistics passes
     # were merged: a speed change must not move a printed digit
-    DATA = Path(__file__).parent / "data"
 
     def test_fit_bundled_all(self, capsys):
         code, out, _ = run_cli(capsys, "fit", "--bundled", "--family", "all")
         assert code == 0
-        assert out.encode() == (self.DATA / "fit_bundled_all.txt").read_bytes()
+        assert out.encode() == (DATA / "fit_bundled_all.txt").read_bytes()
+
+    # samples whose FTG fit lies on an edge, stored so that the pins do not
+    # follow NumPy's gamma stream: gamma_edge_sample.txt is 400 draws of
+    # RngStream(1234).generator.gamma(3.0), and pareto_edge_sample.txt is
+    # ftg_rvs(FtgParams.pareto(-1.5, 1.0), 40, RngStream(4242).child(40, 16))
+    @pytest.mark.parametrize("edge", ["gamma", "pareto"])
+    @pytest.mark.parametrize("argv, pin", [
+        (("fit", "--family", "all"), "fit_all.txt"),
+        (("plotdata", "--mode", "survival"), "plotdata_survival.txt"),
+        (("risk", "--family", "ftg", "--n-sims", "20000", "--seed", "3",
+          "--json"), "risk.json"),
+    ], ids=["fit", "plotdata", "risk"])
+    @pytest.mark.filterwarnings("ignore:LRT computed from a fit that did not")
+    def test_edge_sample(self, capsys, edge, argv, pin):
+        data = DATA / f"{edge}_edge_sample.txt"
+        code, out, _ = run_cli(capsys, argv[0], "--data", str(data), *argv[1:])
+        # the Pareto fit of the gamma sample runs off towards alpha -> -inf
+        # without converging, so fit exits with the numeric-failure code
+        assert code == (3 if (edge, argv[0]) == ("gamma", "fit") else 0)
+        assert out.encode() == (DATA / f"{edge}_edge_{pin}").read_bytes()
 
     def test_gof_ftg_statistics(self, capsys):
         # W^2 and A^2 of the bundled fit use no random draws; the p-values
@@ -237,7 +265,7 @@ class TestPinnedStdout:
         assert code == 0
         stats = [line.split("   p = ")[0] for line in out.splitlines()
                  if line.startswith(("W^2", "A^2"))]
-        want = (self.DATA / "gof_ftg_bundled_statistics.txt").read_text().splitlines()
+        want = (DATA / "gof_ftg_bundled_statistics.txt").read_text().splitlines()
         assert stats == want
 
 

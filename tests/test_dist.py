@@ -19,6 +19,8 @@ from ftgamma import (
     truncate,
 )
 
+from ftgamma.specfun import log_upper_inc_gamma
+
 from oracles import central_second_diff, pareto_limit_distance, pdf_quadrature_norm
 
 # Reference fits of the bundled external-fraud losses, three decimal
@@ -254,6 +256,53 @@ class TestMoments:
         v = moments(FtgParams.pareto(-3.5, 2.0))
         # Lomax variance: sigma^2 a / ((a-1)^2 (a-2)) with a = 3.5
         assert v.variance == pytest.approx(4.0 * 3.5 / (2.5**2 * 1.5), rel=1e-12)
+
+
+GAMMA_LAWS = [
+    FtgParams.gamma(a, th)
+    for a in (0.05, 0.5, 1.0, 2.5, 40.0, 900.0)
+    for th in (1e-12, 1e-3, 0.7, 1.0, 3e4, 1e15)
+]
+
+
+class TestGammaEdge:
+    """The gamma edge is the interior formula at rho = 0. survival, cdf and
+    moments keep the bits of the edge's own closed forms; log_pdf and mgf
+    match SciPy's gamma law and the gamma MGF to 1e-13."""
+
+    @staticmethod
+    def points(p):
+        # 50 points from far below the mode to far into the tail
+        return [q / p.theta for q in np.geomspace(1e-4, 4.0, 50) * (p.alpha + 10.0)]
+
+    @pytest.mark.parametrize("p", GAMMA_LAWS, ids=repr)
+    def test_tail_and_moments_equal_closed_forms(self, p):
+        a, th = p.alpha, p.theta
+        for x in self.points(p):
+            log_s = log_upper_inc_gamma(a, th * x) - math.lgamma(a)
+            assert survival(p, x) == math.exp(log_s)
+            assert cdf(p, x) == -math.expm1(log_s)
+        m = moments(p)
+        assert (m.mean, m.variance, m.mu) == (a / th, a / th / th, 0.0)
+
+    @pytest.mark.parametrize("p", GAMMA_LAWS, ids=repr)
+    def test_log_pdf_and_mgf_against_scipy(self, p):
+        stats = pytest.importorskip("scipy.stats")
+        ref = stats.gamma(p.alpha, scale=1.0 / p.theta)
+        for x in self.points(p):
+            assert log_pdf(p, x) == pytest.approx(ref.logpdf(x), rel=1e-13)
+        for t in (-3.0, -0.5, 0.25, 0.9):
+            if abs(p.alpha * math.log1p(-t)) < 700.0:  # E[e^(tX)] is a float
+                want = (1.0 - t) ** -p.alpha
+                assert mgf(p, t * p.theta) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    def test_density_at_the_origin(self, alpha):
+        stats = pytest.importorskip("scipy.stats")
+        p = FtgParams.gamma(alpha, 0.7)
+        want = stats.gamma(alpha, scale=1.0 / 0.7).logpdf(0.0)
+        assert log_pdf(p, 0.0) == pytest.approx(want, rel=1e-13)
+        assert pdf(p, 0.0) == pytest.approx(math.exp(want), rel=1e-13)
 
 
 class TestConditionalMeanExcess:

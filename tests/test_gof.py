@@ -137,6 +137,27 @@ class TestLogBinnedHistogram:
         assert np.all(hist.eval_points > hist.bin_edges[:-1])
         assert np.all(hist.eval_points <= hist.bin_edges[1:])
 
+    def test_values_on_edges_count_in_the_bin_they_close(self):
+        # bins are (l_s, l_s+1]: a value on an edge counts in the bin below
+        # it, and one on the first edge in no bin
+        edges = log_binned_histogram(Sample(np.array([1.0, 100.0])), decade_origin=0.0,
+                                     x_range=(1.0, 100.0)).bin_edges
+        ranged = np.array([edges[0], edges[4], edges[4], 10.0, edges[-1]])
+        hist = log_binned_histogram(Sample(ranged), decade_origin=0.0,
+                                    x_range=(1.0, 100.0))
+        np.testing.assert_array_equal(hist.bin_edges, edges)
+        assert hist.counts.tolist() == [0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 1]
+        # without x_range the smallest value lies strictly inside the first
+        # bin, and the largest here is the last edge
+        free = np.array([1.0, edges[2], edges[5], edges[8]])
+        hist_free = log_binned_histogram(Sample(free), decade_origin=0.0)
+        np.testing.assert_array_equal(hist_free.bin_edges, edges[:9])
+        assert hist_free.counts.tolist() == [1, 1, 0, 0, 1, 0, 0, 1]
+        for h, xs in ((hist, ranged), (hist_free, free)):
+            assert h.counts.dtype.kind == "i"
+            np.testing.assert_array_equal(
+                h.densities, h.counts / (xs.size * np.diff(h.bin_edges)))
+
     def test_mass_equals_inrange_fraction(self):
         gen = RngStream(33).generator
         xs = gen.pareto(1.3, size=500) * 10.0

@@ -42,6 +42,16 @@ class TestSimulateAggregate:
         assert poisson_quantile_exact(20.0, 0.999) == 35
         assert rep.risk_capital == pytest.approx(35.0, abs=1.0)
 
+    @pytest.mark.parametrize("severity, infinite", [
+        (FtgParams.pareto(-1.0, 2.0), True),
+        (FtgParams.pareto(-1.01, 2.0), False),
+        (FtgParams.gamma(0.5, 1.0), False),
+        (FtgParams(-0.5, 1.0, 0.3), False),
+    ])
+    def test_infinite_mean_flag_is_the_severity_mean(self, severity, infinite):
+        cfg = RiskConfig(lam=2.0, quantile_level=0.99, n_sims=2_000, seed=4)
+        assert simulate_aggregate(severity, cfg).infinite_mean_severity is infinite
+
     def test_quantiles_monotone(self, ftg_fit):
         cfg = RiskConfig(lam=20.0, n_sims=20_000, seed=30)
         rep = simulate_aggregate(ftg_fit.params, cfg)
