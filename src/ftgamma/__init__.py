@@ -54,7 +54,7 @@ from .risk import (
     risk_capital,
     simulate_aggregate,
 )
-from .sample import RngStream, SampleBatch, ftg_rvs, sample_ftg, sample_poisson
+from .sample import RngStream, SampleBatch, ftg_rvs, sample_ftg
 from .specfun import (
     IncGammaEval,
     chi2_survival_1df,
@@ -111,7 +111,6 @@ __all__ = [
     "rescale_to_threshold",
     "risk_capital",
     "sample_ftg",
-    "sample_poisson",
     "scale",
     "score_ftg",
     "simulate_aggregate",

@@ -440,10 +440,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"ftg: data error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except FileNotFoundError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"ftg: data error: {exc}", file=sys.stderr)
         return _EXIT_DATA
     except (FitError, NumericsError) as exc:

@@ -16,8 +16,8 @@ class DataError(ValueError):
 @dataclass(frozen=True)
 class Sample:
     """Nonnegative exceedance observations: the one container for every
-    dataset, whether bundled, read from a file, standardized, resampled or
-    simulated. The values are a read-only 1-d float copy.
+    dataset, whether bundled, read from a file, resampled or simulated. The
+    values are a read-only 1-d float copy.
     """
 
     values: np.ndarray
@@ -49,13 +49,6 @@ class Sample:
 
     def sorted(self) -> np.ndarray:
         return np.sort(self.values)
-
-    def standardized(self) -> tuple["Sample", float]:
-        """Divide by the sample mean; returns (scaled sample, that mean)."""
-        m = self.mean
-        if m <= 0.0:
-            raise DataError("sample mean must be positive to standardize")
-        return Sample(self.values / m), m
 
     def resample(self, gen: np.random.Generator) -> "Sample":
         idx = gen.integers(0, len(self), size=len(self))

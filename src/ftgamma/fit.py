@@ -10,10 +10,11 @@ over log sigma by safeguarded Newton: its slope is exact by the envelope
 theorem, and its curvature is the Schur complement of the (alpha, rho)
 block of the observed information.
 
-Fitting standardizes the data to unit mean first and maps the optimum back
-through the scale closure of the family (alpha and rho are scale-invariant,
-sigma picks up the factor), which keeps the optimizer's geometry independent
-of the data's units.
+The family is closed under scaling: alpha and rho do not depend on the
+data's units, and sigma scales with them. So rescaling the data only shifts
+the profile along log sigma and the log-likelihood by n log c, and the fit
+works on the data as given, with its search window and second start placed
+relative to the sample mean.
 """
 
 from __future__ import annotations
@@ -201,7 +202,6 @@ class FitResult:
     std_errors: np.ndarray
     converged: bool
     iterations: int
-    standardization_factor: float
     observed_info_log: np.ndarray = field(repr=False)
     boundary: str | None = None
     pareto_fit: "FitResult | None" = None
@@ -237,7 +237,6 @@ def _std_errors(info: np.ndarray) -> np.ndarray:
 
 def _fit_result(family: str, params, loglik: float, score, info: np.ndarray,
                 log_scale, iterations: int, n: int,
-                standardization_factor: float = 1.0,
                 pareto_fit: FitResult | None = None) -> FitResult:
     """FitResult at an interior estimate from its score and observed
     information.
@@ -258,7 +257,6 @@ def _fit_result(family: str, params, loglik: float, score, info: np.ndarray,
         std_errors=_std_errors(info),
         converged=bool(score_norm < 1e-6 * n),
         iterations=iterations,
-        standardization_factor=standardization_factor,
         observed_info_log=jac @ info @ jac,
         pareto_fit=pareto_fit,
     )
@@ -276,8 +274,6 @@ class InnerBoundaryError(FitError):
     """
 
     def __init__(self, sigma: float, s_bar: float, r_bar: float):
-        self.sigma = sigma
-        self.alpha_limit = -1.0 / s_bar
         super().__init__(
             f"no interior (alpha, rho) optimum at sigma={sigma}: "
             f"r_bar={r_bar:.6g} >= 1/(1 - s_bar)={1.0 / (1.0 - s_bar):.6g}"
@@ -497,15 +493,15 @@ class _Profile:
     the Pareto profile at that sigma; genuine numerical failures are
     replaced by a sentinel value with NaN derivatives so the search can
     route around them. ``best`` holds the highest interior point evaluated
-    so far, as (value, log_sigma, alpha, rho), and ``evals`` counts the
-    evaluations.
+    so far, as (value, log_sigma, alpha, rho, st, ev) with that point's
+    SufficientStats and IncGammaEval, and ``evals`` counts the evaluations.
     """
 
     _SENTINEL = -1e15
 
     def __init__(self, smp: Sample):
         self.smp = smp
-        self.best: tuple[float, float, float, float] | None = None
+        self.best: tuple | None = None
         self.evals = 0
 
     def value(self, log_sigma: float):
@@ -522,7 +518,7 @@ class _Profile:
         ev = inc_gamma_eval(a, r)
         out = _loglik_from_stats(st, a, r, ev.log_value)
         if self.best is None or out > self.best[0]:
-            self.best = (out, log_sigma, a, r)
+            self.best = (out, log_sigma, a, r, st, ev)
         sigma, n = st.sigma, st.n
         # l-derivatives of the statistics, and of the log-likelihood at fixed
         # (alpha, rho): the slope sigma l_sigma, and the curvature
@@ -603,25 +599,23 @@ def _refine_maximum(fun, a: float, pa, c: float, pc, xatol: float) -> float:
 def fit_ftg(sample) -> FitResult:
     """Three-parameter FTG MLE by profile likelihood in sigma.
 
-    Fits the family's two closure edges once, on the sample as given: the
-    Pareto (theta -> 0) and the gamma (rho -> 0). The profile is searched
-    on the sample standardized to unit mean, from the Pareto fit's sigma
-    (divided by the mean) and from sigma = 1. From each
-    start, the profile's slope sign walks out a bracket of its maximum
-    inside the one window sigma in [1e-22, 1e22], and safeguarded Newton on
-    the slope refines it, unless the bracket already holds the other
-    start's optimum. A walk that runs into an end of the window is heading
-    for a closure-edge supremum, which the edge fits stand for. The
-    interior optimum is the highest profile point evaluated, and
-    ``iterations`` counts the profile evaluations of both starts.
+    Fits the family's two closure edges once: the Pareto (theta -> 0) and
+    the gamma (rho -> 0). The profile is searched from the Pareto fit's
+    sigma and from sigma = the sample mean. From each start, the profile's
+    slope sign walks out a bracket of its maximum inside the one window
+    sigma in [1e-22, 1e22] times the mean, and safeguarded Newton on the
+    slope refines it, unless the bracket already holds the other start's
+    optimum. A walk that runs into an end of the window is heading for a
+    closure-edge supremum, which the edge fits stand for. The interior
+    optimum is the highest profile point evaluated, and ``iterations``
+    counts the profile evaluations of both starts.
 
     The edge is decided once: of the interior optimum and the two edge
-    fits, the highest standardized log-likelihood wins, and an edge wins
-    any tie within 1e-6. An edge fit's standardized log-likelihood is its
-    own plus n log(mean). A winning edge is reported as fitted, with
-    boundary="pareto" or "gamma" (see _edge_result); an interior optimum
-    is mapped back to the data scale. Every result carries the Pareto fit
-    in pareto_fit.
+    fits, the highest log-likelihood wins, and an edge wins any tie within
+    1e-6. A winning edge is reported as fitted, with boundary="pareto" or
+    "gamma" (see _edge_result); an interior optimum is reported from the
+    statistics and special-function evaluation of its profile point. Every
+    result carries the Pareto fit in pareto_fit.
     """
     smp = Sample.coerce(sample)
     x = smp.values
@@ -640,42 +634,35 @@ def fit_ftg(sample) -> FitResult:
         except FitError:
             pass
 
-    y_smp, xbar = smp.standardized()
-    prof = _Profile(y_smp)
-    for x0 in (math.log(pareto.params.sigma / xbar), 0.0):
+    log_mean = math.log(smp.mean)
+    prof = _Profile(smp)
+    for x0 in (math.log(pareto.params.sigma), log_mean):
         other = prof.best
-        bracket, _ = _bracket_maximum(prof.value, x0, math.log(1e-22), math.log(1e22))
+        bracket, _ = _bracket_maximum(prof.value, x0, log_mean + math.log(1e-22),
+                                      log_mean + math.log(1e22))
         # a bracket around the other start's optimum holds nothing new
         if bracket and not (other and bracket[0] <= other[1] <= bracket[2]):
             _refine_maximum(prof.value, *bracket, xatol=1e-8)
 
     # the optimum is read off the profile's own bookkeeping: the last point
     # may sit on a failed-evaluation cliff
-    ll_y = -math.inf if prof.best is None else prof.best[0]
     edge = max(edges, key=lambda f: f.loglik)
-    if edge.loglik + n * math.log(xbar) >= ll_y - 1e-6:
-        return _edge_result(edge, xbar, pareto)
-
-    # de-standardize: alpha, rho unchanged; sigma scales with the mean
-    _, log_sig, alpha, rho = prof.best
-    sigma = math.exp(log_sig) * xbar
-    params = FtgParams.from_sigma(alpha, sigma, rho)
-    st = sufficient_stats(smp, sigma)
-    ev = inc_gamma_eval(alpha, rho)
-    ll = _loglik_from_stats(st, alpha, rho, ev.log_value)
-    score = _score_from_stats(st, ev, alpha, rho)
-    info = _information_from_stats(st, ev, alpha, rho)
-    return _fit_result("ftg", params, ll, score, info, [1.0, sigma, rho], prof.evals, n,
-                       standardization_factor=xbar, pareto_fit=pareto)
+    if prof.best is None or edge.loglik >= prof.best[0] - 1e-6:
+        return _edge_result(edge, pareto)
+    ll, _, alpha, rho, st, ev = prof.best
+    return _fit_result("ftg", FtgParams.from_sigma(alpha, st.sigma, rho), ll,
+                       _score_from_stats(st, ev, alpha, rho),
+                       _information_from_stats(st, ev, alpha, rho),
+                       [1.0, st.sigma, rho], prof.evals, n, pareto_fit=pareto)
 
 
-def _edge_result(edge_fit: FitResult, xbar: float, pareto: FitResult) -> FitResult:
+def _edge_result(edge_fit: FitResult, pareto: FitResult) -> FitResult:
     """FTG fit whose optimum lies on the gamma or Pareto edge: the boundary
     model's own fit, flagged, rather than a fake interior optimum. A Pareto
     edge is never reported as converged."""
     return replace(edge_fit, family="ftg", boundary=edge_fit.family,
                    converged=edge_fit.converged and edge_fit.family != "pareto",
-                   standardization_factor=xbar, pareto_fit=pareto)
+                   pareto_fit=pareto)
 
 
 def lrt_pareto_vs_ftg(ftg: FitResult) -> tuple[float, float]:

@@ -232,10 +232,3 @@ def ftg_rvs(p: FtgParams, n: int, rng: RngStream) -> np.ndarray:
     if n == 0:
         return np.empty(0)
     return _draw(p, n, rng.generator)[0]
-
-
-def sample_poisson(lam: float, rng: RngStream, size: int | None = None):
-    """Exact Poisson counts (delegates to the generator's exact method)."""
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    return rng.generator.poisson(lam, size=size)

@@ -86,6 +86,7 @@ class TestFit:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--data", "/nonexistent/x.txt")
         assert code == 2
+        assert "data error" in err
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "fit", "--bundled", "--family", "pareto")

@@ -21,12 +21,6 @@ class TestSample:
         with pytest.raises(ValueError):
             s.values[0] = 5.0
 
-    def test_standardized(self):
-        s = Sample(np.array([2.0, 4.0]))
-        y, m = s.standardized()
-        assert m == 3.0
-        assert np.allclose(y.values, [2 / 3, 4 / 3])
-
     def test_resample_reproducible(self):
         s = Sample(np.arange(1.0, 21.0))
         a = s.resample(np.random.default_rng(5))

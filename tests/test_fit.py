@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from ftgamma import (
     score_ftg,
     sufficient_stats,
 )
+from ftgamma.data import read_dataset
 from ftgamma.errors import FitError
 from ftgamma.specfun import inc_gamma_eval, log_upper_inc_gamma
 
 from oracles import fd_gradient, fd_hessian, loglik_sample_free
+
+DATA = Path(__file__).parent / "data"
 
 # printed three-decimal estimates for the external-fraud losses
 REF_FTG = (-0.197, 0.654, 4.3016e-4)
@@ -255,7 +259,7 @@ class TestInnerSolve:
         ]
         roots = 0
         for smp in samples:
-            y = smp.standardized()[0]
+            y = Sample(smp.values / smp.values.mean())
             n = len(y)
             prev = None
             for sigma in np.logspace(-3.0, 3.0, 25):
@@ -317,7 +321,7 @@ class TestInnerSolve:
         # inc_gamma_eval
         p = FtgParams(-0.1964803671608535, 0.0006594575534190036, 0.0004295490596932579)
         smp = Sample(ftg_rvs(p, 40, RngStream(1202005).child(52)))
-        y, _ = smp.standardized()
+        y = Sample(smp.values / smp.values.mean())
         points = self._record_evaluations(monkeypatch)
         alpha, rho, _ = inner_solve(y, 0.22313062563470307)
         assert rho > 0.0 and (alpha, rho) == points[-1]
@@ -334,7 +338,8 @@ class TestInnerSolve:
 
         gen = np.random.default_rng(3)
         gen.exponential(1.0, 20)
-        y = Sample(gen.exponential(1.0, 40)).standardized()[0]
+        x = gen.exponential(1.0, 40)
+        y = Sample(x / x.mean())
         calls = []
         real = ftgamma.fit.inc_gamma_eval
 
@@ -359,13 +364,13 @@ class TestProfile:
         # form Pareto profile. All are derivatives in log sigma.
         from ftgamma.fit import InnerBoundaryError, _Profile
 
-        y = losses.standardized()[0]
+        y = Sample(losses.values / losses.values.mean())
         if offset == "pareto-edge":
             log_sigma = 0.0
             with pytest.raises(InnerBoundaryError):
                 inner_solve(y, 1.0)
         else:
-            log_sigma = math.log(ftg_fit.params.sigma / ftg_fit.standardization_factor)
+            log_sigma = math.log(ftg_fit.params.sigma / losses.mean)
             log_sigma += offset
         prof = _Profile(y)
         value, slope, curvature = prof.value(log_sigma)
@@ -401,7 +406,6 @@ class TestFitFtg:
         assert p.sigma == pytest.approx(0.65, abs=0.05)
         assert p.rho == pytest.approx(4.3e-4, rel=0.30)
         assert ftg_fit.loglik == pytest.approx(-172.37, abs=0.05)
-        assert ftg_fit.standardization_factor == pytest.approx(losses.mean)
 
     def test_recovers_simulated_parameters(self):
         true = FtgParams(2.0, 1.0, 1.0)
@@ -454,9 +458,9 @@ class TestFitFtg:
     @pytest.mark.parametrize("case, boundary", [("interior", None), ("pareto", "pareto"),
                                                  ("gamma", "gamma")])
     def test_one_pareto_fit_per_fit(self, losses, ftg_fit, monkeypatch, case, boundary):
-        # the Pareto fit of the raw sample is both an edge candidate and,
-        # divided by the mean, a profile start; every result carries it, and
-        # a winning edge is returned without a refit
+        # the Pareto fit of the sample is both an edge candidate and a
+        # profile start; every result carries it, and a winning edge is
+        # returned without a refit
         import ftgamma.fit
 
         smp = {
@@ -637,12 +641,12 @@ class TestFitFtg:
                              "gamma")
 
     def test_two_maxima_replicate(self, ftg_fit):
-        # the standardized profile has two local maxima: -2.89999 at log
-        # sigma -8.22, below the gamma fit's -1.28679, and -1.12309 at
-        # -17.55. A walk that stops short of the second returns the gamma
-        # edge; the fit is interior, with sigma below the smallest
-        # observation and a loglik (-180.03214, mpmath agrees to 1e-14)
-        # 0.164 above the gamma fit's
+        # the profile of the sample divided by its mean has two local
+        # maxima: -2.89999 at log sigma -8.22, below the gamma fit's
+        # -1.28679, and -1.12309 at -17.55. A walk that stops short of the
+        # second returns the gamma edge; the fit is interior, with sigma
+        # below the smallest observation and a loglik (-180.03214, mpmath
+        # agrees to 1e-14) 0.164 above the gamma fit's
         smp = Sample(ftg_rvs(ftg_fit.params, 40, RngStream(2).child(939)))
         fit = fit_ftg(smp)
         assert fit.boundary is None and fit.converged
@@ -674,17 +678,67 @@ class TestFitFtg:
         assert fit_scaled.params.rho == pytest.approx(ftg_fit.params.rho, rel=1e-5)
         assert fit_scaled.params.sigma == pytest.approx(ftg_fit.params.sigma * c, rel=1e-6)
         assert fit_scaled.loglik == pytest.approx(ftg_fit.loglik - n * math.log(c), abs=1e-5)
+
+    UNIT_INPUTS = {
+        "bundled": lambda losses: losses.values,
+        "gamma(0.5)": lambda _: ftg_rvs(FtgParams.gamma(0.5, 1.0), 40,
+                                        RngStream(4242).child(40, 1)),
+        "pareto-edge": lambda _: read_dataset(DATA / "pareto_edge_sample.txt").values,
+        "gamma-edge": lambda _: read_dataset(DATA / "gamma_edge_sample.txt").values,
+        "ftg(2,1,1)": lambda _: ftg_rvs(FtgParams(2.0, 1.0, 1.0), 200,
+                                        RngStream(4242).child(200, 1)),
+    }
+
+    @pytest.mark.parametrize("name", list(UNIT_INPUTS))
+    def test_unit_independence(self, losses, name):
         # the flags come from the log-scale score, so no unit of the data
         # changes them: the natural-scale sigma-score grows as 1/sigma, and
-        # read that way the gamma(0.5) sample failed its bar at 1e-3
-        gam = ftg_rvs(FtgParams.gamma(0.5, 1.0), 40, RngStream(4242).child(40, 1))
-        for x in (losses.values, gam):
-            fits = [fit_ftg(Sample(x * c)) for c in (1e-3, 1.0, 1e3)]
-            for fit in fits:
-                assert fit.boundary == fits[1].boundary
-                assert fit.converged == fits[1].converged
-                assert fit.params.alpha == pytest.approx(fits[1].params.alpha, rel=1e-8)
-            assert fits[1].converged
+        # read that way the gamma(0.5) sample failed its bar at 1e-3. The
+        # fit works on the data as given, with its window and start set by
+        # the mean, so across 15 decades of units the fits keep their flags
+        # and alpha, and the loglik moves by n log c alone, on interior,
+        # Pareto-edge and gamma-edge samples
+        x = self.UNIT_INPUTS[name](losses)
+        base = fit_ftg(Sample(x))
+        for c in (1e-6, 1e-3, 1e3, 1e9):
+            fit = fit_ftg(Sample(x * c))
+            assert fit.boundary == base.boundary, c
+            assert fit.converged == base.converged, c
+            assert fit.params.alpha == pytest.approx(base.params.alpha, rel=1e-8), c
+            assert fit.loglik + x.size * math.log(c) == pytest.approx(base.loglik,
+                                                                      rel=1e-12), c
+        if name in ("bundled", "gamma(0.5)"):
+            assert base.converged
+
+    def test_interior_result_reuses_its_profile_point(self, losses, monkeypatch):
+        # one statistics pass per Pareto profile point, one for the Pareto
+        # result and one per FTG profile point: the interior result reads
+        # its loglik, score and information off the best point's statistics
+        import ftgamma.fit
+
+        calls = []
+        real = ftgamma.fit.sufficient_stats
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(ftgamma.fit, "sufficient_stats", counting)
+        fit = fit_ftg(losses)
+        assert fit.boundary is None
+        assert len(calls) == fit.pareto_fit.iterations + 1 + fit.iterations == 20
+
+    def test_fit_holds_no_copy_of_the_data(self, ftg_fit):
+        # the fit searches the sample itself: beside it, only the positive
+        # values of its input check and a statistics scratch array
+        smp = Sample(ftg_rvs(ftg_fit.params, 100_000, RngStream(7)))
+        tracemalloc.start()
+        try:
+            fit_ftg(smp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * smp.values.nbytes
 
     def test_profile_sample_free_form(self, losses):
         # at inner-solve solutions the sample drops out of the profile value

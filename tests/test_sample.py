@@ -12,10 +12,9 @@ from ftgamma import (
     ftg_rvs,
     quantile,
     sample_ftg,
-    sample_poisson,
 )
 
-from oracles import poisson_quantile_exact, quad_log_upper_gamma
+from oracles import quad_log_upper_gamma
 
 GRID = [
     FtgParams.from_sigma(a, s, r)
@@ -181,25 +180,3 @@ class TestBulkSampler:
 
     def test_empty_request(self):
         assert ftg_rvs(GRID[0], 0, RngStream(1)).size == 0
-
-
-class TestSamplePoisson:
-    def test_moments(self):
-        counts = sample_poisson(20.0, RngStream(8), size=100_000)
-        assert counts.mean() == pytest.approx(20.0, abs=0.05)
-        assert counts.var() == pytest.approx(20.0, abs=0.5)
-
-    def test_tiny_rate_is_all_zero(self):
-        counts = sample_poisson(1e-9, RngStream(9), size=1_000)
-        assert np.all(counts == 0)
-
-    def test_high_quantile_against_exact_cdf(self):
-        counts = sample_poisson(20.0, RngStream(10), size=100_000)
-        empirical = float(np.quantile(counts, 0.999, method="inverted_cdf"))
-        exact = poisson_quantile_exact(20.0, 0.999)
-        assert exact == 35
-        assert abs(empirical - exact) <= 1.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            sample_poisson(0.0, RngStream(1))
