@@ -43,14 +43,12 @@ from .gof import (
     cvm_ad_statistics,
     empirical_survival,
     log_binned_histogram,
-    loglog_least_squares,
 )
 from .risk import (
     BootstrapStudy,
     RiskConfig,
     RiskReport,
     bootstrap_study,
-    rescale_to_threshold,
     risk_capital,
     simulate_aggregate,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "log_upper_inc_gamma",
     "loglik_ftg",
     "loglik_pareto",
-    "loglog_least_squares",
     "lrt_pareto_vs_ftg",
     "mgf",
     "moments",
@@ -108,7 +105,6 @@ __all__ = [
     "pdf",
     "quantile",
     "read_dataset",
-    "rescale_to_threshold",
     "risk_capital",
     "sample_ftg",
     "scale",

@@ -144,13 +144,6 @@ def model_to_dict(p: FtgParams, family: str) -> dict:
             "rho": p.rho, "sigma": p.sigma}
 
 
-def model_from_dict(d: dict) -> FtgParams:
-    """The parameter point that model_to_dict wrote as d."""
-    if d["family"] == "pareto" or d["theta"] == 0.0:
-        return FtgParams.pareto(d["alpha"], d["sigma"])
-    return FtgParams(d["alpha"], d["theta"], d["rho"])
-
-
 @dataclass(frozen=True)
 class Moments:
     """First two moments plus the helper mu = e^-rho rho^alpha / Gamma(alpha, rho).

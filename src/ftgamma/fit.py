@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import Sample
-from .dist import FtgParams, model_from_dict, model_to_dict
+from .dist import FtgParams, model_to_dict
 from .errors import FitError
 from .specfun import (chi2_survival_1df, digamma_trigamma, inc_gamma_eval,
                       log_upper_inc_gamma)
@@ -215,11 +215,6 @@ class FitResult:
         del d["pareto_fit"]
         return {**d, "params": model_to_dict(self.params, self.family),
                 **{k: d[k].tolist() for k in self._ARRAYS}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
-        return cls(**{**d, "params": model_from_dict(d["params"]),
-                      **{k: np.asarray(d[k]) for k in cls._ARRAYS}})
 
 
 def _std_errors(info: np.ndarray) -> np.ndarray:

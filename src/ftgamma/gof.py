@@ -6,8 +6,8 @@ values for these statistics only cover a narrow shape range, so p-values
 come from a parametric bootstrap instead: refit each simulated null sample and
 compare the statistic distribution against the observed value.
 
-Also here: the log-binned density histogram and log-log least-squares line
-used to eyeball power-law behaviour, and the empirical survival curve.
+Also here: the log-binned density histogram used to eyeball power-law
+behaviour, and the empirical survival curve.
 """
 
 from __future__ import annotations
@@ -138,9 +138,6 @@ class LogBinnedHistogram:
     counts: np.ndarray
     n: int
 
-    def nonempty(self) -> np.ndarray:
-        return self.counts > 0
-
 
 def log_binned_histogram(sample, decade_origin: float = 8.0,
                          bins_per_decade: int = 5,
@@ -186,18 +183,6 @@ def log_binned_histogram(sample, decade_origin: float = 8.0,
         counts=counts,
         n=n,
     )
-
-
-def loglog_least_squares(hist: LogBinnedHistogram) -> tuple[float, float]:
-    """Ordinary least squares of log10 density on log10 evaluation point,
-    over nonempty bins. Returns (slope, intercept)."""
-    mask = hist.nonempty()
-    if np.count_nonzero(mask) < 2:
-        raise ValueError("need at least 2 nonempty bins")
-    u = np.log10(hist.eval_points[mask])
-    v = np.log10(hist.densities[mask])
-    slope, intercept = np.polyfit(u, v, 1)
-    return float(slope), float(intercept)
 
 
 def empirical_survival(sample) -> tuple[np.ndarray, np.ndarray]:

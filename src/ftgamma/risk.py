@@ -5,6 +5,7 @@ i.i.d. severities L_i drawn from a fitted tail model. Risk capital is the
 empirical 99.9% quantile of simulated aggregates; the bootstrap study
 refits resampled datasets with both severity families to expose how
 unstable the Pareto capital estimate is next to the full-tails gamma one.
+It fits every resample but simulates only the rows it reports.
 """
 
 from __future__ import annotations
@@ -133,19 +134,6 @@ def risk_capital(sample, family: str, cfg: RiskConfig,
     return replace(report, tail_expectation=tail, fit=fit)
 
 
-def rescale_to_threshold(raw, threshold: float, target_mean: float) -> Sample:
-    """Shift exceedances of a threshold to origin zero and rescale to a
-    target mean: y = target_mean * (x - u) / (mean(x) - u)."""
-    smp = Sample.coerce(raw)
-    x = smp.values
-    if np.any(x <= threshold):
-        raise ValueError("every observation must exceed the threshold")
-    if not target_mean > 0.0:
-        raise ValueError("target_mean must be > 0")
-    shifted = x - threshold
-    return Sample(target_mean * shifted / shifted.mean())
-
-
 @dataclass(frozen=True)
 class BootstrapRow:
     sample_id: int
@@ -170,56 +158,59 @@ class BootstrapStudy:
         return [*self.rows, self.original]
 
 
-def _study_row(smp: Sample, cfg: RiskConfig, rng: RngStream, sample_id: int) -> BootstrapRow:
+def _failed_row(sample_id: int, exc: Exception) -> BootstrapRow:
+    return BootstrapRow(sample_id=sample_id, pareto_fit=None, pareto_risk_capital=None,
+                        ftg_fit=None, ftg_risk_capital=None, error=str(exc))
+
+
+def _fit_row(smp: Sample, sample_id: int) -> BootstrapRow:
     try:
         ftg = fit_ftg(smp)
-        pareto = ftg.pareto_fit
-        rc_p = simulate_aggregate(pareto.params, cfg, rng.child(sample_id, 0))
-        rc_f = simulate_aggregate(ftg.params, cfg, rng.child(sample_id, 1))
-        return BootstrapRow(
-            sample_id=sample_id,
-            pareto_fit=pareto,
-            pareto_risk_capital=rc_p.risk_capital,
-            ftg_fit=ftg,
-            ftg_risk_capital=rc_f.risk_capital,
-        )
     except (FitError, ValueError) as exc:
-        return BootstrapRow(
-            sample_id=sample_id,
-            pareto_fit=None,
-            pareto_risk_capital=None,
-            ftg_fit=None,
-            ftg_risk_capital=None,
-            error=str(exc),
-        )
+        return _failed_row(sample_id, exc)
+    return BootstrapRow(sample_id=sample_id, pareto_fit=ftg.pareto_fit,
+                        pareto_risk_capital=None, ftg_fit=ftg, ftg_risk_capital=None)
+
+
+def _simulate_row(row: BootstrapRow, cfg: RiskConfig, rng: RngStream) -> BootstrapRow:
+    """Both risk capitals of a fitted row, each from its own child stream of
+    the row's sample id, so a row's capitals do not depend on which other
+    rows are simulated."""
+    if not row.ok:
+        return row
+    try:
+        rc_p = simulate_aggregate(row.pareto_fit.params, cfg, rng.child(row.sample_id, 0))
+        rc_f = simulate_aggregate(row.ftg_fit.params, cfg, rng.child(row.sample_id, 1))
+    except (FitError, ValueError) as exc:
+        return _failed_row(row.sample_id, exc)
+    return replace(row, pareto_risk_capital=rc_p.risk_capital,
+                   ftg_risk_capital=rc_f.risk_capital)
 
 
 def bootstrap_study(sample, n_bootstrap: int, keep_every: int,
                     cfg: RiskConfig) -> BootstrapStudy:
     """Resample-with-replacement stability study of both risk capitals.
 
-    Fits Pareto and FTG to each of n_bootstrap resamples, simulates both
-    risk capitals, sorts rows by the Pareto tail parameter, keeps every
-    keep_every-th row, and appends the original-sample row. Rows whose fits
-    fail are kept with their error recorded rather than aborting the study.
+    Fits Pareto and FTG to each of n_bootstrap resamples, sorts the fitted
+    rows by the Pareto tail parameter and keeps every keep_every-th row.
+    Only the kept rows and the original sample are then simulated, so the
+    choice of rows depends on the fits alone. Rows whose fit or simulation
+    fails are listed last, in sample-id order, with their error recorded
+    rather than aborting the study.
     """
     if keep_every < 1 or n_bootstrap < keep_every:
         raise ValueError("need n_bootstrap >= keep_every >= 1")
     smp = Sample.coerce(sample)
     rng = RngStream(cfg.seed)
     resample_gen = rng.child(0).generator
-    rows = []
-    for b in range(1, n_bootstrap + 1):
-        boot = smp.resample(resample_gen)
-        rows.append(_study_row(boot, cfg, rng, b))
-    ok = [r for r in rows if r.ok]
-    failed = [r for r in rows if not r.ok]
-    ok.sort(key=lambda r: r.pareto_fit.params.alpha)
-    kept = ok[::keep_every][: n_bootstrap // keep_every] if ok else []
-    original = _study_row(smp, cfg, rng, 0)
+    rows = [_fit_row(smp.resample(resample_gen), b) for b in range(1, n_bootstrap + 1)]
+    fitted = sorted((r for r in rows if r.ok), key=lambda r: r.pareto_fit.params.alpha)
+    chosen = fitted[::keep_every][: n_bootstrap // keep_every]
+    kept = [_simulate_row(r, cfg, rng) for r in chosen]
+    failed = sorted((r for r in rows + kept if not r.ok), key=lambda r: r.sample_id)
     return BootstrapStudy(
-        rows=kept + failed,
-        original=original,
+        rows=[r for r in kept if r.ok] + failed,
+        original=_simulate_row(_fit_row(smp, 0), cfg, rng),
         selection_rule=(
             f"sorted by Pareto alpha, kept every {keep_every}-th of "
             f"{n_bootstrap} resamples; fit failures listed last"

@@ -10,7 +10,8 @@ import pytest
 
 import ftgamma
 from ftgamma.cli import main
-from ftgamma.fit import FitResult
+
+from helpers import fit_result_from_dict
 
 
 DATA = Path(__file__).parent / "data"
@@ -45,7 +46,7 @@ class TestFit:
                                "--json")
         assert code == 0
         payload = json.loads(out)
-        restored = FitResult.from_dict(payload["ftg"])
+        restored = fit_result_from_dict(payload["ftg"])
         assert restored.params.alpha == ftg_fit.params.alpha
         assert restored.params.rho == ftg_fit.params.rho
         assert restored.loglik == ftg_fit.loglik
@@ -257,6 +258,19 @@ class TestPinnedStdout:
         # without converging, so fit exits with the numeric-failure code
         assert code == (3 if (edge, argv[0]) == ("gamma", "fit") else 0)
         assert out.encode() == (DATA / f"{edge}_edge_{pin}").read_bytes()
+
+    # the bootstrap study's resamples and simulated capitals follow NumPy's
+    # Generator stream, like the edge samples' risk.json pins
+    @pytest.mark.parametrize("argv, pin", [
+        (("--bootstrap", "20", "--keep-every", "5", "--n-sims", "20000",
+          "--seed", "7"), "risk_bootstrap_bundled.txt"),
+        (("--bootstrap", "10", "--keep-every", "1", "--n-sims", "10000",
+          "--seed", "3", "--json"), "risk_bootstrap_bundled.json"),
+    ], ids=["text", "json"])
+    def test_bootstrap_study(self, capsys, argv, pin):
+        code, out, _ = run_cli(capsys, "risk", "--bundled", *argv)
+        assert code == 0
+        assert out.encode() == (DATA / pin).read_bytes()
 
     def test_gof_ftg_statistics(self, capsys):
         # W^2 and A^2 of the bundled fit use no random draws; the p-values

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ftgamma import (
-    FitResult,
     FtgParams,
     RngStream,
     Sample,
@@ -29,6 +28,7 @@ from ftgamma.data import read_dataset
 from ftgamma.errors import FitError
 from ftgamma.specfun import inc_gamma_eval, log_upper_inc_gamma
 
+from helpers import fit_result_from_dict
 from oracles import fd_gradient, fd_hessian, loglik_sample_free
 
 DATA = Path(__file__).parent / "data"
@@ -870,7 +870,7 @@ class TestFitResultJson:
     @staticmethod
     def _round_trip(fit) -> dict:
         d = json.loads(json.dumps(fit.to_dict()))
-        assert FitResult.from_dict(d).to_dict() == d
+        assert fit_result_from_dict(d).to_dict() == d
         return d
 
     def test_pareto_fit(self):

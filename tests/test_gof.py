@@ -12,10 +12,11 @@ from ftgamma import (
     empirical_survival,
     ftg_rvs,
     log_binned_histogram,
-    loglog_least_squares,
     quantile,
     scale,
 )
+
+from helpers import loglog_least_squares
 
 
 class TestCvmAdStatistics:

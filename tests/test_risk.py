@@ -9,13 +9,14 @@ from ftgamma import (
     RngStream,
     Sample,
     bootstrap_study,
-    rescale_to_threshold,
     risk_capital,
     simulate_aggregate,
 )
 
+from ftgamma import risk
 from ftgamma.dist import cdf
 
+from helpers import rescale_to_threshold
 from oracles import compound_poisson_fft, poisson_quantile_exact
 
 
@@ -209,3 +210,63 @@ class TestBootstrapStudy:
     def test_validation(self, losses):
         with pytest.raises(ValueError):
             bootstrap_study(losses, 5, 10, RiskConfig(lam=20.0, n_sims=10_000))
+
+    def test_simulates_only_the_kept_rows(self, losses, monkeypatch):
+        calls = {"fit": 0, "simulate": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(risk, "fit_ftg", counted("fit", risk.fit_ftg))
+        monkeypatch.setattr(risk, "simulate_aggregate",
+                            counted("simulate", risk.simulate_aggregate))
+        cfg = RiskConfig(lam=20.0, n_sims=20_000, seed=7)
+        study = bootstrap_study(losses, 20, 10, cfg)
+        # every resample and the original are fitted, but only the two kept
+        # rows and the original are simulated, twice each
+        assert len(study.rows) == 2 and all(r.ok for r in study.all_rows())
+        assert calls == {"fit": 21, "simulate": 6}
+        # each capital is the one its own child stream gives alone
+        rng = RngStream(cfg.seed)
+        for row in study.all_rows():
+            pareto = simulate_aggregate(row.pareto_fit.params, cfg,
+                                        rng.child(row.sample_id, 0))
+            ftg = simulate_aggregate(row.ftg_fit.params, cfg,
+                                     rng.child(row.sample_id, 1))
+            assert row.pareto_risk_capital == pareto.risk_capital
+            assert row.ftg_risk_capital == ftg.risk_capital
+
+    def test_simulation_failure_keeps_the_row_choice(self, losses, monkeypatch):
+        cfg = RiskConfig(lam=20.0, n_sims=10_000, seed=7)
+        clean = bootstrap_study(losses, 20, 5, cfg)
+        doomed = [clean.rows[0], clean.rows[-1]]
+        simulate = risk.simulate_aggregate
+
+        def failing(severity, *args):
+            if any(severity == r.ftg_fit.params for r in doomed):
+                raise ValueError("injected")
+            return simulate(severity, *args)
+
+        monkeypatch.setattr(risk, "simulate_aggregate", failing)
+        study = bootstrap_study(losses, 20, 5, cfg)
+        # the rows are chosen from the fits alone: the survivors keep their
+        # order and capitals, and the failed rows follow in sample-id order
+        def capitals(rows):
+            return [(r.sample_id, r.pareto_risk_capital, r.ftg_risk_capital)
+                    for r in rows]
+
+        survivors = clean.rows[1:-1]
+        failed_ids = sorted(r.sample_id for r in doomed)
+        # the doomed rows' alpha order is not their sample-id order
+        assert failed_ids != [r.sample_id for r in doomed]
+        n = len(survivors)
+        assert capitals(study.rows[:n]) == capitals(survivors)
+        assert [r.sample_id for r in study.rows[n:]] == failed_ids
+        for row in study.rows[n:]:
+            assert row.error == "injected"
+            assert row.pareto_fit is None and row.pareto_risk_capital is None
+            assert row.ftg_fit is None and row.ftg_risk_capital is None
+        assert capitals([study.original]) == capitals([clean.original])
