@@ -173,9 +173,8 @@ def cmd_fit(args) -> int:
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     else:
         _emit(_fit_text(pareto, ftg, gamma, lrt), args.out)
-    ok = all(f.converged or f.boundary == "pareto"
-             for f in (pareto, ftg, gamma) if f is not None)
-    return 0 if ok else _EXIT_NUMERIC
+    failed = any(f.failed for f in (pareto, ftg, gamma) if f is not None)
+    return _EXIT_NUMERIC if failed else 0
 
 
 # ------------------------------------------------------------------ sample

@@ -192,6 +192,10 @@ class FitResult:
     sample, which fit_ftg makes once as an edge candidate and profile
     start, so a caller that also reports the Pareto model reads it here
     instead of fitting it again. It is None on Pareto and gamma fits.
+
+    boundary names the limit a fit stopped on: "pareto" or "gamma" for an
+    FTG fit on that edge, "exponential" for a Pareto fit whose profile
+    runs past its window's upper end.
     """
 
     family: str
@@ -215,6 +219,12 @@ class FitResult:
         del d["pareto_fit"]
         return {**d, "params": model_to_dict(self.params, self.family),
                 **{k: d[k].tolist() for k in self._ARRAYS}}
+
+    @property
+    def failed(self) -> bool:
+        """A numerical failure: neither converged nor stopped on a named
+        limit (the FTG's Pareto edge, the Pareto's exponential limit)."""
+        return not (self.converged or self.boundary in ("pareto", "exponential"))
 
 
 def _std_errors(info: np.ndarray) -> np.ndarray:
@@ -399,7 +409,8 @@ def fit_pareto(sample) -> FitResult:
     log sigma over a fixed window, from e^-28 / 1e4 to 1e4 times the sample
     mean; a maximum past either end is reported at that end. Light-tailed
     data heads past the upper one for the exponential limit, but there
-    s_bar < 1e-4, so -alpha already exceeds any practical tail weight.
+    s_bar < 1e-4, so -alpha already exceeds any practical tail weight: that
+    stop is flagged boundary="exponential" and stays unconverged.
     """
     smp = Sample.coerce(sample)
     x = smp.values
@@ -416,8 +427,8 @@ def fit_pareto(sample) -> FitResult:
         return _pareto_profile(sufficient_stats(smp, math.exp(log_sigma)), log_sigma)
 
     x0 = math.log(float(x.mean()))
-    bracket, x0 = _bracket_maximum(profile, x0, x0 - 4.0 * math.log(10.0) - 28.0,
-                                   x0 + 4.0 * math.log(10.0))
+    hi = x0 + 4.0 * math.log(10.0)
+    bracket, x0 = _bracket_maximum(profile, x0, x0 - 4.0 * math.log(10.0) - 28.0, hi)
     if bracket is not None:
         x0 = _refine_maximum(profile, *bracket, xatol=1e-10)
     sigma = math.exp(x0)
@@ -429,8 +440,9 @@ def fit_pareto(sample) -> FitResult:
         n * (-1.0 / sigma + (alpha - 1.0) * st.s_bar_sigma),
     )
     info = pareto_observed_information(st, alpha, sigma)
-    return _fit_result("pareto", FtgParams.pareto(alpha, sigma), ll, score, info,
-                       [1.0, sigma], evals, n)
+    fit = _fit_result("pareto", FtgParams.pareto(alpha, sigma), ll, score, info,
+                      [1.0, sigma], evals, n)
+    return replace(fit, boundary="exponential") if bracket is None and x0 == hi else fit
 
 
 def fit_gamma(sample) -> FitResult:
@@ -674,7 +686,7 @@ def lrt_pareto_vs_ftg(ftg: FitResult) -> tuple[float, float]:
     pareto = ftg.pareto_fit
     if pareto is None:
         raise ValueError("the LRT needs a fit_ftg result, which carries its Pareto fit")
-    if not (ftg.converged or ftg.boundary == "pareto") or not pareto.converged:
+    if ftg.failed or pareto.failed:
         warnings.warn("LRT computed from a fit that did not fully converge")
     stat = max(2.0 * (ftg.loglik - pareto.loglik), 0.0)
     return stat, chi2_survival_1df(stat)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,14 +37,7 @@ class GofReport:
     n_refit_failures: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "w2": self.w2,
-            "a2": self.a2,
-            "p_w2": self.p_w2,
-            "p_a2": self.p_a2,
-            "n_bootstrap": self.n_bootstrap,
-            "n_refit_failures": self.n_refit_failures,
-        }
+        return asdict(self)
 
 
 def cvm_ad_statistics(sample, model: FtgParams) -> tuple[float, float]:

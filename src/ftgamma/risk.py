@@ -113,8 +113,7 @@ def simulate_aggregate(severity: FtgParams, cfg: RiskConfig,
     )
 
 
-def risk_capital(sample, family: str, cfg: RiskConfig,
-                 rng: RngStream | None = None) -> RiskReport:
+def risk_capital(sample, family: str, cfg: RiskConfig) -> RiskReport:
     """Fit the severity family, then simulate the aggregate distribution.
 
     tail_expectation is E[X | X > risk_capital] for a single severity loss
@@ -129,7 +128,7 @@ def risk_capital(sample, family: str, cfg: RiskConfig,
         fit = fit_pareto(smp)
     else:
         raise ValueError(f"unknown family {family!r}")
-    report = simulate_aggregate(fit.params, cfg, rng)
+    report = simulate_aggregate(fit.params, cfg)
     tail = conditional_mean_excess(fit.params, report.risk_capital)
     return replace(report, tail_expectation=tail, fit=fit)
 

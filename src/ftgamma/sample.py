@@ -3,20 +3,19 @@
 Each shape regime has one exact sampler. The Pareto boundary uses
 inversion and the gamma boundary the generator's own gamma method. An
 interior law is X = (T - rho) / theta, with T the left-truncated gamma of
-density t^(alpha-1) e^-t on (rho, inf), drawn by rejection from a
-composition envelope (Devroye, Non-Uniform Random Variate Generation,
-1986, ch. II): a two-piece envelope for alpha < 1, whose acceptance tends
-to 1 as rho -> 0, and a shifted exponential for alpha >= 1.
+density t^(alpha-1) e^-t on (rho, inf), drawn by rejection (Devroye,
+Non-Uniform Random Variate Generation, 1986, ch. II): from a two-piece
+composition envelope for alpha < 1 with rho < 1, whose acceptance tends to
+1 as rho -> 0, and from a shifted exponential for every other interior law.
 
 Both envelopes share one accept-and-fill loop, which proposes in blocks of
 at most ``_BLOCK`` candidates, so that every temporary stays cache-sized
 and a request for n variates holds little beyond its n-element result.
 The two-piece envelope computes its power-law piece densely with in-place
 ufuncs, recycling the pick uniform as that piece's inversion uniform, and
-draws the exponential piece only at the positions that picked it (where
-rho >= 1 the exponential piece is the whole envelope). The boundary
-samplers and the interior map (T - rho) / theta work in place on their
-result.
+draws the exponential piece only at the positions that picked it. The
+boundary samplers and the interior map (T - rho) / theta work in place on
+their result.
 ``ftg_rvs`` returns the variates; ``sample_ftg`` returns the same
 variates with the envelope's attempt count.
 """
@@ -31,9 +30,8 @@ import numpy as np
 from .dist import FtgParams
 
 _BLOCK = 1 << 16
-# proposals per still-missing variate in each block, by envelope
-_TWO_PIECE_OVERDRAW = 1.5
-_SHIFTED_EXP_OVERDRAW = 2.0
+# proposals per still-missing variate in each block
+_OVERDRAW = 1.5
 
 
 @dataclass
@@ -72,17 +70,16 @@ class SampleBatch:
     """Variates plus rejection diagnostics."""
 
     values: np.ndarray
-    params: FtgParams
     attempts: int
     acceptance_rate: float
 
 
-def _accept_and_fill(propose, overdraw: float, n: int):
+def _accept_and_fill(propose, n: int):
     """The first n accepted proposals, in proposal order, and the number of
     proposals up to the one that completed the batch.
 
     propose(k) draws k proposals and returns (t, accept); each block holds
-    overdraw times the number of variates still missing, within
+    _OVERDRAW times the number of variates still missing, within
     [1024, _BLOCK]. The cap keeps the envelope's temporaries (a few arrays
     of k doubles) in cache: one block for a whole large request would
     allocate, page-fault and stream each of them through memory, and hold
@@ -92,7 +89,7 @@ def _accept_and_fill(propose, overdraw: float, n: int):
     filled = 0
     attempts = 0
     while filled < n:
-        k = int(min(max(overdraw * (n - filled), 1024), _BLOCK))
+        k = int(min(max(_OVERDRAW * (n - filled), 1024), _BLOCK))
         t, acc = propose(k)
         hits = np.flatnonzero(acc)
         need = n - filled
@@ -109,12 +106,20 @@ def _accept_and_fill(propose, overdraw: float, n: int):
 
 def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
                              gen: np.random.Generator):
-    """T with density t^(alpha-1) e^-t on (rho, inf), alpha >= 1.
+    """T with density t^(alpha-1) e^-t on (rho, inf), alpha >= 1 or rho >= 1.
 
     Rejection from the shifted exponential rho + Exp(lam) with the classical
-    optimal rate lam = (rho - alpha + sqrt((rho - alpha)^2 + 4 rho)) / (2 rho).
+    optimal rate lam = (rho - alpha + sqrt((rho - alpha)^2 + 4 rho)) / (2 rho),
+    capped at 1. lam = 1 whenever alpha <= 1, where the acceptance ratio is
+    (t / rho)^(alpha-1). Below rho = alpha the rate is formed as
+    2 / (alpha - rho + sqrt(...)), whose terms share one sign: the first
+    form cancels to 0 once rho is below about 1e-16 alpha.
     """
-    lam = ((rho - alpha) + math.sqrt((rho - alpha) ** 2 + 4.0 * rho)) / (2.0 * rho)
+    root = math.sqrt((rho - alpha) ** 2 + 4.0 * rho)
+    if rho < alpha:
+        lam = 2.0 / ((alpha - rho) + root)
+    else:
+        lam = ((rho - alpha) + root) / (2.0 * rho)
     lam = min(lam, 1.0)
     one_m = 1.0 - lam
     # mode of the acceptance ratio t^(alpha-1) e^-(1-lam) t over t >= rho
@@ -129,50 +134,41 @@ def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
         u = gen.random(k)
         return t, u <= np.exp((alpha - 1.0) * np.log(t) - one_m * t - log_m)
 
-    return _accept_and_fill(propose, _SHIFTED_EXP_OVERDRAW, n)
+    return _accept_and_fill(propose, n)
 
 
 def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
                            gen: np.random.Generator):
-    """T with density t^(alpha-1) e^-t on (rho, inf), alpha < 1.
+    """T with density t^(alpha-1) e^-t on (rho, inf), alpha < 1 and rho < 1.
 
-    Composition envelope: a power-law piece t^(alpha-1) e^-rho on (rho, c]
-    with mass m1 and an exponential piece c^(alpha-1) e^-t on (c, inf) with
-    mass m2, c = max(rho, 1). The acceptance rate is
-    Gamma(alpha, rho) / (m1 + m2), which tends to 1 as rho -> 0. The masses
-    are taken in log scale, so that rho^alpha may exceed the float range.
+    Composition envelope: a power-law piece t^(alpha-1) e^-rho on (rho, 1]
+    with mass m1 and an exponential piece e^-t on (1, inf) with mass
+    m2 = e^-1. The acceptance rate is Gamma(alpha, rho) / (m1 + m2), which
+    tends to 1 as rho -> 0. m1 is taken in log scale, so that rho^alpha may
+    exceed the float range.
     """
-    c = max(rho, 1.0)
-    if rho < 1.0:  # c = 1, so m2 = e^-1
-        log_ratio = -math.log(rho)  # ln(c / rho)
-        if alpha == 0.0:
-            log_m1 = -rho + math.log(log_ratio)
-        else:
-            # expm = (c/rho)^alpha - 1, and m1 = e^-rho rho^alpha expm / alpha
-            expm = math.expm1(alpha * log_ratio)
-            log_m1 = -rho - alpha * log_ratio + math.log(expm / alpha)
-        p1 = 1.0 / (1.0 + math.exp(-1.0 - log_m1))  # m1 / (m1 + m2)
+    log_ratio = -math.log(rho)  # ln(1 / rho)
+    if alpha == 0.0:
+        log_m1 = -rho + math.log(log_ratio)
     else:
-        p1 = 0.0
+        # expm = rho^-alpha - 1, and m1 = e^-rho rho^alpha expm / alpha
+        expm = math.expm1(alpha * log_ratio)
+        log_m1 = -rho - alpha * log_ratio + math.log(expm / alpha)
+    p1 = 1.0 / (1.0 + math.exp(-1.0 - log_m1))  # m1 / (m1 + m2)
 
     def exp_piece(k: int):
-        # T = c + Exp(1) and its acceptance ratio (T / c)^(alpha - 1)
+        # T = 1 + Exp(1) and its acceptance ratio T^(alpha - 1)
         t = gen.standard_exponential(k)
-        t += c
-        ratio = t / c
-        ratio **= alpha - 1.0
-        return t, ratio
+        t += 1.0
+        return t, t ** (alpha - 1.0)
 
     def propose(k: int):
-        if p1 == 0.0:
-            t, ratio = exp_piece(k)
-            return t, np.less_equal(gen.random(k), ratio)
         u = gen.random(k)
         w = gen.random(k)
         other = np.flatnonzero(u >= p1)
         u[other] = 0.0
-        # in place, by inversion on (rho, c] with v = u / p1 uniform on
-        # [0, 1) given u < p1: T = rho (1 + v expm1(alpha ln(c/rho)))^(1/alpha),
+        # in place, by inversion on (rho, 1] with v = u / p1 uniform on
+        # [0, 1) given u < p1: T = rho (1 + v expm1(alpha ln(1/rho)))^(1/alpha),
         # with acceptance ratio e^-(T - rho)
         if alpha == 0.0:
             u *= log_ratio / p1
@@ -187,7 +183,7 @@ def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
         u[other], ratio[other] = exp_piece(other.size)
         return u, np.less_equal(w, ratio)
 
-    return _accept_and_fill(propose, _TWO_PIECE_OVERDRAW, n)
+    return _accept_and_fill(propose, n)
 
 
 def _draw(p: FtgParams, n: int, gen: np.random.Generator):
@@ -204,7 +200,7 @@ def _draw(p: FtgParams, n: int, gen: np.random.Generator):
         x = gen.gamma(p.alpha, size=n)
         x /= p.theta
         return x, n
-    if p.alpha < 1.0:
+    if p.alpha < 1.0 and p.rho < 1.0:
         x, attempts = _trunc_gamma_two_piece(p.alpha, p.rho, n, gen)
     else:
         x, attempts = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
@@ -223,12 +219,9 @@ def sample_ftg(p: FtgParams, n: int, rng: RngStream) -> SampleBatch:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     values, attempts = _draw(p, n, rng.generator)
-    return SampleBatch(values=values, params=p, attempts=attempts,
-                       acceptance_rate=n / attempts)
+    return SampleBatch(values=values, attempts=attempts, acceptance_rate=n / attempts)
 
 
 def ftg_rvs(p: FtgParams, n: int, rng: RngStream) -> np.ndarray:
     """n variates of p; the values of ``sample_ftg`` without its diagnostics."""
-    if n == 0:
-        return np.empty(0)
     return _draw(p, n, rng.generator)[0]

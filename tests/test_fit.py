@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -822,6 +823,13 @@ class TestFitPareto:
         with pytest.raises(FitError):
             fit_pareto(Sample(np.array([1.5])))
 
+    def test_light_tails_stop_on_the_exponential_limit(self, pareto_fit):
+        # 400 gamma(3) draws: the profile rises past the window's upper end
+        fit = fit_pareto(read_dataset(DATA / "gamma_edge_sample.txt").values)
+        assert fit.boundary == "exponential" and not fit.converged
+        assert not fit.failed
+        assert pareto_fit.boundary is None and not pareto_fit.failed
+
 
 class TestFitGamma:
     def test_recovers_simulated(self):
@@ -851,6 +859,13 @@ class TestLrt:
 
     def test_chi2_map(self):
         assert chi2_survival_1df(24.96) == pytest.approx(5.8e-7, abs=1e-8)
+
+    def test_no_warning_at_the_exponential_limit(self):
+        ftg = fit_ftg(read_dataset(DATA / "gamma_edge_sample.txt").values)
+        assert ftg.boundary == "gamma" and ftg.pareto_fit.boundary == "exponential"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lrt_pareto_vs_ftg(ftg)
 
     def test_needs_an_ftg_fit(self, pareto_fit):
         with pytest.raises(ValueError, match="fit_ftg"):

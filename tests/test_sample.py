@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -77,8 +78,11 @@ class TestSampleFtg:
 
     def test_acceptance_rate_prediction(self):
         # below alpha = 1 the envelope is t^(alpha-1) e^-rho on (rho, c] plus
-        # c^(alpha-1) e^-t on (c, inf), c = max(rho, 1); it accepts at the
-        # rate Gamma(alpha, rho) / (m1 + m2), the ratio of the masses
+        # c^(alpha-1) e^-t on (c, inf), c = max(rho, 1): the two-piece
+        # envelope where rho < 1 (c = 1), and where rho >= 1 the shifted
+        # exponential rho + Exp(1), whose first piece is empty. Either
+        # accepts at the rate Gamma(alpha, rho) / (m1 + m2), the ratio of
+        # the masses
         n = 40_000
         for i, (alpha, rho) in enumerate([(-0.2, 1.0), (-1.5, 1e-3), (0.28, 0.02), (0.5, 3.0)]):
             c = max(rho, 1.0)
@@ -139,14 +143,17 @@ class TestBulkSampler:
             assert np.array_equal(a, b), p
 
     def test_quantile_shares_away_from_fit(self):
-        # every proposal branch, each over several blocks: the two-piece
-        # envelope with only the exponential piece (rho >= 1, p1 = 0) and
-        # with the power-law piece dense and the exponential piece patched,
-        # at p1 near 1 (rho = 1e-3; alpha = 0 is its log form), near 1/2
-        # (alpha = -0.2, rho = 0.5, p1 = 0.55) and small (alpha = 0.28,
-        # rho = 0.9, p1 = 0.10); alpha = 2 takes the shifted exponential
+        # every proposal branch, each over several blocks: the shifted
+        # exponential at rate 1 (alpha < 1, rho >= 1) and at its optimal
+        # rate (alpha = 2), and the two-piece envelope, its power-law piece
+        # dense and its exponential piece patched, at p1 near 1 (rho = 1e-3;
+        # alpha = 0 is its log form), near 1/2 (alpha = -0.2, rho = 0.5,
+        # p1 = 0.55) and small (alpha = 0.28, rho = 0.9, p1 = 0.10). Below
+        # rho ~ 1e-16 alpha the optimal rate's textbook form cancels to 0,
+        # which once made every proposal inf and the loop endless
         pts = [FtgParams(a, 0.5, r) for a in (-1.5, -0.2, 0.28, 2.0) for r in (1e-3, 1.0)]
         pts += [FtgParams(0.0, 0.5, 1e-3), FtgParams(-0.2, 0.5, 0.5), FtgParams(0.28, 0.5, 0.9)]
+        pts += [FtgParams(2.0, 1.0, r) for r in (1e-12, 1e-20, 1e-300)]
         for i, p in enumerate(pts):
             _assert_quantile_shares(p, ftg_rvs(p, 200_000, RngStream(905, i)))
 
@@ -180,3 +187,28 @@ class TestBulkSampler:
 
     def test_empty_request(self):
         assert ftg_rvs(GRID[0], 0, RngStream(1)).size == 0
+
+    # SHA-256 of ftg_rvs(law, 300_000, RngStream(77, i)).tobytes(), i the
+    # position in this list; the pins follow NumPy's Generator stream. Each
+    # regime's sampler is pinned: the two-piece envelope (the bundled fit,
+    # and alpha = 0), the shifted exponential at rate 1 (alpha < 1 with
+    # rho >= 1, and beyond float range at rho = 700) and both edges
+    PINNED = [
+        (None, "ead5c4da6e20efe3a959df528a2ebbc4eab83bec4e95b1e4fc3e7116ae48e533"),
+        (FtgParams(0.0, 0.5, 1e-3),
+         "4fcf9c1326e7d9d683684f4674faba3fdad9ed3038656769d263f9c83965f76c"),
+        (FtgParams(-0.2, 0.5, 1.0),
+         "f502a7e6b92fac11a7fe71cfb3d54578b3dfb53864ff594c5b3017cf133bd3d0"),
+        (FtgParams(0.5, 1.0, 3.0),
+         "26eab42d4be8aad6f497f53c77d2b64583aea7197c6651bd587afbcd219da0cf"),
+        (FtgParams(-50.0, 1.0, 700.0),
+         "3920cfb3742f98cc9e90d9816493acb5e7dbd089723fe596723830bccbd87cd8"),
+        (PARETO_PTS[0], "5c7fcb04c174a72f0064a7ae64a279e36e529072aa43e36816831ca9a13900ac"),
+        (FtgParams.gamma(2.0, 1.0),
+         "040ce70195ca32973d6ff24bb7d37f0e7de018d37430adacbf8225981c68c428"),
+    ]
+
+    def test_pinned_digests(self, ftg_fit):
+        for i, (p, digest) in enumerate(self.PINNED):
+            vals = ftg_rvs(p or ftg_fit.params, 300_000, RngStream(77, i))
+            assert hashlib.sha256(vals.tobytes()).hexdigest() == digest, (i, p)
