@@ -183,10 +183,9 @@ class FitResult:
     alpha, log sigma for Pareto) is exposed alongside because the optimizer
     works there and heavy-tail fits are better conditioned in it.
 
-    iterations counts profile-likelihood evaluations for fit_pareto and for
-    an interior fit_ftg (over both of its starts), and Newton steps on the
-    shape equation for fit_gamma; an FTG fit on an edge carries the count
-    of that edge's own fit.
+    iterations counts profile-likelihood evaluations for every fit (over
+    both starts of an interior fit_ftg); an FTG fit on an edge carries the
+    count of that edge's own fit.
 
     pareto_fit is set on every fit_ftg result: the Pareto fit of the same
     sample, which fit_ftg makes once as an edge candidate and profile
@@ -446,10 +445,11 @@ def fit_pareto(sample) -> FitResult:
 
 
 def fit_gamma(sample) -> FitResult:
-    """Gamma MLE: moment start, then Newton on the shape equation
-    log(alpha) - psi(alpha) = log(xbar) - mean(log x)."""
-    smp = Sample.coerce(sample)
-    x = smp.values
+    """Gamma MLE: safeguarded Newton on the profile over u = log alpha, with
+    theta = alpha / xbar. The slope's root solves log alpha - psi(alpha) =
+    gap = log(xbar) - mean(log x), and 1/(2a) < log a - psi(a) < 1/a puts
+    it in the closed-form bracket alpha in [1/(2 gap), 1/gap]."""
+    x = Sample.coerce(sample).values
     n = x.size
     if n < 2 or np.any(x <= 0.0):
         raise FitError("gamma fit needs >= 2 strictly positive observations")
@@ -458,34 +458,30 @@ def fit_gamma(sample) -> FitResult:
     gap = math.log(xbar) - mean_log  # > 0 unless degenerate
     if gap <= 0.0:
         raise FitError("degenerate sample: all values equal")
-    var = float(x.var())
-    alpha = xbar * xbar / var if var > 0 else 1.0
-    for it in range(20):
+    hi = math.log(1.0 / gap)
+    if not math.isfinite(hi):
+        raise FitError(f"gamma shape equation has no finite root (gap={gap:g})")
+    evals = 0
+
+    def profile(u: float):
+        # the value only picks the first end of the search: 0 at both is lo
+        nonlocal evals
+        evals += 1
+        alpha = math.exp(u)
         psi, psi1 = digamma_trigamma(alpha)
-        f = math.log(alpha) - psi - gap
-        fp = 1.0 / alpha - psi1
-        step = f / fp
-        new = alpha - step
-        if new <= 0.0:
-            new = alpha / 2.0
-        alpha = new
-        if abs(f) < 1e-13:
-            break
+        slope = n * alpha * (u - psi - gap)
+        return 0.0, slope, slope + n * alpha * (1.0 - alpha * psi1)
+
+    lo = hi - math.log(2.0)
+    alpha = math.exp(_refine_maximum(profile, lo, profile(lo), hi, profile(hi), xatol=1e-14))
     theta = alpha / xbar
     psi, psi1 = digamma_trigamma(alpha)
-    ll = n * (
-        alpha * math.log(theta)
-        - math.lgamma(alpha)
-        + (alpha - 1.0) * mean_log
-        - theta * xbar
-    )
-    score = (
-        n * (math.log(theta) - psi + mean_log),
-        n * (alpha / theta - xbar),
-    )
+    ll = n * (alpha * math.log(theta) - math.lgamma(alpha) + (alpha - 1.0) * mean_log
+              - theta * xbar)
+    score = (n * (math.log(theta) - psi + mean_log), n * (alpha / theta - xbar))
     info = n * np.array([[psi1, -1.0 / theta], [-1.0 / theta, alpha / theta**2]])
     return _fit_result("gamma", FtgParams.gamma(alpha, theta), ll, score, info,
-                       [1.0, theta], it + 1, n)
+                       [1.0, theta], evals, n)
 
 
 class _Profile:
@@ -569,7 +565,8 @@ def _bracket_maximum(fun, x0: float, lo: float, hi: float):
 
 
 def _refine_maximum(fun, a: float, pa, c: float, pc, xatol: float) -> float:
-    """Safeguarded Newton on the slope inside a bracket from _bracket_maximum.
+    """Safeguarded Newton on the slope inside a bracket (a, fun(a), c, fun(c))
+    whose slope is positive at a and not at c, as _bracket_maximum returns.
 
     Starts from the higher end; a step that leaves (a, c), or a curvature
     that is not negative, is replaced by bisection. A failed evaluation
@@ -629,13 +626,14 @@ def fit_ftg(sample) -> FitResult:
     n = x.size
     if n < 3:
         raise FitError("FTG fit needs at least 3 observations")
-    pos = x[x > 0]
-    if pos.size < 2 or pos.min() == pos.max():
+    pos = x > 0  # checked in place: a copy of the positives costs the data's size
+    n_pos = np.count_nonzero(pos)
+    if n_pos < 2 or np.min(x, where=pos, initial=np.inf) == x.max():
         raise FitError("FTG fit needs at least two distinct positive values")
 
     pareto = fit_pareto(smp)
     edges = [pareto]
-    if np.all(x > 0.0):
+    if n_pos == n:
         try:
             edges.append(fit_gamma(smp))
         except FitError:
@@ -670,6 +668,15 @@ def _edge_result(edge_fit: FitResult, pareto: FitResult) -> FitResult:
     return replace(edge_fit, family="ftg", boundary=edge_fit.family,
                    converged=edge_fit.converged and edge_fit.family != "pareto",
                    pareto_fit=pareto)
+
+
+def _fit_family(sample, family: str) -> FitResult:
+    """fit_ftg or fit_pareto by name, for the commands that fit either."""
+    if family == "ftg":
+        return fit_ftg(sample)
+    if family == "pareto":
+        return fit_pareto(sample)
+    raise ValueError(f"unknown family {family!r} (expected 'pareto' or 'ftg')")
 
 
 def lrt_pareto_vs_ftg(ftg: FitResult) -> tuple[float, float]:

@@ -21,7 +21,7 @@ import numpy as np
 from .data import Sample
 from .dist import FtgParams, cdf
 from .errors import FitError
-from .fit import fit_ftg, fit_pareto
+from .fit import _fit_family, fit_ftg  # noqa: F401  (fit_ftg stays importable here)
 from .sample import RngStream, ftg_rvs
 
 _Z_CLAMP = 1e-15
@@ -61,14 +61,6 @@ def cvm_ad_statistics(sample, model: FtgParams) -> tuple[float, float]:
     w2 = float(np.sum((z - grid) ** 2) + 1.0 / (12.0 * n))
     a2 = float(-n - np.mean((2.0 * i - 1.0) * (np.log(z) + np.log1p(-z[::-1]))))
     return w2, a2
-
-
-def _fit_family(sample, family: str):
-    if family == "pareto":
-        return fit_pareto(sample)
-    if family == "ftg":
-        return fit_ftg(sample)
-    raise ValueError(f"unknown family {family!r} (expected 'pareto' or 'ftg')")
 
 
 def bootstrap_pvalue(sample, family: str, n_boot: int, rng: RngStream) -> GofReport:

@@ -18,7 +18,7 @@ import numpy as np
 from .data import Sample
 from .dist import FtgParams, conditional_mean_excess, model_to_dict, moments
 from .errors import FitError
-from .fit import FitResult, fit_ftg, fit_pareto
+from .fit import FitResult, _fit_family, fit_ftg
 from .sample import RngStream, ftg_rvs
 
 _REPORT_LEVELS = (0.5, 0.9, 0.99, 0.999)
@@ -122,12 +122,7 @@ def risk_capital(sample, family: str, cfg: RiskConfig) -> RiskReport:
     E[S | S > risk_capital] of the simulated annual loss S.
     """
     smp = Sample.coerce(sample)
-    if family == "ftg":
-        fit = fit_ftg(smp)
-    elif family == "pareto":
-        fit = fit_pareto(smp)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    fit = _fit_family(smp, family)
     report = simulate_aggregate(fit.params, cfg)
     tail = conditional_mean_excess(fit.params, report.risk_capital)
     return replace(report, tail_expectation=tail, fit=fit)
@@ -136,11 +131,15 @@ def risk_capital(sample, family: str, cfg: RiskConfig) -> RiskReport:
 @dataclass(frozen=True)
 class BootstrapRow:
     sample_id: int
-    pareto_fit: FitResult | None
-    pareto_risk_capital: float | None
-    ftg_fit: FitResult | None
-    ftg_risk_capital: float | None
+    pareto_risk_capital: float | None = None
+    ftg_fit: FitResult | None = None
+    ftg_risk_capital: float | None = None
     error: str | None = None
+
+    @property
+    def pareto_fit(self) -> FitResult | None:
+        """The Pareto fit that the row's FTG fit made as its edge candidate."""
+        return self.ftg_fit.pareto_fit if self.ftg_fit else None
 
     @property
     def ok(self) -> bool:
@@ -158,8 +157,7 @@ class BootstrapStudy:
 
 
 def _failed_row(sample_id: int, exc: Exception) -> BootstrapRow:
-    return BootstrapRow(sample_id=sample_id, pareto_fit=None, pareto_risk_capital=None,
-                        ftg_fit=None, ftg_risk_capital=None, error=str(exc))
+    return BootstrapRow(sample_id, error=str(exc))
 
 
 def _fit_row(smp: Sample, sample_id: int) -> BootstrapRow:
@@ -167,8 +165,7 @@ def _fit_row(smp: Sample, sample_id: int) -> BootstrapRow:
         ftg = fit_ftg(smp)
     except (FitError, ValueError) as exc:
         return _failed_row(sample_id, exc)
-    return BootstrapRow(sample_id=sample_id, pareto_fit=ftg.pareto_fit,
-                        pareto_risk_capital=None, ftg_fit=ftg, ftg_risk_capital=None)
+    return BootstrapRow(sample_id, ftg_fit=ftg)
 
 
 def _simulate_row(row: BootstrapRow, cfg: RiskConfig, rng: RngStream) -> BootstrapRow:

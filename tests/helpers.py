@@ -1,6 +1,6 @@
 """Helpers that only tests use: reading a fit back from its JSON form, the
-paper's log-log slope of a binned density, and the threshold rescaling of
-raw exceedances."""
+paper's log-log slope of a binned density, the threshold rescaling of raw
+exceedances, and a near-constant sample."""
 
 import numpy as np
 
@@ -44,3 +44,10 @@ def rescale_to_threshold(raw, threshold: float, target_mean: float) -> Sample:
         raise ValueError("target_mean must be > 0")
     shifted = x - threshold
     return Sample(target_mean * shifted / shifted.mean())
+
+
+def near_constant_sample(seed: int = 1, spread: float = 3e-8) -> np.ndarray:
+    """40 values in [1, 1 + spread): so close together that log(mean) -
+    mean(log) is a few ulps of rounding, and the gamma shape equation's
+    root, near 1/gap, runs to 1e15 and beyond."""
+    return 1.0 + spread * np.random.default_rng(seed).random(40)

@@ -11,7 +11,7 @@ import pytest
 import ftgamma
 from ftgamma.cli import main
 
-from helpers import fit_result_from_dict
+from helpers import fit_result_from_dict, near_constant_sample
 
 
 DATA = Path(__file__).parent / "data"
@@ -237,6 +237,21 @@ class TestGof:
         payload = json.loads(out)
         assert 1.0 / 100.0 <= payload["p_w2"] <= 1.0
         assert payload["w2"] > 0.0
+
+
+class TestNearConstantData:
+    # a gamma fit of these values once ended in a ZeroDivisionError
+    # traceback and exit code 1, the usage-error code
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--family", "all"),
+        ("risk", "--family", "ftg", "--n-sims", "20000", "--seed", "1"),
+    ], ids=["fit", "risk"])
+    def test_fits_or_reports_a_fit_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "near_constant.txt"
+        np.savetxt(path, near_constant_sample(), fmt="%.17g")
+        code, _, err = run_cli(capsys, argv[0], "--data", str(path), *argv[1:])
+        assert code in (0, 3)
+        assert "Traceback" not in err
 
 
 class TestPinnedStdout:
