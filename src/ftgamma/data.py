@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 
@@ -11,6 +14,11 @@ import numpy as np
 
 class DataError(ValueError):
     """Input data could not be parsed or violates basic requirements."""
+
+
+def _refused(v: np.ndarray) -> np.ndarray:
+    """The entries no Sample holds: NaN, infinities and negatives."""
+    return ~np.isfinite(v) | (v < 0.0)
 
 
 @dataclass(frozen=True)
@@ -26,10 +34,10 @@ class Sample:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise DataError("sample must be a nonempty 1-d collection")
-        if not np.all(np.isfinite(v)):
-            raise DataError("sample contains non-finite values")
-        if np.any(v < 0.0):
-            raise DataError("sample contains negative values")
+        refused = _refused(v)
+        if refused.any():
+            what = "negative" if np.isfinite(v[refused]).all() else "non-finite"
+            raise DataError(f"sample contains {what} values")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -62,39 +70,33 @@ def _try_float(token: str) -> float | None:
         return None
 
 
-def _csv_field(line: str, col: int) -> str:
-    fields = line.split(",")
-    # a row without the column yields "", which float() rejects
-    return fields[col].strip() if -len(fields) <= col < len(fields) else ""
-
-
-# lines per block: readlines stops once a block passes this many characters
-_BLOCK_HINT = 1 << 16
-
-
-def _parse_block(block: list[str], first_line: int, csv_col: int | None):
-    """Values of one block of lines and the line numbers of its bad entries.
-
-    The whole block goes through float() in one call, which ignores the
-    whitespace and line end around each number. Only a block that fails
-    there (a blank line, a bad token or a CSV row without the column) is
-    parsed line by line; blank lines are skipped, and unparseable,
-    non-finite or negative entries are reported by their line numbers
-    (counted from first_line).
+def _scan(fh, path, start: int, col: int | None) -> Sample:
+    """Read the file again one line at a time with float(), for a file that
+    NumPy's reader or Sample refused: either name its bad lines or return
+    the values of tokens only float() reads (``1_000``, non-ASCII digits).
     """
-    tokens = block if csv_col is None else [_csv_field(ln, csv_col) for ln in block]
-    linenos = range(first_line, first_line + len(block))
-    try:
-        # float() on every token in one call: the same bits as a Python loop
-        values = np.array(tokens, dtype=np.float64)
-    except ValueError:
-        kept = [(i, t) for i, ln, t in zip(linenos, block, tokens) if ln.strip()]
-        linenos = [i for i, _ in kept]
-        # NaN marks the unparseable tokens for the mask below
-        values = np.array([math.nan if v is None else v
-                           for v in (_try_float(t) for _, t in kept)], dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(values) | (values < 0.0))
-    return values, [linenos[i] for i in bad]
+    fh.seek(0)
+    values, linenos = array("d"), array("q")
+    for lineno, line in enumerate(fh, 1):
+        if lineno <= start or not line.strip():
+            continue
+        if col is not None:
+            fields = line.split(",")
+            # a row without the column gives "", which float() rejects
+            line = fields[col] if -len(fields) <= col < len(fields) else ""
+        v = _try_float(line)
+        values.append(math.nan if v is None else v)  # unparseable: a NaN, refused
+        linenos.append(lineno)
+    if not values:
+        raise DataError(f"{path}: no parseable values")
+    bad = np.frombuffer(linenos, dtype=np.int64)[_refused(np.frombuffer(values))]
+    if bad.size:
+        head = ", ".join(map(str, bad[:10]))
+        raise DataError(
+            f"{path}: {bad.size} unparseable/non-finite/negative entries "
+            f"(lines {head}{', ...' if bad.size > 10 else ''})"
+        )
+    return Sample(np.frombuffer(values))
 
 
 def read_dataset(path: str, column: int | str | None = None) -> Sample:
@@ -106,56 +108,51 @@ def read_dataset(path: str, column: int | str | None = None) -> Sample:
     without the column, are rejected with their line numbers; lines end at
     newlines, read in universal-newline mode (\\n, \\r\\n or \\r).
 
-    The file is read in blocks of about 64 KiB of lines, each converted in
-    one NumPy call, so no list of every line is ever held.
+    NumPy's text reader parses the open file a line at a time, and a number
+    it reads has the bits float() gives. Only a file that it or Sample
+    refuses is read again, line by line with float(), to name the bad lines
+    or to read the tokens that only float() reads.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        block = fh.readlines(_BLOCK_HINT)
-        while 0 < len(block) < 5:
-            # the CSV sniff below reads the first five lines
-            more = fh.readlines(_BLOCK_HINT)
-            if not more:
-                break
-            block += more
-        is_csv = str(path).lower().endswith(".csv") or any("," in ln for ln in block[:5])
-        col_idx = 0
-        start = 0
+        if not fh.seekable():
+            # a pipe cannot be rewound after the sniff or for the line scan
+            fh = io.StringIO(fh.read())
+        # the CSV sniff reads the first five lines
+        head = [fh.readline() for _ in range(5)]
+        is_csv = str(path).lower().endswith(".csv") or any("," in ln for ln in head)
+        col, start = None, 0
         if is_csv:
-            if isinstance(column, int):
-                col_idx = column
-            header = [t.strip() for t in block[0].split(",")] if block else []
+            col = column if isinstance(column, int) else 0
+            header = [t.strip() for t in head[0].split(",")] if head[0] else []
             if isinstance(column, str):
                 if column not in header:
                     raise DataError(f"column {column!r} not found in {path}")
-                col_idx = header.index(column)
+                col = header.index(column)
                 start = 1
-            elif header and _try_float(header[min(col_idx, len(header) - 1)]) is None:
+            elif header and _try_float(header[min(col, len(header) - 1)]) is None:
                 start = 1  # unnamed numeric column under a header row
-        parts, bad_lines, n_bad = [], [], 0
-        block, lineno = block[start:], start + 1
-        while block:
-            values, bad = _parse_block(block, lineno, col_idx if is_csv else None)
-            parts.append(values)
-            n_bad += len(bad)
-            bad_lines += bad[:10 - len(bad_lines)]
-            lineno += len(block)
-            block = fh.readlines(_BLOCK_HINT)
-    values = np.concatenate(parts) if parts else np.empty(0)
-    if not values.size:
-        raise DataError(f"{path}: no parseable values")
-    if n_bad:
-        head = ", ".join(map(str, bad_lines))
-        raise DataError(
-            f"{path}: {n_bad} unparseable/non-finite/negative entries "
-            f"(lines {head}{', ...' if n_bad > 10 else ''})"
-        )
-    return Sample(values)
+        fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # NumPy warns of a file without data rows; it is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                # the handle, not the path: NumPy would open a path itself,
+                # decompressing .gz/.bz2/.xz and fetching URLs; squeeze(1)
+                # refuses rows of several whitespace-split fields, where
+                # ndmin=1 would read a lone row "1 2" as the values 1 and 2
+                values = np.loadtxt(fh, delimiter=None if col is None else ",",
+                                    usecols=col, skiprows=start, comments=None,
+                                    ndmin=2).squeeze(1)
+            return Sample(values)
+        # DataError is a ValueError; a column index past any int64 overflows
+        except (ValueError, OverflowError):
+            return _scan(fh, path, start, col)
 
 
 def load_external_fraud() -> Sample:
     """The bundled example dataset: 40 operational-loss exceedances
     (corporate-finance business line, external-fraud event type), scaled to
     threshold zero and sample mean 100."""
-    text = resources.files("ftgamma").joinpath("data/external_fraud.txt").read_text()
-    vals = [float(tok) for tok in text.split()]
-    return Sample(np.asarray(vals))
+    data = resources.files("ftgamma").joinpath("data/external_fraud.txt")
+    with resources.as_file(data) as path:
+        return read_dataset(path)

@@ -111,8 +111,7 @@ def digamma_trigamma(x: float) -> tuple[float, float]:
     return psi, psi1
 
 
-def _log_continued_fraction(alpha: float, rho: float, partials: bool,
-                            max_iter: int = 100000):
+def _log_continued_fraction(alpha: float, rho: float, partials: bool):
     """Legendre continued fraction, modified Lentz recurrence.
 
     Converges for rho > max(1, alpha + 1); valid for negative alpha. The
@@ -132,7 +131,7 @@ def _log_continued_fraction(alpha: float, rho: float, partials: bool,
     r = -d
     h1, h2 = d, d * d
     hits = 0
-    for i in range(1, max_iter + 1):
+    for i in range(1, 100_001):
         ia = i - alpha
         an = -i * ia
         b += 2.0
@@ -176,7 +175,7 @@ def _log_continued_fraction(alpha: float, rho: float, partials: bool,
     )
 
 
-def _log_series(alpha: float, rho: float, partials: bool, max_iter: int = 10000):
+def _log_series(alpha: float, rho: float, partials: bool):
     """log Gamma(alpha, rho) via the lower-gamma power series; alpha > 1.
 
     gamma(alpha, rho) = rho^alpha e^-rho sum_k t_k with
@@ -191,7 +190,7 @@ def _log_series(alpha: float, rho: float, partials: bool, max_iter: int = 10000)
     h2k = delt * delt
     s1 = -delt * hk
     s2 = delt * (hk * hk + h2k)
-    for _ in range(max_iter):
+    for _ in range(10_000):
         ap += 1.0
         delt *= rho / ap
         s += delt
@@ -253,8 +252,7 @@ def _small_shape_head_partials(a: float, lx: float, head: float, xa: float,
     return h1, h2
 
 
-def _log_small_shape(a: float, x: float, lx: float, partials: bool,
-                     max_iter: int = 500):
+def _log_small_shape(a: float, x: float, lx: float, partials: bool):
     """log Gamma(a, x) for |a| <= 0.5, 0 < x <= 2, including a = 0 exactly.
 
     Rearranged power series with the 1/a pole cancelled analytically:
@@ -275,7 +273,7 @@ def _log_small_shape(a: float, x: float, lx: float, partials: bool,
         head = (math.expm1(lg1p) - math.expm1(a * lx)) / a
     term = 1.0
     s = s1 = s2 = s_up = 0.0
-    for k in range(1, max_iter):
+    for k in range(1, 500):
         term *= -x / k
         t = term / (a + k)
         s += t

@@ -68,6 +68,28 @@ class TestFit:
         assert code == 2
         assert "lines 2, 3" in err
 
+    def test_gamma_fit_of_a_zero_is_numerical_failure(self, capsys, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("1.0\n0\n2.5\n")
+        code, _, err = run_cli(capsys, "fit", "--data", str(path), "--family", "gamma")
+        assert code == 3
+        assert "ftg: numerical failure:" in err
+
+    def test_bundled_gamma_fit(self, capsys, losses):
+        want = ftgamma.fit_gamma(losses)
+        code, out, _ = run_cli(capsys, "fit", "--bundled", "--family", "gamma")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "Gamma distribution"
+        assert lines[1].split()[:2] == ["alpha", "0.2712"]
+        assert lines[2].split()[:2] == ["theta", "0.0027"]
+        assert lines[3].split()[:2] == ["loglik", "-181.9381"]
+        code, out, _ = run_cli(capsys, "fit", "--bundled", "--family", "gamma", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["pareto"] is None and payload["ftg"] is None
+        assert payload["gamma"] == json.loads(json.dumps(want.to_dict()))
+
     def test_data_digest_reads_file_in_blocks(self, tmp_path):
         # the manifest digest is the SHA-256 of the whole file, though the
         # file is hashed 1 MB at a time
@@ -223,6 +245,31 @@ class TestRisk:
         assert code == 0
         assert "Pareto distribution" in out and "ln(theta)" in out
         assert "orig" in out
+
+    def test_bootstrap_table_shows_fit_failures(self, capsys, monkeypatch):
+        fit = ftgamma.risk.fit_ftg
+        calls = []
+
+        def failing(smp):
+            calls.append(None)
+            if len(calls) == 3:  # the resample with sample id 3
+                raise ftgamma.FitError("injected")
+            return fit(smp)
+
+        monkeypatch.setattr(ftgamma.risk, "fit_ftg", failing)
+        code, out, _ = run_cli(capsys, "risk", "--bundled", "--bootstrap", "10",
+                               "--keep-every", "5", "--n-sims", "10000",
+                               "--seed", "3")
+        assert code == 0
+        lines = out.splitlines()
+        # the failed row follows the kept rows; the original comes last
+        assert lines[-2:-1] == ["     3    fit failed: injected"]
+        assert lines[-1].split()[0] == "orig"
+
+    def test_level_outside_the_unit_interval_is_invalid_request(self, capsys):
+        code, _, err = run_cli(capsys, "risk", "--bundled", "--level", "1.5")
+        assert code == 1
+        assert "ftg: invalid request: quantile_level must be in (0, 1)" in err
 
     def test_nonpositive_lambda_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "risk", "--bundled", "--lambda", "0")

@@ -1,4 +1,7 @@
+import os
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -94,8 +97,8 @@ class TestReadDataset:
 
     @staticmethod
     def _multi_block_lines():
-        # about 250 KiB of numbers: several of read_dataset's 64 KiB blocks,
-        # with every fault past the first block
+        # about 250 KiB of numbers with every fault past the first 9,000
+        # lines, so the reader cannot stop at the file's head
         rng = np.random.default_rng(5)
         lines = list(map(repr, rng.pareto(1.0, 14_000).tolist()))
         faults = {9_000: "", 9_001: "oops", 9_500: "-2.5", 10_000: "nan", 12_000: "",
@@ -146,8 +149,9 @@ class TestReadDataset:
             read_dataset(str(p), column=column)
 
     def test_parse_holds_no_list_of_lines(self, tmp_path):
-        # the file is parsed a block of lines at a time: a list of every
-        # line as Python strings would cost about 12 times the values
+        # NumPy's reader takes the lines one at a time: its growing result
+        # and the Sample's copy cost about twice the values, where a list of
+        # every line as Python strings would cost about 12 times
         x = np.random.default_rng(3).pareto(1.0, 200_000)
         p = tmp_path / "x.txt"
         p.write_text("\n".join(map(repr, x.tolist())) + "\n")
@@ -158,7 +162,73 @@ class TestReadDataset:
         finally:
             tracemalloc.stop()
         assert np.array_equal(ds.values, x)
-        assert peak < 4 * ds.values.nbytes
+        assert peak < 2.5 * ds.values.nbytes
+
+    def test_tokens_only_float_reads(self, tmp_path):
+        # digit-group underscores and non-ASCII digits: NumPy's reader
+        # refuses them, float() reads them
+        p = tmp_path / "x.txt"
+        p.write_text("1_000\n\uff11\uff12\n3.5\n", encoding="utf-8")
+        ds = read_dataset(str(p))
+        assert ds.values.tolist() == [1000.0, 12.0, 3.5]
+
+    def test_faults_numpy_reads_listed_by_line(self, tmp_path):
+        # every fault is a number NumPy reads, so Sample refuses the values
+        # and the line scan names the lines
+        p = tmp_path / "x.txt"
+        p.write_text("1.0\nnan\n2.0\n-2.5\n\n1e400\ninf\n3.0\n")
+        assert np.loadtxt(str(p)).size == 7
+        with pytest.raises(DataError, match=r": 4 .* \(lines 2, 4, 6, 7\)$"):
+            read_dataset(str(p))
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("loss,year\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no parseable values"):
+                read_dataset(str(p))
+
+    def test_compressed_suffix_is_read_as_text(self, tmp_path):
+        # the reader opens the file itself: a .gz name is not decompressed
+        p = tmp_path / "x.gz"
+        p.write_text("1.5\n2.5\n")
+        assert read_dataset(str(p)).values.tolist() == [1.5, 2.5]
+
+    def test_plain_row_of_several_fields_listed(self, tmp_path):
+        # a lone row "1 2" is one bad line, not the two numbers 1 and 2
+        p = tmp_path / "x.txt"
+        p.write_text("1 2\n")
+        with pytest.raises(DataError, match=r"\(lines 1\)"):
+            read_dataset(str(p))
+
+    def test_column_past_every_row_listed(self, tmp_path, capsys):
+        # an index too large for NumPy's reader still names every row
+        p = tmp_path / "x.csv"
+        p.write_text("a,b\n1,2\n3,4\n")
+        with pytest.raises(DataError, match=r": 2 .* \(lines 2, 3\)$"):
+            read_dataset(str(p), column=10**30)
+        assert main(["fit", "--data", str(p), "--column", str(10**30)]) == 2
+        assert "lines 2, 3" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("text, want", [("1.5\n2.5\n", [1.5, 2.5]),
+                                            ("1.0\nfoo\n", r"\(lines 2\)")])
+    def test_named_pipe(self, tmp_path, text, want):
+        # a pipe is read once, though the sniff and the line scan rewind
+        fifo = tmp_path / "x.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            if isinstance(want, str):
+                with pytest.raises(DataError, match=want):
+                    read_dataset(str(fifo))
+            else:
+                assert read_dataset(str(fifo)).values.tolist() == want
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "x.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ftgamma import (
+    FitError,
     FtgParams,
     RngStream,
     Sample,
@@ -15,6 +16,8 @@ from ftgamma import (
     quantile,
     scale,
 )
+from ftgamma import gof
+from ftgamma.fit import _fit_family
 
 from helpers import loglog_least_squares
 
@@ -113,6 +116,47 @@ class TestBootstrapPvalue:
         vals = ftg_rvs(ftg_fit.params, 2_000, RngStream(4242))
         rpt = bootstrap_pvalue(Sample(vals), "ftg", 99, RngStream(4243))
         assert rpt.p_w2 > 0.01 and rpt.p_a2 > 0.01
+
+
+class TestBootstrapRefitFailures:
+    @staticmethod
+    def _run(losses, monkeypatch, failing):
+        """bootstrap_pvalue on the losses with the refits of the replicates
+        in failing raising FitError, and every statistic it computed."""
+        calls, seen = [], []
+
+        def fit_family(smp, family):
+            # call 1 fits the data, call b + 2 refits replicate b
+            calls.append(None)
+            if len(calls) - 2 in failing:
+                raise FitError("injected")
+            return _fit_family(smp, family)
+
+        def statistics(smp, model):
+            seen.append(cvm_ad_statistics(smp, model))
+            return seen[-1]
+
+        monkeypatch.setattr(gof, "_fit_family", fit_family)
+        monkeypatch.setattr(gof, "cvm_ad_statistics", statistics)
+        return bootstrap_pvalue(losses, "pareto", 99, RngStream(5)), seen
+
+    def test_failures_counted_and_left_out_of_the_pvalues(self, losses, monkeypatch):
+        clean, seen = self._run(losses, monkeypatch, ())
+        assert clean.n_refit_failures == 0
+        (w2_obs, a2_obs), replicates = seen[0], seen[1:]
+        failing = {0, 17, 50, 98}
+        rpt, _ = self._run(losses, monkeypatch, failing)
+        kept = [stat for b, stat in enumerate(replicates) if b not in failing]
+        assert rpt.n_refit_failures == 4 and rpt.n_bootstrap == 95
+        assert (rpt.w2, rpt.a2) == (w2_obs, a2_obs)
+        assert rpt.p_w2 == (1 + sum(w2 >= w2_obs for w2, _ in kept)) / 96
+        assert rpt.p_a2 == (1 + sum(a2 >= a2_obs for _, a2 in kept)) / 96
+
+    def test_more_than_a_tenth_failing_aborts(self, losses, monkeypatch):
+        rpt, _ = self._run(losses, monkeypatch, set(range(0, 99, 11)))
+        assert rpt.n_refit_failures == 9 and rpt.n_bootstrap == 90
+        with pytest.raises(FitError, match="10 bootstrap refits failed out of 91"):
+            self._run(losses, monkeypatch, set(range(0, 99, 10)))
 
 
 class TestLogBinnedHistogram:

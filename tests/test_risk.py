@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ftgamma import (
+    FitError,
     FtgParams,
     RiskConfig,
     RngStream,
@@ -270,3 +271,22 @@ class TestBootstrapStudy:
             assert row.pareto_fit is None and row.pareto_risk_capital is None
             assert row.ftg_fit is None and row.ftg_risk_capital is None
         assert capitals([study.original]) == capitals([clean.original])
+
+    def test_fit_failures_come_last_with_their_errors(self, losses, monkeypatch):
+        fit = risk.fit_ftg
+        calls = []
+
+        def failing(smp):
+            # the resamples are fitted in sample-id order, the original last
+            calls.append(None)
+            if len(calls) in (7, 3):
+                raise FitError(f"injected {len(calls)}")
+            return fit(smp)
+
+        monkeypatch.setattr(risk, "fit_ftg", failing)
+        study = bootstrap_study(losses, 10, 5, RiskConfig(lam=20.0, n_sims=10_000, seed=7))
+        # two of the eight fitted resamples are kept, then the two failures
+        assert len(calls) == 11 and len(study.rows) == 4
+        assert all(r.ok for r in study.rows[:2]) and study.original.ok
+        assert [(r.sample_id, r.ok, r.error) for r in study.rows[2:]] == [
+            (3, False, "injected 3"), (7, False, "injected 7")]
