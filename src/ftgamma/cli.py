@@ -2,9 +2,10 @@
 
 Every command writes its primary output (plain text or ``--json``) to stdout
 or ``--out``, and a one-line JSON run manifest to stderr. The manifest
-records command, parameters, seed, input digest and version; identical
-manifests (timestamp aside) produce byte-identical primary output. Exit
-codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
+records the command, every parsed argument, the seed, a digest of the
+values analysed and the version; identical manifests (timestamp aside)
+produce byte-identical primary output. Exit codes: 0 success, 1 usage,
+2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 import secrets
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .data import DataError, Sample, load_external_fraud, read_dataset
@@ -42,49 +42,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: int | None
-    input_digest: str | None
-    tool_version: str
-    timestamp: str
+def _manifest(args, smp: Sample | None) -> int | None:
+    """Write the run manifest to stderr and return the run's seed.
 
-    def emit(self) -> None:
-        print(json.dumps({"manifest": asdict(self)}, sort_keys=True), file=sys.stderr)
-
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
-def _file_digest(path: str) -> str:
-    """_digest of a file's bytes, read in 1 MB blocks."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()[:16]
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is None:
-        return secrets.randbits(48)
-    return args.seed
+    The manifest holds every parsed argument under its argparse dest name,
+    the seed (--seed, or a fresh one when a command that draws got none),
+    and input_digest, the SHA-256 of the analysed values' float64 bytes.
+    """
+    parameters = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "command", "seed")}
+    seed = getattr(args, "seed", None)
+    if seed is None and hasattr(args, "seed"):
+        seed = secrets.randbits(48)
+    manifest = {
+        "command": args.command,
+        "parameters": parameters,
+        "seed": seed,
+        # hashes the values' own buffer: no copy
+        "input_digest": (None if smp is None
+                         else hashlib.sha256(smp.values).hexdigest()[:16]),
+        "tool_version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    }
+    print(json.dumps({"manifest": manifest}, sort_keys=True), file=sys.stderr)
+    return seed
 
 
-def _load(args) -> tuple[Sample, str]:
+def _load(args) -> Sample:
     if args.bundled:
-        smp = load_external_fraud()
-        return smp, _digest(smp.values.tobytes())
+        return load_external_fraud()
     if not args.data:
         raise DataError("provide --data PATH or --bundled")
-    digest = _file_digest(args.data)
     column = args.column
     if isinstance(column, str) and column.isdigit():
         column = int(column)
-    return read_dataset(args.data, column=column), digest
+    return read_dataset(args.data, column=column)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -146,9 +138,8 @@ def _fit_text(pareto: FitResult | None, ftg: FitResult | None,
 
 
 def cmd_fit(args) -> int:
-    smp, digest = _load(args)
-    RunManifest("fit", {"family": args.family, "data": args.data or "bundled"},
-                None, digest, __version__, _now()).emit()
+    smp = _load(args)
+    _manifest(args, smp)
     pareto = ftg = gamma = None
     lrt = None
     if args.family in ("ftg", "all"):
@@ -200,11 +191,7 @@ def cmd_sample(args) -> int:
     if args.n < 1:
         raise UsageError("-n must be >= 1")
     params = _params_from_args(args)
-    seed = _resolve_seed(args)
-    RunManifest("sample", {"family": args.family, "alpha": args.alpha,
-                           "theta": args.theta, "sigma": args.sigma,
-                           "rho": args.rho, "n": args.n},
-                seed, None, __version__, _now()).emit()
+    seed = _manifest(args, None)
     batch = sample_ftg(params, args.n, RngStream(seed))
     if args.json:
         payload = {
@@ -226,15 +213,10 @@ def cmd_risk(args) -> int:
         raise UsageError("--lambda must be > 0")
     if args.bootstrap is not None and (args.bootstrap < 1 or args.keep_every < 1):
         raise UsageError("--bootstrap and --keep-every must be >= 1")
-    smp, digest = _load(args)
-    seed = _resolve_seed(args)
+    smp = _load(args)
+    seed = _manifest(args, smp)
     cfg = RiskConfig(lam=args.lam, quantile_level=args.level,
                      n_sims=args.n_sims, seed=seed)
-    RunManifest("risk", {"family": args.family, "lambda": args.lam,
-                         "level": args.level, "n_sims": args.n_sims,
-                         "bootstrap": args.bootstrap,
-                         "keep_every": args.keep_every},
-                seed, digest, __version__, _now()).emit()
     if args.bootstrap:
         study = bootstrap_study(smp, args.bootstrap, args.keep_every, cfg)
         if args.json:
@@ -310,10 +292,8 @@ def cmd_risk(args) -> int:
 
 # --------------------------------------------------------------------- gof
 def cmd_gof(args) -> int:
-    smp, digest = _load(args)
-    seed = _resolve_seed(args)
-    RunManifest("gof", {"family": args.family, "n_boot": args.n_boot},
-                seed, digest, __version__, _now()).emit()
+    smp = _load(args)
+    seed = _manifest(args, smp)
     report = bootstrap_pvalue(smp, args.family, args.n_boot, RngStream(seed))
     if args.json:
         _emit(json.dumps({"command": "gof", "family": args.family, "seed": seed,
@@ -333,9 +313,8 @@ def cmd_gof(args) -> int:
 
 # ---------------------------------------------------------------- plotdata
 def cmd_plotdata(args) -> int:
-    smp, digest = _load(args)
-    RunManifest("plotdata", {"mode": args.mode}, None, digest,
-                __version__, _now()).emit()
+    smp = _load(args)
+    _manifest(args, smp)
     ftg = fit_ftg(smp)
     p_f, p_p = ftg.params, ftg.pareto_fit.params
     if args.mode == "survival":
@@ -372,10 +351,6 @@ def cmd_plotdata(args) -> int:
 
 
 # -------------------------------------------------------------------- main
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S%z")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ftg", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -439,7 +414,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"ftg: data error: {exc}", file=sys.stderr)
         return _EXIT_DATA
     except (FitError, NumericsError) as exc:

@@ -111,42 +111,47 @@ def read_dataset(path: str, column: int | str | None = None) -> Sample:
     NumPy's text reader parses the open file a line at a time, and a number
     it reads has the bits float() gives. Only a file that it or Sample
     refuses is read again, line by line with float(), to name the bad lines
-    or to read the tokens that only float() reads.
+    or to read the tokens that only float() reads. A file that is not
+    UTF-8 text is refused.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        if not fh.seekable():
-            # a pipe cannot be rewound after the sniff or for the line scan
-            fh = io.StringIO(fh.read())
-        # the CSV sniff reads the first five lines
-        head = [fh.readline() for _ in range(5)]
-        is_csv = str(path).lower().endswith(".csv") or any("," in ln for ln in head)
-        col, start = None, 0
-        if is_csv:
-            col = column if isinstance(column, int) else 0
-            header = [t.strip() for t in head[0].split(",")] if head[0] else []
-            if isinstance(column, str):
-                if column not in header:
-                    raise DataError(f"column {column!r} not found in {path}")
-                col = header.index(column)
-                start = 1
-            elif header and _try_float(header[min(col, len(header) - 1)]) is None:
-                start = 1  # unnamed numeric column under a header row
-        fh.seek(0)
-        try:
-            with warnings.catch_warnings():
-                # NumPy warns of a file without data rows; it is refused below
-                warnings.simplefilter("ignore", UserWarning)
-                # the handle, not the path: NumPy would open a path itself,
-                # decompressing .gz/.bz2/.xz and fetching URLs; squeeze(1)
-                # refuses rows of several whitespace-split fields, where
-                # ndmin=1 would read a lone row "1 2" as the values 1 and 2
-                values = np.loadtxt(fh, delimiter=None if col is None else ",",
-                                    usecols=col, skiprows=start, comments=None,
-                                    ndmin=2).squeeze(1)
-            return Sample(values)
-        # DataError is a ValueError; a column index past any int64 overflows
-        except (ValueError, OverflowError):
-            return _scan(fh, path, start, col)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if not fh.seekable():
+                # a pipe cannot be rewound after the sniff or for the line scan
+                fh = io.StringIO(fh.read())
+            # the CSV sniff reads the first five lines
+            head = [fh.readline() for _ in range(5)]
+            is_csv = str(path).lower().endswith(".csv") or any("," in ln for ln in head)
+            col, start = None, 0
+            if is_csv:
+                col = column if isinstance(column, int) else 0
+                header = [t.strip() for t in head[0].split(",")] if head[0] else []
+                if isinstance(column, str):
+                    if column not in header:
+                        raise DataError(f"column {column!r} not found in {path}")
+                    col = header.index(column)
+                    start = 1
+                elif header and _try_float(header[min(col, len(header) - 1)]) is None:
+                    start = 1  # unnamed numeric column under a header row
+            fh.seek(0)
+            try:
+                with warnings.catch_warnings():
+                    # NumPy warns of a file without data rows; it is refused below
+                    warnings.simplefilter("ignore", UserWarning)
+                    # the handle, not the path: NumPy would open a path itself,
+                    # decompressing .gz/.bz2/.xz and fetching URLs; squeeze(1)
+                    # refuses rows of several whitespace-split fields, where
+                    # ndmin=1 would read a lone row "1 2" as the values 1 and 2
+                    values = np.loadtxt(fh, delimiter=None if col is None else ",",
+                                        usecols=col, skiprows=start, comments=None,
+                                        ndmin=2).squeeze(1)
+                return Sample(values)
+            # DataError is a ValueError; a column index past any int64 overflows
+            except (ValueError, OverflowError):
+                return _scan(fh, path, start, col)
+    # a ValueError, which would pass for a bad request rather than bad data
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_external_fraud() -> Sample:

@@ -96,14 +96,12 @@ def loglik_ftg(sample, alpha: float, sigma: float, rho: float) -> float:
     Like every function here that takes (sample, sigma), it accepts the
     sample's SufficientStats at that sigma in place of the sample."""
     st = _stats(sample, sigma)
-    return _loglik_from_stats(st, alpha, rho)
+    return _loglik_from_stats(st, alpha, rho, log_upper_inc_gamma(alpha, rho))
 
 
 def _loglik_from_stats(st: SufficientStats, alpha: float, rho: float,
-                       d: float | None = None) -> float:
-    """Log-likelihood from statistics; d = log Gamma(alpha, rho) if known."""
-    if d is None:
-        d = log_upper_inc_gamma(alpha, rho)
+                       d: float) -> float:
+    """Log-likelihood from statistics, given d = log Gamma(alpha, rho)."""
     return -st.n * (
         d
         + math.log(st.sigma)
@@ -451,8 +449,10 @@ def fit_gamma(sample) -> FitResult:
     it in the closed-form bracket alpha in [1/(2 gap), 1/gap]."""
     x = Sample.coerce(sample).values
     n = x.size
-    if n < 2 or np.any(x <= 0.0):
-        raise FitError("gamma fit needs >= 2 strictly positive observations")
+    if n < 2:
+        raise FitError("gamma fit needs >= 2 observations")
+    if np.any(x <= 0.0):
+        raise FitError("gamma fit needs every observation > 0")
     xbar = float(x.mean())
     mean_log = float(np.log(x).mean())
     gap = math.log(xbar) - mean_log  # > 0 unless degenerate

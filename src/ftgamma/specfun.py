@@ -408,10 +408,9 @@ class IncGammaEval:
     log_value_up: float
 
 
-def d_rho(alpha: float, rho: float, log_value: float | None = None) -> float:
-    """Closed-form d/d_rho of log Gamma(alpha, rho): -rho^(a-1) e^-rho / Gamma."""
-    if log_value is None:
-        log_value = log_upper_inc_gamma(alpha, rho)
+def d_rho(alpha: float, rho: float, log_value: float) -> float:
+    """Closed-form d/d_rho of log Gamma(alpha, rho): -rho^(a-1) e^-rho / Gamma,
+    given log_value = log Gamma(alpha, rho)."""
     return -math.exp((alpha - 1.0) * math.log(rho) - rho - log_value)
 
 

@@ -23,6 +23,10 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def manifest_of(err):
+    return json.loads(err.splitlines()[0])["manifest"]
+
+
 class TestFit:
     def test_bundled_all_matches_reference_table(self, capsys):
         code, out, err = run_cli(capsys, "fit", "--bundled", "--family", "all",
@@ -73,7 +77,7 @@ class TestFit:
         path.write_text("1.0\n0\n2.5\n")
         code, _, err = run_cli(capsys, "fit", "--data", str(path), "--family", "gamma")
         assert code == 3
-        assert "ftg: numerical failure:" in err
+        assert "ftg: numerical failure: gamma fit needs every observation > 0" in err
 
     def test_bundled_gamma_fit(self, capsys, losses):
         want = ftgamma.fit_gamma(losses)
@@ -90,21 +94,53 @@ class TestFit:
         assert payload["pareto"] is None and payload["ftg"] is None
         assert payload["gamma"] == json.loads(json.dumps(want.to_dict()))
 
-    def test_data_digest_reads_file_in_blocks(self, tmp_path):
-        # the manifest digest is the SHA-256 of the whole file, though the
-        # file is hashed 1 MB at a time
-        import argparse
+    def test_data_digest_hashes_the_values(self, capsys, tmp_path):
+        # the digest is taken from the values analysed, not the file's
+        # bytes: a plain file and a CSV column of the same values share it,
+        # and two columns of one CSV do not
         import hashlib
 
-        from ftgamma.cli import _load
+        x = np.random.default_rng(8).pareto(1.0, 200)
+        plain = tmp_path / "losses.txt"
+        plain.write_text("\n".join(map(repr, x.tolist())) + "\n")
+        csv = tmp_path / "losses.csv"
+        csv.write_text("year,loss\n" + "".join(f"{2000 + i},{v!r}\n"
+                                               for i, v in enumerate(x.tolist())))
+        want = hashlib.sha256(x.astype(np.float64).tobytes()).hexdigest()[:16]
+        digests = {}
+        for path, column in [(plain, None), (csv, "loss"), (csv, "year")]:
+            argv = ["--column", column] if column else []
+            code, _, err = run_cli(capsys, "fit", "--data", str(path),
+                                   "--family", "pareto", *argv)
+            assert code == 0
+            digests[column] = manifest_of(err)["input_digest"]
+        assert digests[None] == digests["loss"] == want
+        assert digests["year"] != want
 
-        path = tmp_path / "large.txt"
-        x = np.random.default_rng(8).pareto(1.0, 100_000)
-        path.write_text("\n".join(map(repr, x.tolist())) + "\n")
-        assert path.stat().st_size > 1 << 20
-        smp, digest = _load(argparse.Namespace(bundled=False, data=str(path), column=None))
-        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-        assert np.array_equal(smp.values, x)
+    def test_data_read_from_a_pipe(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ftgamma.cli", "fit", "--data", "/dev/stdin"],
+            input=(Path(ftgamma.__file__).parent / "data" / "external_fraud.txt").read_text(),
+            capture_output=True, text=True, timeout=120, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_module("fit", "--bundled", timeout=120).stdout
+        assert manifest_of(proc.stderr)["input_digest"] == "27bfde434be7c0e2"
+
+    def test_directory_is_data_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "fit", "--data", str(tmp_path))
+        assert code == 2
+        assert err.startswith("ftg: data error:")
+        assert "Traceback" not in err
+
+    # the sniff reads the first lines; NumPy's reader and the line scan
+    # meet a bad byte past the first 8 KiB that the sniff decodes
+    @pytest.mark.parametrize("head", [0, 5000], ids=["sniff", "reader"])
+    def test_non_utf8_is_data_error(self, capsys, tmp_path, head):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1.5\n" * head + b"\xff2.5\n3.5\n")
+        code, _, err = run_cli(capsys, "fit", "--data", str(path))
+        assert code == 2
+        assert err == f"ftg: data error: {path}: not UTF-8 text (invalid start byte)\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--data", "/nonexistent/x.txt")
@@ -160,8 +196,7 @@ class TestSample:
         code, out, err = run_cli(capsys, "sample", "--family", "pareto",
                                  "--alpha", "-0.5", "--sigma", "1", "-n", "2")
         assert code == 0
-        manifest = json.loads(err.splitlines()[0])["manifest"]
-        assert manifest["seed"] is not None
+        assert manifest_of(err)["seed"] is not None
 
     def test_vanishing_truncation_terminates(self):
         # rho = 1e-20 once made the shifted exponential's rate 0 and the
@@ -175,12 +210,39 @@ class TestSample:
     def test_manifest_fields(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--bundled", "--family", "pareto")
         assert code == 0
-        manifest = json.loads(err.splitlines()[0])["manifest"]
+        manifest = manifest_of(err)
         assert manifest["command"] == "fit"
-        assert manifest["parameters"]["family"] == "pareto"
-        assert manifest["input_digest"]
+        assert manifest["parameters"] == {"bundled": True, "column": None, "data": None,
+                                          "family": "pareto", "json": False, "out": None}
+        assert manifest["input_digest"] == "27bfde434be7c0e2"
+        assert manifest["seed"] is None
         assert manifest["tool_version"]
         assert manifest["timestamp"]
+
+
+class TestManifest:
+    # the parameters are keyed by argparse dest: --lambda is lam
+    @pytest.mark.parametrize("argv, other, dest", [
+        (("fit", "--bundled"), ("--json",), "json"),
+        (("plotdata", "--bundled", "--mode", "histogram", "--bins-per-decade", "4"),
+         ("--bins-per-decade", "6"), "bins_per_decade"),
+        (("risk", "--bundled", "--n-sims", "20000", "--seed", "1", "--lambda", "20"),
+         ("--lambda", "30"), "lam"),
+    ], ids=["json", "bins", "lambda"])
+    def test_manifest_records_every_argument(self, capsys, argv, other, dest):
+        # runs whose stdout differs must not share a manifest
+        manifests, outs = [], []
+        for extra in ((), other):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert code == 0
+            manifest = manifest_of(err)
+            del manifest["timestamp"]
+            manifests.append(manifest)
+            outs.append(out)
+        assert outs[0] != outs[1]
+        before, after = (m.pop("parameters") for m in manifests)
+        assert manifests[0] == manifests[1]
+        assert {k for k in before if before[k] != after[k]} == {dest}
 
 
 class TestRisk:

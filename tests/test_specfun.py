@@ -119,7 +119,7 @@ class TestIncGammaEval:
             assert ev.d_rho_rho == pytest.approx(closed, rel=1e-8)
             # against a second-difference oracle too
             h = 1e-4 * max(r, 0.01)
-            fd = central_diff(lambda t: d_rho(a, t), r, h)
+            fd = central_diff(lambda t: d_rho(a, t, log_upper_inc_gamma(a, t)), r, h)
             assert ev.d_rho_rho == pytest.approx(fd, rel=2e-5)
 
     def test_second_alpha_derivative_fd(self):
