@@ -4,13 +4,17 @@ Every command writes its primary output (plain text or ``--json``) to stdout
 or ``--out``, and a one-line JSON run manifest to stderr. The manifest
 records the command, every parsed argument, the seed, a digest of the
 values analysed and the version; identical manifests (timestamp aside)
-produce byte-identical primary output. Exit codes: 0 success, 1 usage,
-2 data error, 3 numerical failure.
+produce byte-identical primary output. Each ``cmd_*`` returns its exit code,
+JSON payload and text; ``main`` alone renders one of them and writes it.
+``--out`` is opened before the work, as a shell's ``>`` would be, so a run
+that fails leaves it empty. Exit codes: 0 success, 1 usage, request or
+output error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -30,10 +34,6 @@ from .sample import RngStream, sample_ftg
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
 _EXIT_NUMERIC = 3
-
-
-class UsageError(Exception):
-    """A flag value that parses but makes no sense (negative rate, n = 0...)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,14 +79,6 @@ def _load(args) -> Sample:
     return read_dataset(args.data, column=column)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
 def _add_data_args(p: _Parser) -> None:
     p.add_argument("--data", help="path to a loss file (plain or single-column CSV)")
     p.add_argument("--bundled", action="store_true",
@@ -104,18 +96,13 @@ def _add_common(p: _Parser) -> None:
 def _fit_text(pareto: FitResult | None, ftg: FitResult | None,
               gamma: FitResult | None, lrt) -> str:
     lines = []
-    if pareto is not None:
-        pp = pareto.params
-        lines.append("Pareto distribution")
-        lines.append(f"  alpha  {pp.alpha:12.4f}   (s.e. {pareto.std_errors[0]:.4f})")
-        lines.append(f"  sigma  {pp.sigma:12.4f}   (s.e. {pareto.std_errors[1]:.4f})")
-        lines.append(f"  loglik {pareto.loglik:12.4f}   converged={pareto.converged}")
-    if gamma is not None:
-        gp = gamma.params
-        lines.append("Gamma distribution")
-        lines.append(f"  alpha  {gp.alpha:12.4f}   (s.e. {gamma.std_errors[0]:.4f})")
-        lines.append(f"  theta  {gp.theta:12.4f}   (s.e. {gamma.std_errors[1]:.4f})")
-        lines.append(f"  loglik {gamma.loglik:12.4f}   converged={gamma.converged}")
+    for name, fit, scale in (("Pareto", pareto, "sigma"), ("Gamma", gamma, "theta")):
+        if fit is not None:
+            se = fit.std_errors
+            lines.append(f"{name} distribution")
+            lines.append(f"  alpha  {fit.params.alpha:12.4f}   (s.e. {se[0]:.4f})")
+            lines.append(f"  {scale}  {getattr(fit.params, scale):12.4f}   (s.e. {se[1]:.4f})")
+            lines.append(f"  loglik {fit.loglik:12.4f}   converged={fit.converged}")
     if ftg is not None:
         fp = ftg.params
         lines.append("FTG distribution")
@@ -137,7 +124,7 @@ def _fit_text(pareto: FitResult | None, ftg: FitResult | None,
     return "\n".join(lines)
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> tuple[int, dict, str]:
     smp = _load(args)
     _manifest(args, smp)
     pareto = ftg = gamma = None
@@ -152,202 +139,160 @@ def cmd_fit(args) -> int:
         # the FTG fit made the Pareto fit as an edge candidate
         pareto = ftg.pareto_fit
         lrt = lrt_pareto_vs_ftg(ftg)
-    if args.json:
-        payload = {
-            "command": "fit",
-            "family": args.family,
-            "pareto": pareto.to_dict() if pareto else None,
-            "ftg": ftg.to_dict() if ftg else None,
-            "gamma": gamma.to_dict() if gamma else None,
-            "lrt": {"statistic": lrt[0], "p_value": lrt[1]} if lrt else None,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        _emit(_fit_text(pareto, ftg, gamma, lrt), args.out)
+    payload = {
+        "family": args.family,
+        "pareto": pareto.to_dict() if pareto else None,
+        "ftg": ftg.to_dict() if ftg else None,
+        "gamma": gamma.to_dict() if gamma else None,
+        "lrt": {"statistic": lrt[0], "p_value": lrt[1]} if lrt else None,
+    }
     failed = any(f.failed for f in (pareto, ftg, gamma) if f is not None)
-    return _EXIT_NUMERIC if failed else 0
+    return (_EXIT_NUMERIC if failed else 0), payload, _fit_text(pareto, ftg, gamma, lrt)
 
 
 # ------------------------------------------------------------------ sample
 def _params_from_args(args) -> FtgParams:
     if args.family == "pareto":
         if args.sigma is None:
-            raise UsageError("pareto needs --alpha and --sigma")
+            raise ValueError("pareto needs --alpha and --sigma")
         return FtgParams.pareto(args.alpha, args.sigma)
     if args.family == "gamma":
         if args.theta is None:
-            raise UsageError("gamma needs --alpha and --theta")
+            raise ValueError("gamma needs --alpha and --theta")
         return FtgParams.gamma(args.alpha, args.theta)
     if args.rho is None:
-        raise UsageError("ftg needs --rho (plus --theta or --sigma)")
+        raise ValueError("ftg needs --rho (plus --theta or --sigma)")
     if (args.theta is None) == (args.sigma is None):
-        raise UsageError("ftg needs exactly one of --theta or --sigma")
+        raise ValueError("ftg needs exactly one of --theta or --sigma")
     if args.theta is not None:
         return FtgParams(args.alpha, args.theta, args.rho)
     return FtgParams.from_sigma(args.alpha, args.sigma, args.rho)
 
 
-def cmd_sample(args) -> int:
-    if args.n < 1:
-        raise UsageError("-n must be >= 1")
+def cmd_sample(args) -> tuple[int, dict, str]:
     params = _params_from_args(args)
     seed = _manifest(args, None)
     batch = sample_ftg(params, args.n, RngStream(seed))
-    if args.json:
-        payload = {
-            "command": "sample",
-            "seed": seed,
-            "n": args.n,
-            "acceptance_rate": batch.acceptance_rate,
-            "values": batch.values.tolist(),
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        _emit("\n".join(f"{v:.12g}" for v in batch.values), args.out)
-    return 0
+    values = batch.values.tolist()
+    payload = {"seed": seed, "n": args.n, "acceptance_rate": batch.acceptance_rate,
+               "values": values}
+    return 0, payload, "\n".join(f"{v:.12g}" for v in values)
 
 
 # -------------------------------------------------------------------- risk
-def cmd_risk(args) -> int:
-    if args.lam is not None and args.lam <= 0:
-        raise UsageError("--lambda must be > 0")
-    if args.bootstrap is not None and (args.bootstrap < 1 or args.keep_every < 1):
-        raise UsageError("--bootstrap and --keep-every must be >= 1")
+def _bootstrap_report(study, seed: int) -> tuple[int, dict, str]:
+    rows = []
+    lines = [
+        "          Pareto distribution             FTG distribution",
+        "sample    alpha   sigma   risk capital    alpha  ln(theta)  ln(rho)  risk capital",
+    ]
+    for r in study.all_rows():
+        rows.append({
+            "sample_id": r.sample_id,
+            "ok": r.ok,
+            "error": r.error,
+            "pareto": r.pareto_fit.to_dict() if r.pareto_fit else None,
+            "pareto_risk_capital": r.pareto_risk_capital,
+            "ftg": r.ftg_fit.to_dict() if r.ftg_fit else None,
+            "ftg_risk_capital": r.ftg_risk_capital,
+        })
+        tag = "orig" if r.sample_id == 0 else f"{r.sample_id:4d}"
+        if not r.ok:
+            lines.append(f"{tag:>6}    fit failed: {r.error}")
+            continue
+        pp, fp = r.pareto_fit.params, r.ftg_fit.params
+        if fp.is_interior:
+            lth, lrh = math.log(fp.theta), math.log(fp.rho)
+            ftg_cols = f"{fp.alpha:+7.3f} {lth:9.3f} {lrh:9.3f}  {r.ftg_risk_capital:12.2f}"
+        else:
+            ftg_cols = (f"{fp.alpha:+7.3f}  ({fp.regime} boundary)  "
+                        f"{r.ftg_risk_capital:12.2f}")
+        lines.append(
+            f"{tag:>6}  {pp.alpha:+7.3f} {pp.sigma:7.3f}   {r.pareto_risk_capital:12.4g} "
+            f"   {ftg_cols}"
+        )
+    payload = {"mode": "bootstrap", "selection_rule": study.selection_rule,
+               "rows": rows, "seed": seed}
+    return 0, payload, "\n".join(lines)
+
+
+def cmd_risk(args) -> tuple[int, dict, str]:
     smp = _load(args)
     seed = _manifest(args, smp)
     cfg = RiskConfig(lam=args.lam, quantile_level=args.level,
                      n_sims=args.n_sims, seed=seed)
-    if args.bootstrap:
-        study = bootstrap_study(smp, args.bootstrap, args.keep_every, cfg)
-        if args.json:
-            rows = []
-            for r in study.all_rows():
-                rows.append({
-                    "sample_id": r.sample_id,
-                    "ok": r.ok,
-                    "error": r.error,
-                    "pareto": r.pareto_fit.to_dict() if r.pareto_fit else None,
-                    "pareto_risk_capital": r.pareto_risk_capital,
-                    "ftg": r.ftg_fit.to_dict() if r.ftg_fit else None,
-                    "ftg_risk_capital": r.ftg_risk_capital,
-                })
-            payload = {"command": "risk", "mode": "bootstrap",
-                       "selection_rule": study.selection_rule, "rows": rows,
-                       "seed": seed}
-            _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        else:
-            lines = [
-                "          Pareto distribution             FTG distribution",
-                "sample    alpha   sigma   risk capital    alpha  ln(theta)  ln(rho)  risk capital",
-            ]
-            for r in study.all_rows():
-                tag = "orig" if r.sample_id == 0 else f"{r.sample_id:4d}"
-                if not r.ok:
-                    lines.append(f"{tag:>6}    fit failed: {r.error}")
-                    continue
-                pp, fp = r.pareto_fit.params, r.ftg_fit.params
-                if fp.is_interior:
-                    lth, lrh = math.log(fp.theta), math.log(fp.rho)
-                    ftg_cols = f"{fp.alpha:+7.3f} {lth:9.3f} {lrh:9.3f}  {r.ftg_risk_capital:12.2f}"
-                else:
-                    ftg_cols = (f"{fp.alpha:+7.3f}  ({fp.regime} boundary)  "
-                                f"{r.ftg_risk_capital:12.2f}")
-                lines.append(
-                    f"{tag:>6}  {pp.alpha:+7.3f} {pp.sigma:7.3f}   {r.pareto_risk_capital:12.4g} "
-                    f"   {ftg_cols}"
-                )
-            _emit("\n".join(lines), args.out)
-        return 0
+    # not truthiness: --bootstrap 0 is a request bootstrap_study refuses
+    if args.bootstrap is not None:
+        return _bootstrap_report(
+            bootstrap_study(smp, args.bootstrap, args.keep_every, cfg), seed)
     report = risk_capital(smp, args.family, cfg)
     if report.infinite_mean_severity:
         print("warning: fitted severity has infinite mean; capital estimates "
               "for it are intrinsically unstable", file=sys.stderr)
-    if args.json:
-        _emit(json.dumps({"command": "risk", **report.to_dict()},
-                         indent=2, sort_keys=True), args.out)
+    fit = report.fit
+    p = fit.params
+    lines = [f"severity family: {args.family}"]
+    if fit.family == "pareto":
+        lines.append(f"  alpha={p.alpha:.4f} sigma={p.sigma:.4f}")
+    elif p.is_gamma:
+        # sigma = rho / theta is 0 on this edge: theta sets the scale
+        lines.append(f"  alpha={p.alpha:.4f} theta={p.theta:.4e}")
     else:
-        fit = report.fit
-        p = fit.params
-        lines = [f"severity family: {args.family}"]
-        if fit.family == "pareto":
-            lines.append(f"  alpha={p.alpha:.4f} sigma={p.sigma:.4f}")
-        elif p.is_gamma:
-            # sigma = rho / theta is 0 on this edge: theta sets the scale
-            lines.append(f"  alpha={p.alpha:.4f} theta={p.theta:.4e}")
-        else:
-            lines.append(f"  alpha={p.alpha:.4f} sigma={p.sigma:.4f} rho={p.rho:.4e}")
-        lines.append(f"loglik {fit.loglik:.4f}")
-        lines.append(f"aggregate quantiles (lambda={args.lam}, {args.n_sims} sims, seed={seed}):")
-        for lvl, q in sorted(report.aggregate_quantiles.items()):
-            lines.append(f"  {lvl:7.4f}  {q:14.2f}")
-        lines.append(f"risk capital ({args.level:.4f}): {report.risk_capital:.2f}")
-        te = report.tail_expectation
-        lines.append(
-            "expected loss beyond risk capital: "
-            + (f"{te:.2f}" if math.isfinite(te) else "infinite")
-        )
-        _emit("\n".join(lines), args.out)
-    return 0
+        lines.append(f"  alpha={p.alpha:.4f} sigma={p.sigma:.4f} rho={p.rho:.4e}")
+    lines.append(f"loglik {fit.loglik:.4f}")
+    lines.append(f"aggregate quantiles (lambda={args.lam}, {args.n_sims} sims, seed={seed}):")
+    for lvl, q in sorted(report.aggregate_quantiles.items()):
+        lines.append(f"  {lvl:7.4f}  {q:14.2f}")
+    lines.append(f"risk capital ({args.level:.4f}): {report.risk_capital:.2f}")
+    te = report.tail_expectation
+    lines.append(
+        "expected loss beyond risk capital: "
+        + (f"{te:.2f}" if math.isfinite(te) else "infinite")
+    )
+    return 0, report.to_dict(), "\n".join(lines)
 
 
 # --------------------------------------------------------------------- gof
-def cmd_gof(args) -> int:
+def cmd_gof(args) -> tuple[int, dict, str]:
     smp = _load(args)
     seed = _manifest(args, smp)
     report = bootstrap_pvalue(smp, args.family, args.n_boot, RngStream(seed))
-    if args.json:
-        _emit(json.dumps({"command": "gof", "family": args.family, "seed": seed,
-                          **report.to_dict()}, indent=2, sort_keys=True), args.out)
-    else:
-        _emit(
-            "\n".join([
-                f"family: {args.family}   bootstrap replicates: {report.n_bootstrap}"
-                f" (failures: {report.n_refit_failures})",
-                f"W^2 = {report.w2:.4f}   p = {report.p_w2:.4f}",
-                f"A^2 = {report.a2:.4f}   p = {report.p_a2:.4f}",
-            ]),
-            args.out,
-        )
-    return 0
+    payload = {"family": args.family, "seed": seed, **report.to_dict()}
+    return 0, payload, "\n".join([
+        f"family: {args.family}   bootstrap replicates: {report.n_bootstrap}"
+        f" (failures: {report.n_refit_failures})",
+        f"W^2 = {report.w2:.4f}   p = {report.p_w2:.4f}",
+        f"A^2 = {report.a2:.4f}   p = {report.p_a2:.4f}",
+    ])
 
 
 # ---------------------------------------------------------------- plotdata
-def cmd_plotdata(args) -> int:
+def cmd_plotdata(args) -> tuple[int, dict, str]:
     smp = _load(args)
     _manifest(args, smp)
     ftg = fit_ftg(smp)
     p_f, p_p = ftg.params, ftg.pareto_fit.params
     if args.mode == "survival":
-        rows = ["x empirical ftg pareto"]
-        for x, s_emp in zip(*empirical_survival(smp)):
-            rows.append(
-                f"{x:.6g} {s_emp:.6f} {survival(p_f, float(x)):.6e} "
-                f"{survival(p_p, float(x)):.6e}"
-            )
+        header, emp_format, model = "x empirical ftg pareto", ".6f", survival
+        points, empirical = empirical_survival(smp)
     else:
+        origin, per_decade = args.origin, args.bins_per_decade
         if args.preset == "cyclone":
-            hist = log_binned_histogram(smp, decade_origin=8.0, bins_per_decade=5)
-        else:
-            origin = args.origin
-            if origin is None:
-                origin = math.floor(math.log10(float(smp.values[smp.values > 0].min())))
-            hist = log_binned_histogram(smp, decade_origin=origin,
-                                        bins_per_decade=args.bins_per_decade)
-        rows = ["p density ftg pareto"]
-        for pt, dens in zip(hist.eval_points, hist.densities):
-            rows.append(
-                f"{pt:.6g} {dens:.6e} {pdf(p_f, float(pt)):.6e} "
-                f"{pdf(p_p, float(pt)):.6e}"
-            )
-    if args.json:
-        header = rows[0].split()
-        data = [[float(tok) for tok in r.split()] for r in rows[1:]]
-        _emit(json.dumps({"command": "plotdata", "mode": args.mode,
-                          "columns": header, "rows": data},
-                         indent=2, sort_keys=True), args.out)
-    else:
-        _emit("\n".join(rows), args.out)
-    return 0
+            origin, per_decade = 8.0, 5
+        elif origin is None:
+            origin = math.floor(math.log10(float(smp.values[smp.values > 0].min())))
+        hist = log_binned_histogram(smp, decade_origin=origin, bins_per_decade=per_decade)
+        header, emp_format, model = "p density ftg pareto", ".6e", pdf
+        points, empirical = hist.eval_points, hist.densities
+    rows = [header]
+    for x, emp in zip(points, empirical):
+        rows.append(
+            f"{x:.6g} {emp:{emp_format}} {model(p_f, float(x)):.6e} "
+            f"{model(p_p, float(x)):.6e}"
+        )
+    payload = {"mode": args.mode, "columns": rows[0].split(),
+               "rows": [[float(tok) for tok in r.split()] for r in rows[1:]]}
+    return 0, payload, "\n".join(rows)
 
 
 # -------------------------------------------------------------------- main
@@ -409,23 +354,41 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _fail(code: int, message: str) -> int:
+    print(f"ftg: {message}", file=sys.stderr)
+    return code
+
+
+def _run(args) -> tuple[int, str | None]:
+    """Run the command: its exit code and report, or None for a refused request."""
+    try:
+        code, payload, text = args.func(args)
+    except (DataError, OSError) as exc:  # a command reads no file but its data
+        return _fail(_EXIT_DATA, f"data error: {exc}"), None
+    except (FitError, NumericsError) as exc:
+        return _fail(_EXIT_NUMERIC, f"numerical failure: {exc}"), None
+    except ValueError as exc:
+        return _fail(_EXIT_USAGE, f"invalid request: {exc}"), None
+    if args.json:
+        return code, json.dumps({"command": args.command, **payload},
+                                indent=2, sort_keys=True)
+    return code, text
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"ftg: data error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except (FitError, NumericsError) as exc:
-        print(f"ftg: numerical failure: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
-    except UsageError as exc:
-        print(f"ftg: usage error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except ValueError as exc:
-        print(f"ftg: invalid request: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        # opened before the work, as a shell's > would be: a run that fails
+        # leaves the file empty
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as out:
+            code, report = _run(args)
+            if report is not None:
+                print(report, file=out)
+    except OSError as exc:
+        return _fail(_EXIT_USAGE, f"cannot write {'--out' if args.out else 'stdout'}: {exc}")
+    return code
 
 
 if __name__ == "__main__":

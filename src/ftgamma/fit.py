@@ -129,7 +129,8 @@ def _score_from_stats(st: SufficientStats, ev, alpha: float, rho: float):
     n = st.n
     l_a = -n * (ev.d_alpha - math.log(rho) - st.s_bar)
     l_s = -n * (1.0 / st.sigma - (alpha - 1.0) * st.s_bar_sigma + rho * st.r_bar_sigma)
-    l_r = -n * (ev.d_rho - alpha / rho + st.r_bar)
+    # -R in place of d_rho - alpha/rho, which cancels (see the inner solve)
+    l_r = -n * (st.r_bar - _ratio(ev, rho))
     return l_a, l_s, l_r
 
 
@@ -143,9 +144,12 @@ def observed_information(sample, alpha: float, sigma: float, rho: float) -> np.n
 
 def _information_from_stats(st: SufficientStats, ev, alpha: float, rho: float) -> np.ndarray:
     n = st.n
+    # the (alpha, rho) block is J diag(1, 1/rho), free of the cancelling
+    # d_rho_rho + alpha/rho^2 and d_alpha_rho - 1/rho
+    j11, _, j21, j22 = _inner_jacobian(ev, rho, _ratio(ev, rho))
     m = np.array(
         [
-            [ev.d_alpha_alpha, -st.s_bar_sigma, ev.d_alpha_rho - 1.0 / rho],
+            [j11, -st.s_bar_sigma, j21],
             [
                 -st.s_bar_sigma,
                 -1.0 / st.sigma**2
@@ -153,7 +157,7 @@ def _information_from_stats(st: SufficientStats, ev, alpha: float, rho: float) -
                 + rho * st.r_bar_sigma_sigma,
                 st.r_bar_sigma,
             ],
-            [ev.d_alpha_rho - 1.0 / rho, st.r_bar_sigma, ev.d_rho_rho + alpha / rho**2],
+            [j21, st.r_bar_sigma, j22 / rho],
         ]
     )
     return n * m
@@ -308,6 +312,11 @@ def _check_interior_exists(st: SufficientStats) -> None:
         raise InnerBoundaryError(st.sigma, st.s_bar, st.r_bar)
 
 
+def _ratio(ev, rho: float) -> float:
+    """R = Gamma(alpha+1, rho) / (rho Gamma(alpha, rho)) from one evaluation."""
+    return math.exp(ev.log_value_up - math.log(rho) - ev.log_value)
+
+
 def _inner_jacobian(ev, rho: float, ratio: float):
     """Jacobian of the inner scores (g1, g2) in (alpha, log rho), from the
     partials of log Gamma(alpha, rho) and R = Gamma(alpha+1, rho) /
@@ -334,9 +343,8 @@ def _inner_solve_stats(st: SufficientStats, max_iter: int):
         # R = Gamma(alpha+1, rho) / (rho Gamma(alpha, rho)); d_rho - alpha/rho
         # equals -R by the recurrence, but only the ratio form never cancels.
         # Both logs come from one special-function pass
-        log_rho = math.log(rho)
-        g1 = ev.d_alpha - log_rho - st.s_bar
-        ratio = math.exp(ev.log_value_up - log_rho - ev.log_value)
+        g1 = ev.d_alpha - math.log(rho) - st.s_bar
+        ratio = _ratio(ev, rho)
         g2 = st.r_bar - ratio
         j11, j12, j21, j22 = _inner_jacobian(ev, rho, ratio)
         det = j11 * j22 - j12 * j21

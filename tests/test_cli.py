@@ -132,6 +132,17 @@ class TestFit:
         assert err.startswith("ftg: data error:")
         assert "Traceback" not in err
 
+    def test_unreadable_file_is_data_error(self, capsys, monkeypatch):
+        # chmod cannot deny a read to root, so the reader is replaced
+        def denied(path, column=None):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(ftgamma.cli, "read_dataset", denied)
+        code, out, err = run_cli(capsys, "fit", "--data", "losses.txt")
+        assert code == 2
+        assert out == ""
+        assert err == "ftg: data error: [Errno 13] Permission denied: 'losses.txt'\n"
+
     # the sniff reads the first lines; NumPy's reader and the line scan
     # meet a bad byte past the first 8 KiB that the sniff decodes
     @pytest.mark.parametrize("head", [0, 5000], ids=["sniff", "reader"])
@@ -170,6 +181,58 @@ class TestFit:
         assert code in (0, 3)
 
 
+class TestOut:
+    # --out receives the bytes stdout would, and is opened before the work
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--bundled", "--family", "pareto"),
+        ("sample", "--family", "ftg", "--alpha", "-0.2", "--sigma", "1", "--rho",
+         "0.02", "-n", "5", "--seed", "9"),
+        ("risk", "--bundled", "--family", "pareto", "--n-sims", "20000", "--seed", "5"),
+        ("gof", "--bundled", "--family", "pareto", "--n-boot", "99", "--seed", "5"),
+        ("plotdata", "--bundled", "--mode", "survival"),
+    ], ids=lambda argv: argv[0])
+    def test_file_gets_the_stdout_bytes(self, capsys, tmp_path, argv, fmt):
+        code, out, _ = run_cli(capsys, *argv, *fmt)
+        assert code == 0
+        target = tmp_path / "report"
+        code, to_stdout, _ = run_cli(capsys, *argv, *fmt, "--out", str(target))
+        assert code == 0
+        assert to_stdout == ""
+        assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_path_fails_before_the_fit(self, capsys, tmp_path, monkeypatch,
+                                                  where):
+        def no_fit(_):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(ftgamma.cli, "fit_ftg", no_fit)
+        target = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, "fit", "--bundled", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ftg: cannot write --out: ")
+        assert len(err.splitlines()) == 1
+
+    def test_failed_run_leaves_the_file_empty(self, capsys, tmp_path):
+        target = tmp_path / "fit.txt"
+        target.write_text("an earlier report\n")
+        code, _, err = run_cli(capsys, "fit", "--data", str(tmp_path / "none.txt"),
+                               "--out", str(target))
+        assert code == 2
+        assert "data error" in err
+        assert target.read_bytes() == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_is_an_output_error(self):
+        proc = run_module("fit", "--bundled", "--family", "pareto", "--out", "/dev/full",
+                          timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("ftg: cannot write --out: ")
+
+
 class TestSample:
     def test_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, "sample", "--family", "ftg",
@@ -182,15 +245,18 @@ class TestSample:
         assert out1 == out2
         assert len(out1.strip().splitlines()) == 5
 
-    def test_zero_n_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "sample", "--family", "pareto",
-                               "--alpha", "-0.5", "--sigma", "1", "-n", "0")
+    def test_zero_n_is_invalid_request(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--family", "pareto",
+                                 "--alpha", "-0.5", "--sigma", "1", "-n", "0")
         assert code == 1
+        assert out == ""
+        assert err.endswith("ftg: invalid request: n must be >= 1, got 0\n")
 
-    def test_missing_param_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "sample", "--family", "ftg",
-                             "--alpha", "-0.2", "-n", "3")
+    def test_missing_param_is_invalid_request(self, capsys):
+        code, _, err = run_cli(capsys, "sample", "--family", "ftg",
+                               "--alpha", "-0.2", "-n", "3")
         assert code == 1
+        assert err == "ftg: invalid request: ftg needs --rho (plus --theta or --sigma)\n"
 
     def test_unseeded_run_reports_seed(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--family", "pareto",
@@ -333,9 +399,19 @@ class TestRisk:
         assert code == 1
         assert "ftg: invalid request: quantile_level must be in (0, 1)" in err
 
-    def test_nonpositive_lambda_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "risk", "--bundled", "--lambda", "0")
+    def test_nonpositive_lambda_is_invalid_request(self, capsys):
+        code, out, err = run_cli(capsys, "risk", "--bundled", "--lambda", "0")
         assert code == 1
+        assert out == ""
+        assert err.endswith("ftg: invalid request: lambda must be > 0, got 0.0\n")
+
+    def test_zero_bootstrap_is_invalid_request(self, capsys):
+        # --bootstrap 0 asks for a study, not for the single-risk report
+        code, out, err = run_cli(capsys, "risk", "--bundled", "--bootstrap", "0",
+                                 "--n-sims", "20000", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.endswith("ftg: invalid request: need n_bootstrap >= keep_every >= 1\n")
 
 
 class TestGof:

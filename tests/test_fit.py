@@ -195,6 +195,23 @@ class TestObservedInformation:
             fd = -fd_hessian(lambda v: loglik_ftg(losses, *v), (a, s, r))
             assert np.max(np.abs(info - fd)) < 1e-3 * np.max(np.abs(fd)), (a, s, r)
 
+    @pytest.mark.parametrize("alpha, rho", [(-1.5, 1e-5), (-0.5, 1e-10), (-0.2, 1e-8),
+                                            ("fit", "fit")])
+    def test_rho_rho_entry_against_mpmath(self, ftg_fit, alpha, rho):
+        # the (rho, rho) entry is n (d_rho_rho + alpha/rho^2), whose two terms
+        # nearly cancel at small rho; the reference takes the second
+        # rho-derivative of log Gamma(alpha, rho) in closed form at 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        if alpha == "fit":
+            alpha, rho = ftg_fit.params.alpha, ftg_fit.params.rho
+        smp = Sample(np.array([1.0, 2.0, 5.0]))
+        got = observed_information(smp, alpha, 1.0, rho)[2, 2] / smp.values.size
+        with mpmath.workdps(60):
+            a, r = mpmath.mpf(alpha), mpmath.mpf(rho)
+            h = r**a * mpmath.exp(-r) / mpmath.gammainc(a, r)  # -rho d_rho
+            want = -(h / r) * ((a - 1) / r - 1) - (h / r) ** 2 + a / r**2
+            assert abs((got - want) / want) < 1e-11
+
     def test_alpha_standard_error_near_reference(self, losses, ftg_fit):
         # reference: s.e.(alpha) = 0.16; sigma 0.59 and rho 6.2e-4 are not
         # reproducible from the observed information at the exact optimum
