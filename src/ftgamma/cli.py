@@ -21,6 +21,7 @@ import math
 import secrets
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .data import DataError, Sample, load_external_fraud, read_dataset
@@ -28,7 +29,7 @@ from .dist import FtgParams, pdf, survival
 from .errors import FitError, NumericsError
 from .fit import FitResult, fit_ftg, fit_gamma, fit_pareto, lrt_pareto_vs_ftg
 from .gof import bootstrap_pvalue, empirical_survival, log_binned_histogram
-from .risk import RiskConfig, bootstrap_study, risk_capital
+from .risk import RiskConfig, _check_study, bootstrap_study, risk_capital
 from .sample import RngStream, sample_ftg
 
 _EXIT_USAGE = 1
@@ -217,11 +218,14 @@ def _bootstrap_report(study, seed: int) -> tuple[int, dict, str]:
 
 
 def cmd_risk(args) -> tuple[int, dict, str]:
+    # the request is checked before --data is read; the seed comes after
+    cfg = RiskConfig(lam=args.lam, quantile_level=args.level, n_sims=args.n_sims)
+    # not truthiness: --bootstrap 0 is a request the study refuses
+    if args.bootstrap is not None:
+        _check_study(args.bootstrap, args.keep_every)
     smp = _load(args)
     seed = _manifest(args, smp)
-    cfg = RiskConfig(lam=args.lam, quantile_level=args.level,
-                     n_sims=args.n_sims, seed=seed)
-    # not truthiness: --bootstrap 0 is a request bootstrap_study refuses
+    cfg = replace(cfg, seed=seed)
     if args.bootstrap is not None:
         return _bootstrap_report(
             bootstrap_study(smp, args.bootstrap, args.keep_every, cfg), seed)
@@ -273,8 +277,9 @@ def cmd_plotdata(args) -> tuple[int, dict, str]:
     ftg = fit_ftg(smp)
     p_f, p_p = ftg.params, ftg.pareto_fit.params
     if args.mode == "survival":
-        header, emp_format, model = "x empirical ftg pareto", ".6f", survival
+        header, emp_format = "x empirical ftg pareto", ".6f"
         points, empirical = empirical_survival(smp)
+        fitted = [survival(p, points).tolist() for p in (p_f, p_p)]
     else:
         origin, per_decade = args.origin, args.bins_per_decade
         if args.preset == "cyclone":
@@ -282,17 +287,14 @@ def cmd_plotdata(args) -> tuple[int, dict, str]:
         elif origin is None:
             origin = math.floor(math.log10(float(smp.values[smp.values > 0].min())))
         hist = log_binned_histogram(smp, decade_origin=origin, bins_per_decade=per_decade)
-        header, emp_format, model = "p density ftg pareto", ".6e", pdf
+        header, emp_format = "p density ftg pareto", ".6e"
         points, empirical = hist.eval_points, hist.densities
-    rows = [header]
-    for x, emp in zip(points, empirical):
-        rows.append(
-            f"{x:.6g} {emp:{emp_format}} {model(p_f, float(x)):.6e} "
-            f"{model(p_p, float(x)):.6e}"
-        )
-    payload = {"mode": args.mode, "columns": rows[0].split(),
-               "rows": [[float(tok) for tok in r.split()] for r in rows[1:]]}
-    return 0, payload, "\n".join(rows)
+        fitted = [[pdf(p, x) for x in points.tolist()] for p in (p_f, p_p)]
+    rows = [list(r) for r in zip(points.tolist(), empirical.tolist(), *fitted)]
+    lines = [header] + [f"{x:.6g} {emp:{emp_format}} {f:.6e} {q:.6e}"
+                        for x, emp, f, q in rows]
+    payload = {"mode": args.mode, "columns": header.split(), "rows": rows}
+    return 0, payload, "\n".join(lines)
 
 
 # -------------------------------------------------------------------- main

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .specfun import log_upper_inc_gamma
 
 _INTERIOR = "interior"
@@ -185,25 +187,40 @@ def pdf(p: FtgParams, x: float) -> float:
     return math.exp(log_pdf(p, x))
 
 
-def _log_survival(p: FtgParams, x: float) -> float:
-    """log P(X > x) for x > 0, as a gamma ratio (never from the cdf)."""
+def _log_survival(p: FtgParams, x):
+    """log P(X > x) for x > 0, a number or an array, as a gamma ratio (never
+    from the cdf)."""
     if p.is_pareto:
-        return p.alpha * math.log1p(x / p.sigma)
+        return p.alpha * np.log1p(x / p.sigma)
     return log_upper_inc_gamma(p.alpha, p.rho + p.theta * x) - p.log_norm
 
 
-def survival(p: FtgParams, x: float) -> float:
-    """P(X > x) = Gamma(alpha, rho + theta x) / Gamma(alpha, rho)."""
-    if x <= 0.0:
-        return 1.0
-    return math.exp(_log_survival(p, x))
+def _tail(p: FtgParams, x, upper: bool):
+    """P(X > x) if upper, else P(X <= x), for a number x or elementwise over
+    an array of them."""
+    if np.ndim(x) == 0:
+        if x <= 0.0:
+            return 1.0 if upper else 0.0
+        log_s = float(_log_survival(p, float(x)))
+        return math.exp(log_s) if upper else -math.expm1(log_s)
+    x = np.asarray(x, dtype=float)
+    log_s = np.zeros(x.shape)
+    pos = ~(x <= 0.0)  # NaN goes to log_upper_inc_gamma, which refuses it
+    log_s[pos] = _log_survival(p, x[pos])
+    # 0 - expm1 keeps P(X <= 0) = +0.0
+    return np.exp(log_s) if upper else 0.0 - np.expm1(log_s)
 
 
-def cdf(p: FtgParams, x: float) -> float:
-    """P(X <= x) = 1 - Gamma(alpha, rho + theta x) / Gamma(alpha, rho)."""
-    if x <= 0.0:
-        return 0.0
-    return -math.expm1(_log_survival(p, x))
+def survival(p: FtgParams, x):
+    """P(X > x) = Gamma(alpha, rho + theta x) / Gamma(alpha, rho), for a
+    number x or elementwise over an array of them."""
+    return _tail(p, x, True)
+
+
+def cdf(p: FtgParams, x):
+    """P(X <= x) = 1 - Gamma(alpha, rho + theta x) / Gamma(alpha, rho), for a
+    number x or elementwise over an array of them."""
+    return _tail(p, x, False)
 
 
 def quantile(p: FtgParams, prob: float) -> float:

@@ -46,12 +46,13 @@ def cvm_ad_statistics(sample, model: FtgParams) -> tuple[float, float]:
     z_i = F(x_(i)) on the sorted sample;
     W^2 = sum (z_i - (2i-1)/(2n))^2 + 1/(12n),
     A^2 = -n - (1/n) sum (2i-1)(log z_i + log(1 - z_(n+1-i))).
-    Transforms exactly at 0 or 1 are clamped to the representable open
-    interval (with a warning) so A^2 stays finite.
+    The transforms are one array call of cdf. Transforms exactly at 0 or 1
+    are clamped to the representable open interval (with a warning) so A^2
+    stays finite.
     """
     smp = Sample.coerce(sample)
     xs = smp.sorted()
-    z = np.array([cdf(model, float(v)) for v in xs])
+    z = cdf(model, xs)
     if np.any(z <= 0.0) or np.any(z >= 1.0):
         warnings.warn("probability transforms hit 0 or 1 exactly; clamped")
         z = np.clip(z, _Z_CLAMP, 1.0 - _Z_CLAMP)

@@ -183,6 +183,12 @@ def _simulate_row(row: BootstrapRow, cfg: RiskConfig, rng: RngStream) -> Bootstr
                    ftg_risk_capital=rc_f.risk_capital)
 
 
+def _check_study(n_bootstrap: int, keep_every: int) -> None:
+    """Refuse a study that would keep no row (ValueError)."""
+    if keep_every < 1 or n_bootstrap < keep_every:
+        raise ValueError("need n_bootstrap >= keep_every >= 1")
+
+
 def bootstrap_study(sample, n_bootstrap: int, keep_every: int,
                     cfg: RiskConfig) -> BootstrapStudy:
     """Resample-with-replacement stability study of both risk capitals.
@@ -194,8 +200,7 @@ def bootstrap_study(sample, n_bootstrap: int, keep_every: int,
     fails are listed last, in sample-id order, with their error recorded
     rather than aborting the study.
     """
-    if keep_every < 1 or n_bootstrap < keep_every:
-        raise ValueError("need n_bootstrap >= keep_every >= 1")
+    _check_study(n_bootstrap, keep_every)
     smp = Sample.coerce(sample)
     rng = RngStream(cfg.seed)
     resample_gen = rng.child(0).generator

@@ -319,8 +319,7 @@ def test_criterion_6f_sampler_ks():
     worst_p = 1.0
     for i, p in enumerate(pts):
         batch = sample_ftg(p, 1_500, RngStream(906, i))
-        cv = np.vectorize(lambda x: cdf(p, float(x)))
-        worst_p = min(worst_p, float(kstest(batch.values, cv).pvalue))
+        worst_p = min(worst_p, float(kstest(batch.values, lambda x: cdf(p, x)).pvalue))
     report(
         "criterion 6f: sampler distributional KS checks",
         worst_p > 0.01,

@@ -405,6 +405,20 @@ class TestRisk:
         assert out == ""
         assert err.endswith("ftg: invalid request: lambda must be > 0, got 0.0\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("--lambda", "0"), ("--level", "1.5"), ("--n-sims", "100"),
+        ("--bootstrap", "0"), ("--bootstrap", "5", "--keep-every", "0"),
+    ], ids=["lambda", "level", "n-sims", "bootstrap", "keep-every"])
+    def test_request_is_refused_before_the_data_are_read(self, capsys, tmp_path, argv):
+        # a file with an unparseable line would be a data error (exit 2):
+        # the request is refused first
+        path = tmp_path / "bad.txt"
+        path.write_text("1.0\nfoo\n2.5\n")
+        code, out, err = run_cli(capsys, "risk", "--data", str(path), *argv)
+        assert code == 1
+        assert out == ""
+        assert "ftg: invalid request:" in err and "data error" not in err
+
     def test_zero_bootstrap_is_invalid_request(self, capsys):
         # --bootstrap 0 asks for a study, not for the single-risk report
         code, out, err = run_cli(capsys, "risk", "--bundled", "--bootstrap", "0",
@@ -533,6 +547,19 @@ class TestPlotdata:
         payload = json.loads(out)
         assert payload["columns"] == ["x", "empirical", "ftg", "pareto"]
         assert len(payload["rows"]) == 40
+
+    @pytest.mark.parametrize("mode", ["survival", "histogram"])
+    def test_json_rows_carry_the_computed_floats(self, capsys, mode):
+        # full double precision, not the text's six digits
+        code, out, _ = run_cli(capsys, "plotdata", "--bundled", "--mode", mode, "--json")
+        assert code == 0
+        rows = np.array(json.loads(out)["rows"])
+        fit = ftgamma.fit_ftg(ftgamma.load_external_fraud())
+        if mode == "survival":
+            assert (rows[:, 2] == ftgamma.survival(fit.params, rows[:, 0])).all()
+            assert (rows[:, 3] == ftgamma.survival(fit.pareto_fit.params, rows[:, 0])).all()
+        else:
+            assert rows[:, 2].tolist() == [ftgamma.pdf(fit.params, x) for x in rows[:, 0]]
 
     def test_bootstrap_json(self, capsys):
         code, out, _ = run_cli(capsys, "risk", "--bundled", "--bootstrap", "4",

@@ -119,6 +119,19 @@ class TestCdfSurvival:
             for x in (0.01, 1.0, 7.3):
                 assert cdf(p, x) + survival(p, x) == pytest.approx(1.0, abs=1e-12)
 
+    def test_arrays_match_numbers(self):
+        # one array call per law, its points on both sides of the continued
+        # fraction's seam and at x <= 0, against one call per point
+        xs = np.array([[-1.0, 0.0, 1e-3, 0.01, 1.0], [7.3, 50.0, 400.0, 891.62, 1e4]])
+        for p in GRID + [FTG_REF, PARETO_REF]:
+            for f in (cdf, survival):
+                got = f(p, xs)
+                assert got.shape == xs.shape
+                want = [[f(p, float(x)) for x in row] for row in xs]
+                assert got == pytest.approx(np.array(want), rel=1e-14, abs=1e-300), (p, f)
+        assert cdf(FTG_REF, xs)[0, :2].tolist() == [0.0, 0.0]
+        assert survival(FTG_REF, xs)[0, :2].tolist() == [1.0, 1.0]
+
     def test_monotone(self):
         xs = np.linspace(0, 50, 200)
         for p in (FTG_REF, PARETO_REF):

@@ -29,6 +29,7 @@ from ftgamma.data import read_dataset
 from ftgamma.errors import FitError
 from ftgamma.specfun import inc_gamma_eval, log_upper_inc_gamma
 
+from fit_parity import BUNDLED_LAW, compare
 from helpers import fit_result_from_dict, near_constant_sample
 from oracles import fd_gradient, fd_hessian, loglik_sample_free
 
@@ -244,8 +245,7 @@ class TestInnerSolve:
         alphas = np.linspace(a_hat - 0.5, a_hat + 0.5, 400)
         rhos = np.exp(np.linspace(math.log(r_hat) - 2, math.log(r_hat) + 2, 400))
         st = sufficient_stats(losses, sigma)
-        d = np.array([[log_upper_inc_gamma(float(a), float(r)) for r in rhos]
-                      for a in alphas])
+        d = np.array([log_upper_inc_gamma(float(a), rhos) for a in alphas])
         A = alphas[:, None]
         R = rhos[None, :]
         ll = -st.n * (
@@ -431,6 +431,18 @@ class TestFitFtg:
         fit = fit_ftg(Sample(vals))
         assert fit.converged
         assert abs(fit.params.alpha - 2.0) < 3.0 * fit.std_errors[0]
+
+    def test_second_start_runs_where_the_gamma_edge_leads(self):
+        # replicate b = 3 of gof --bundled --family ftg --seed 1010: the walk
+        # from the Pareto fit's sigma finds an interior point above the
+        # Pareto fit, but the gamma edge leads, and the profile's higher mode
+        # is found only by the walk from the sample mean (without it the fit
+        # stops at loglik -179.329420)
+        vals = ftg_rvs(BUNDLED_LAW, 40, RngStream(1010).child(4))
+        fit = fit_ftg(Sample(vals))
+        assert fit_gamma(Sample(vals)).loglik > fit.pareto_fit.loglik
+        assert fit.boundary is None
+        assert fit.loglik == pytest.approx(-179.238284, abs=1e-6)
 
     def test_exponential_data_handled_on_ridge(self):
         # exponential data lives where the gamma and Pareto boundaries meet:
@@ -744,7 +756,9 @@ class TestFitFtg:
         monkeypatch.setattr(ftgamma.fit, "sufficient_stats", counting)
         fit = fit_ftg(losses)
         assert fit.boundary is None
-        assert len(calls) == fit.pareto_fit.iterations + 1 + fit.iterations == 20
+        # 15: the first walk beats the Pareto fit, which is the better edge,
+        # so the second start is skipped
+        assert len(calls) == fit.pareto_fit.iterations + 1 + fit.iterations == 15
 
     def test_fit_holds_no_copy_of_the_data(self, ftg_fit):
         # the fit searches the sample itself: beside it, only the mask of
@@ -956,3 +970,29 @@ class TestFitResultJson:
         assert d["params"].keys() == self.FOUR
         assert d["params"]["family"] == "ftg"
         assert d["params"]["rho"] == 0.0 and d["params"]["theta"] > 0.0
+
+
+class TestParityCompare:
+    def test_reports_falls_flags_errors_and_iterations(self, tmp_path, capsys):
+        old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+        line = "{}: boundary={} converged=True alpha=1.0 sigma=2.0 rho=3.0 loglik={} iterations={}"
+        old.write_text("\n".join([line.format("a", "None", "-10.0", 9),
+                                  line.format("b", "None", "-10.0", 9),
+                                  line.format("c", "None", "-10.0", 9),
+                                  "d: FitError stalled", line.format("e", "None", "-1.0", 1)]))
+        new.write_text("\n".join([line.format("a", "None", "-10.0000000001", 5),
+                                  line.format("b", "None", "-10.00001", 5),
+                                  line.format("c", "gamma", "-9.0", 5),
+                                  line.format("d", "None", "-3.0", 4)]))
+        assert compare(str(old), str(new)) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "1 keys only in old, the first 'e'",
+            "loglik fell: b: -10.0 -> -10.00001 (1e-05)",
+            "flag changed: c: boundary None -> gamma",
+            "error changed: d: FitError stalled -> fit",
+            "old: iterations 27 over the 4 keys of both files",
+            "new: iterations 19 over the 4 keys of both files",
+        ]
+        assert compare(str(new), str(new)) == 0
+
