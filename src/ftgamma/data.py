@@ -21,26 +21,39 @@ def _refused(v: np.ndarray) -> np.ndarray:
     return ~np.isfinite(v) | (v < 0.0)
 
 
+def _frozen(values, copy: bool) -> np.ndarray:
+    """values as a checked, read-only 1-d float array; a copy when asked."""
+    v = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise DataError("sample must be a nonempty 1-d collection")
+    refused = _refused(v)
+    if refused.any():
+        what = "negative" if np.isfinite(v[refused]).all() else "non-finite"
+        raise DataError(f"sample contains {what} values")
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class Sample:
     """Nonnegative exceedance observations: the one container for every
     dataset, whether bundled, read from a file, resampled or simulated. The
-    values are a read-only 1-d float copy.
+    values are a read-only 1-d float array: a copy of a caller's array, and
+    the array itself where the library made it for this Sample.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise DataError("sample must be a nonempty 1-d collection")
-        refused = _refused(v)
-        if refused.any():
-            what = "negative" if np.isfinite(v[refused]).all() else "non-finite"
-            raise DataError(f"sample contains {what} values")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(self.values, copy=True))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "Sample":
+        """A Sample that holds values itself, without a copy: only for an
+        array made for it that no one else keeps a writeable reference to."""
+        smp = object.__new__(cls)
+        object.__setattr__(smp, "values", _frozen(values, copy=False))
+        return smp
 
     @classmethod
     def coerce(cls, x) -> "Sample":
@@ -60,7 +73,7 @@ class Sample:
 
     def resample(self, gen: np.random.Generator) -> "Sample":
         idx = gen.integers(0, len(self), size=len(self))
-        return Sample(self.values[idx])
+        return Sample._adopt(self.values[idx])
 
 
 def _try_float(token: str) -> float | None:
@@ -96,7 +109,7 @@ def _scan(fh, path, start: int, col: int | None) -> Sample:
             f"{path}: {bad.size} unparseable/non-finite/negative entries "
             f"(lines {head}{', ...' if bad.size > 10 else ''})"
         )
-    return Sample(np.frombuffer(values))
+    return Sample._adopt(np.frombuffer(values))
 
 
 def read_dataset(path: str, column: int | str | None = None) -> Sample:
@@ -145,7 +158,7 @@ def read_dataset(path: str, column: int | str | None = None) -> Sample:
                     values = np.loadtxt(fh, delimiter=None if col is None else ",",
                                         usecols=col, skiprows=start, comments=None,
                                         ndmin=2).squeeze(1)
-                return Sample(values)
+                return Sample._adopt(values)
             # DataError is a ValueError; a column index past any int64 overflows
             except (ValueError, OverflowError):
                 return _scan(fh, path, start, col)

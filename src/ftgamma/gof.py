@@ -84,7 +84,7 @@ def bootstrap_pvalue(sample, family: str, n_boot: int, rng: RngStream) -> GofRep
     done = 0
     for b in range(n_boot):
         sub = rng.child(b + 1)
-        sim = Sample(ftg_rvs(model, n, sub))
+        sim = Sample._adopt(ftg_rvs(model, n, sub))
         try:
             refit = _fit_family(sim, family)
             w2_b, a2_b = cvm_ad_statistics(sim, refit.params)

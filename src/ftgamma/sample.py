@@ -11,6 +11,16 @@ composition envelope for alpha < 1 with rho < 1, whose acceptance tends to
 Both envelopes share one accept-and-fill loop, which proposes in blocks of
 at most ``_BLOCK`` candidates, so that every temporary stays cache-sized
 and a request for n variates holds little beyond its n-element result.
+Each envelope splits a block into ``draw(k)``, which makes every generator
+call, and ``judge(drawn)``, pure arithmetic that returns the candidates and
+their acceptance. Where the process may use two CPUs, the blocks that the
+loop would certainly draw at the full ``_BLOCK`` size are drawn on a helper
+thread, up to ``_AHEAD`` blocks ahead, while the caller judges; NumPy
+releases the GIL for both. The generator makes the same calls in the same
+order either way, so the variates, the attempt count and the generator's
+end position are bit for bit those of the serial loop, and no block is
+drawn that the serial loop would not draw. A request for fewer than
+_BLOCK * (1 + 1 / _OVERDRAW), about 1.1e5, variates starts no thread.
 The two-piece envelope computes its power-law piece densely with in-place
 ufuncs, recycling the pick uniform as that piece's inversion uniform, and
 draws the exponential piece only at the positions that picked it. The
@@ -23,6 +33,8 @@ variates with the envelope's attempt count.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +44,9 @@ from .dist import FtgParams
 _BLOCK = 1 << 16
 # proposals per still-missing variate in each block
 _OVERDRAW = 1.5
+# blocks the helper thread may draw ahead of the one being judged: with two,
+# the slower stage, the generator's, never waits for the caller to wake
+_AHEAD = 2
 
 
 @dataclass
@@ -41,7 +56,10 @@ class RngStream:
     Identical keys reproduce identical variate sequences; distinct keys give
     statistically independent streams (counter-based Philox under a
     SeedSequence). A stream owns its generator state: do not share one
-    instance between concurrent tasks, derive children instead.
+    instance between concurrent tasks, derive children instead. Within one
+    request the sampler may hand the generator to a helper thread, which
+    draws blocks ahead while the calling thread leaves the generator alone:
+    one thread at a time uses it.
     """
 
     seed: int
@@ -74,34 +92,97 @@ class SampleBatch:
     acceptance_rate: float
 
 
-def _accept_and_fill(propose, n: int):
+def _block(missing: int) -> int:
+    """Proposals in the next block: _OVERDRAW per missing variate, within
+    [1024, _BLOCK]."""
+    return int(min(max(_OVERDRAW * missing, 1024), _BLOCK))
+
+
+def _may_use_two_cpus() -> bool:
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) > 1
+
+
+def _draw_ahead(draw, asks, results):
+    """The helper thread: draw(k) for each k asked, in order, until k = 0;
+    a draw that raises passes its exception on in place of the block."""
+    for k in iter(asks.get, 0):
+        try:
+            results.put(draw(k))
+        except BaseException as exc:  # raised again by the caller
+            results.put(exc)
+
+
+def _accept_and_fill(draw, judge, n: int):
     """The first n accepted proposals, in proposal order, and the number of
     proposals up to the one that completed the batch.
 
-    propose(k) draws k proposals and returns (t, accept); each block holds
-    _OVERDRAW times the number of variates still missing, within
+    draw(k) makes every generator call for a block of k proposals and
+    judge(drawn) turns it into (t, accept) without the generator. Each
+    block holds _OVERDRAW times the number of variates still missing, within
     [1024, _BLOCK]. The cap keeps the envelope's temporaries (a few arrays
     of k doubles) in cache: one block for a whole large request would
     allocate, page-fault and stream each of them through memory, and hold
     them all at once next to the result.
+
+    A block is certain to be drawn, at exactly _BLOCK, when the blocks
+    before it leave at least _BLOCK / _OVERDRAW variates missing even if
+    they accept every proposal: n - filled - (proposals drawn but not yet
+    folded) >= _BLOCK / _OVERDRAW. Where the process may use two CPUs, a
+    helper thread draws such blocks, up to _AHEAD of them ahead, while this
+    thread judges and folds; every other block is drawn here, after the
+    helper's blocks are folded. The generator sees the same calls in the
+    same order on either path, so the values, the attempts and its end
+    position are bit-identical to the serial loop, and no block is drawn
+    that the serial loop would not draw. The helper starts only for a
+    request whose first test passes, and is joined on every exit.
     """
     out = np.empty(n)
     filled = 0
     attempts = 0
-    while filled < n:
-        k = int(min(max(_OVERDRAW * (n - filled), 1024), _BLOCK))
-        t, acc = propose(k)
-        hits = np.flatnonzero(acc)
-        need = n - filled
-        if hits.size >= need:
-            attempts += int(hits[need - 1]) + 1
-            out[filled:n] = t[hits[:need]]
-            filled = n
-        else:
+    k = _block(n)
+    drawn = draw(k)
+    # the variates still missing only shrink, so the test passes for a
+    # prefix of the blocks or for none: the first block's test decides
+    helper = None
+    if n - k >= _BLOCK / _OVERDRAW and _may_use_two_cpus():
+        import queue  # imported here: only a request that draws ahead needs it
+
+        asks, results = queue.SimpleQueue(), queue.SimpleQueue()
+        helper = threading.Thread(target=_draw_ahead, args=(draw, asks, results),
+                                  daemon=True)
+        helper.start()
+    queued = 0  # blocks asked of the helper and not yet taken
+    try:
+        while True:
+            while (helper is not None and queued < _AHEAD
+                   and n - filled - k - queued * _BLOCK >= _BLOCK / _OVERDRAW):
+                asks.put(_BLOCK)
+                queued += 1
+            t, acc = judge(drawn)
+            hits = np.flatnonzero(acc)
+            need = n - filled
+            if hits.size >= need:
+                attempts += int(hits[need - 1]) + 1
+                out[filled:n] = t[hits[:need]]
+                return out, attempts
             attempts += k
             out[filled:filled + hits.size] = t[hits]
             filled += hits.size
-    return out, attempts
+            if queued:
+                k, drawn = _BLOCK, results.get()
+                queued -= 1
+                if isinstance(drawn, BaseException):
+                    raise drawn
+            else:
+                k = _block(n - filled)
+                drawn = draw(k)
+    finally:
+        if helper is not None:
+            asks.put(0)
+            helper.join()
 
 
 def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
@@ -129,12 +210,15 @@ def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
         t_hat = rho
     log_m = (alpha - 1.0) * math.log(t_hat) - one_m * t_hat
 
-    def propose(k: int):
-        t = rho + gen.standard_exponential(k) / lam
-        u = gen.random(k)
+    def draw(k: int):
+        return gen.standard_exponential(k), gen.random(k)
+
+    def judge(drawn):
+        e, u = drawn
+        t = rho + e / lam
         return t, u <= np.exp((alpha - 1.0) * np.log(t) - one_m * t - log_m)
 
-    return _accept_and_fill(propose, n)
+    return _accept_and_fill(draw, judge, n)
 
 
 def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
@@ -156,16 +240,14 @@ def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
         log_m1 = -rho - alpha * log_ratio + math.log(expm / alpha)
     p1 = 1.0 / (1.0 + math.exp(-1.0 - log_m1))  # m1 / (m1 + m2)
 
-    def exp_piece(k: int):
-        # T = 1 + Exp(1) and its acceptance ratio T^(alpha - 1)
-        t = gen.standard_exponential(k)
-        t += 1.0
-        return t, t ** (alpha - 1.0)
-
-    def propose(k: int):
+    def draw(k: int):
         u = gen.random(k)
         w = gen.random(k)
         other = np.flatnonzero(u >= p1)
+        return u, w, other, gen.standard_exponential(other.size)
+
+    def judge(drawn):
+        u, w, other, t = drawn
         u[other] = 0.0
         # in place, by inversion on (rho, 1] with v = u / p1 uniform on
         # [0, 1) given u < p1: T = rho (1 + v expm1(alpha ln(1/rho)))^(1/alpha),
@@ -180,10 +262,13 @@ def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
         u *= rho
         ratio = np.subtract(rho, u)
         np.exp(ratio, out=ratio)
-        u[other], ratio[other] = exp_piece(other.size)
+        # the exponential piece: T = 1 + Exp(1), acceptance ratio T^(alpha - 1)
+        t += 1.0
+        u[other] = t
+        ratio[other] = t ** (alpha - 1.0)
         return u, np.less_equal(w, ratio)
 
-    return _accept_and_fill(propose, n)
+    return _accept_and_fill(draw, judge, n)
 
 
 def _draw(p: FtgParams, n: int, gen: np.random.Generator):

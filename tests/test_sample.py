@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -212,3 +215,167 @@ class TestBulkSampler:
         for i, (p, digest) in enumerate(self.PINNED):
             vals = ftg_rvs(p or ftg_fit.params, 300_000, RngStream(77, i))
             assert hashlib.sha256(vals.tobytes()).hexdigest() == digest, (i, p)
+
+
+class _FaultyGenerator:
+    """A generator whose fill number fail_at (counting every random and
+    standard_exponential call) raises, or with short=True returns one value
+    too few, which the envelope's arithmetic then refuses; it counts the
+    fills and records the thread of the faulty one."""
+
+    def __init__(self, gen, fail_at, short=False):
+        self._gen, self._left, self._short = gen, fail_at, short
+        self.fills = 0
+        self.faulty_thread = None
+
+    def _fill(self, name, k):
+        self.fills += 1
+        self._left -= 1
+        if self._left == 0:
+            self.faulty_thread = threading.current_thread()
+            if not self._short:
+                raise _DrawFailed(name)
+            k -= 1
+        return getattr(self._gen, name)(k)
+
+    def random(self, k):
+        return self._fill("random", k)
+
+    def standard_exponential(self, k):
+        return self._fill("standard_exponential", k)
+
+
+class _DrawFailed(RuntimeError):
+    pass
+
+
+def _cpus(monkeypatch, cpus):
+    """Let the sampler see `cpus` usable CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class TestDrawAhead:
+    """The next block is drawn on a helper thread while the caller judges
+    the current one; every figure below is that of the serial loop."""
+
+    # captured at the commit before the draw-ahead, from the serial loop:
+    # the SHA-256 of ftg_rvs(law, n, RngStream(seed, stream)).tobytes(), the
+    # attempts of sample_ftg on the same stream, and the generator's next
+    # random() after either call. 65536 * 2 + 17 draws end in serial steps;
+    # None is the bundled fit (two-piece envelope); (1.7, 1, 0.5) is the
+    # shifted exponential at its optimal rate, (-0.2, 0.5, 1) at rate 1
+    PINNED = [
+        (None, 2_000_000, (77, 9),
+         "552a6b8bd932c1c0e6c1fe21c85a7b2d76288c934e8c639031d9d593ef58be7e",
+         2_135_028, 0.8127784386989783),
+        (None, 65536 * 2 + 17, (78, 0),
+         "f93d43e846c4357d50b49fbc48b7d78091b89ac0615e8a8cbf07396e3405d5d9",
+         140_044, 0.7490720588672485),
+        (FtgParams(1.7, 1.0, 0.5), 65536 * 2 + 17, (78, 1),
+         "4056ff6e4c4fd885fd342bb1cadf6b4b350810e7056c3eed0528cce9a92b5ab5",
+         151_393, 0.0542238647468547),
+        (FtgParams(-0.2, 0.5, 1.0), 65536 * 2 + 17, (78, 2),
+         "b2212eaef495d22663dc55da9bb9471ed1d93a0d23d9c26c467d8a0d7c50fb83",
+         239_719, 0.2914411074136809),
+    ]
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_pinned_from_the_serial_loop(self, ftg_fit, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        for p, n, key, digest, attempts, after in self.PINNED:
+            p = p or ftg_fit.params
+            rng = RngStream(*key)
+            vals = ftg_rvs(p, n, rng)
+            assert hashlib.sha256(vals.tobytes()).hexdigest() == digest, (p, n)
+            assert rng.generator.random() == after, (p, n)
+            rng = RngStream(*key)
+            assert sample_ftg(p, n, rng).attempts == attempts, (p, n)
+            assert rng.generator.random() == after, (p, n)
+
+    def test_concurrent_requests_under_fast_switching(self, ftg_fit, monkeypatch):
+        # more requests than cores, each with its own helper, with the
+        # interpreter switching threads every 10 us: a block handed over out
+        # of order or lost would change the bits or hang
+        _cpus(monkeypatch, 2)
+        got = {}
+
+        def run(i, p, n, key):
+            got[i] = hashlib.sha256(ftg_rvs(p or ftg_fit.params, n, RngStream(*key)).tobytes())
+
+        workers = [threading.Thread(target=run, args=(i, p, n, key))
+                   for i, (p, n, key, *_) in enumerate(self.PINNED[1:] * 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for i, (_, _, _, digest, *_) in enumerate(self.PINNED[1:] * 2):
+            assert got[i].hexdigest() == digest, i
+
+    def _count_threads(self, monkeypatch):
+        started = []
+        real = threading.Thread
+
+        def counting(*args, **kwargs):
+            started.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", counting)
+        return started
+
+    def test_one_block_starts_no_thread(self, ftg_fit, monkeypatch):
+        _cpus(monkeypatch, 2)
+        started = self._count_threads(monkeypatch)
+        ftg_rvs(ftg_fit.params, 40, RngStream(1))
+        sample_ftg(FtgParams(1.7, 1.0, 0.5), 40, RngStream(1))
+        assert started == []
+        ftg_rvs(ftg_fit.params, 200_000, RngStream(1))
+        assert started == [1]  # one helper for the whole request
+
+    def test_one_cpu_starts_no_thread(self, ftg_fit, monkeypatch):
+        _cpus(monkeypatch, 1)
+        started = self._count_threads(monkeypatch)
+        ftg_rvs(ftg_fit.params, 2_000_000, RngStream(1))
+        ftg_rvs(FtgParams(1.7, 1.0, 0.5), 200_000, RngStream(1))
+        assert started == []
+
+    def test_large_request_leaves_no_thread(self, ftg_fit, monkeypatch):
+        _cpus(monkeypatch, 2)
+        before = threading.active_count()
+        ftg_rvs(ftg_fit.params, 2_000_000, RngStream(2))
+        assert threading.active_count() == before
+
+    # fills per block: two-piece u, w, exponential; shifted exponential
+    # exponential, uniform. Block 1 is drawn by the caller, later ones by
+    # the helper
+    @pytest.mark.parametrize("law, fail_at, on_helper", [
+        (None, 3, False),
+        (None, 4, True),
+        (FtgParams(1.7, 1.0, 0.5), 3, True),
+    ])
+    def test_draw_failure_reaches_the_caller(self, ftg_fit, monkeypatch, law, fail_at, on_helper):
+        _cpus(monkeypatch, 2)
+        gen = _FaultyGenerator(RngStream(3).generator, fail_at)
+        monkeypatch.setattr(RngStream, "generator", property(lambda self: gen))
+        before = threading.active_count()
+        with pytest.raises(_DrawFailed):
+            ftg_rvs(law or ftg_fit.params, 2_000_000, RngStream(3))
+        assert threading.active_count() == before
+        assert (gen.faulty_thread is not threading.main_thread()) == on_helper
+
+    def test_judge_failure_joins_the_drawing_helper(self, ftg_fit, monkeypatch):
+        # block 2's uniforms come one short: the caller's arithmetic on them
+        # raises while the helper draws blocks 3 and 4, asked ahead
+        _cpus(monkeypatch, 2)
+        gen = _FaultyGenerator(RngStream(3).generator, 4, short=True)
+        monkeypatch.setattr(RngStream, "generator", property(lambda self: gen))
+        before = threading.active_count()
+        with pytest.raises(ValueError):
+            ftg_rvs(ftg_fit.params, 2_000_000, RngStream(3))
+        assert threading.active_count() == before
+        assert gen.fills == 12  # blocks 1-4, three fills each
