@@ -26,10 +26,11 @@ def _frozen(values, copy: bool) -> np.ndarray:
     v = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DataError("sample must be a nonempty 1-d collection")
-    refused = _refused(v)
-    if refused.any():
-        what = "negative" if np.isfinite(v[refused]).all() else "non-finite"
-        raise DataError(f"sample contains {what} values")
+    # one full-length boolean temporary at a time, and no mask
+    if not np.isfinite(v).all():
+        raise DataError("sample contains non-finite values")
+    if not (v >= 0.0).all():
+        raise DataError("sample contains negative values")
     v.flags.writeable = False
     return v
 

@@ -28,28 +28,34 @@ on the step-down chain it is the previous link, and at the small-shape
 anchor the series' terms t_k give it as Gamma(1 + a) + x^a sum k t_k, the
 lower series of Gamma(a + 1, x) with no pole to cancel. Off the chain it
 takes one more value-only evaluation at alpha + 1. Against mpmath it is
-within 4.0e-14 where the inner solve reads it, the error of a separate
+within 4.1e-14 where the inner solve reads it, the error of a separate
 value-only call at alpha + 1 there.
 
-Each branch has two implementations. The value-and-partials ones above work
-on one float at a time, for the inner solve's per-call latency; they serve
-only inc_gamma_eval. Every value-only evaluation, log_upper_inc_gamma on a
-number or an array and d_up off the chain, runs the array ones below: the
-branch is picked per element by mask, the lower and small-shape series run
-over all their elements at once until the slowest has converged, and the
-step-down chain walks them together. The continued fraction alone runs
-element by element (see _cf_values). A number runs the same code on NumPy
-scalars, at a cost: on a 2-core x86_64 machine (median of 8 alternating
-runs), a number takes 19.9 us at (-0.2, 0.3) against 10.7 us on the former
-float-only value branches, and 58.7 us at (-0.2, 1.2) against 40.2 us,
-while the 40 probability transforms of the bundled fit take 133 us in one
-call against 426 us as 40 calls.
+Each branch has one implementation, for one float rho or a 1-D array of
+rho at one shape, and picks its namespace once per call. A float computes
+in Python floats with NumPy's exp, expm1, log and log1p (see _FLOAT), so it
+rounds as the same element of an array does, and takes its branch by if.
+An array computes in NumPy and takes its branches by mask: the lower and
+small-shape series run over all their elements at once until the largest
+rho's term has settled, and the step-down chain walks them together. The
+continued fraction runs element by element (see _continued_fraction). The
+partials and log Gamma(alpha + 1, rho) are computed only when
+inc_gamma_eval asks for them, on a float. On a 2-core x86_64 machine
+(Python 3.11, NumPy 2.4; medians of 15 alternating in-process rounds), a
+number takes 3.7 us at (-0.2, 4e-4) and 3.5 us at (1.5, 0.5), against 10.9
+and 12.0 us when it ran the array code on NumPy scalars and 3.3 and 3.2 us
+on the former float-only value code, which rounded with math.
+inc_gamma_eval takes 19.4 us per call over perfbench/micro.py's grid,
+against 24.1 us when its d_up off the chain ran the array code on NumPy
+scalars; on the chain NumPy's rounding costs it up to 13% (9.2 against
+8.1 us at (-0.45, 1e-8)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -126,13 +132,27 @@ def digamma_trigamma(x: float) -> tuple[float, float]:
     return psi, psi1
 
 
-def _log_continued_fraction(alpha: float, rho: float):
-    """Legendre continued fraction, modified Lentz recurrence, with the
-    first two shape derivatives.
+def _on_float(ufunc):
+    return lambda v: float(ufunc(v))
 
-    Converges for rho > max(1, alpha + 1); valid for negative alpha. The
-    fraction is 1/E_0 times the product of the Lentz factors C_i / E_i, where
-    C_i and E_i = 1/D_i obey the same recurrence x_i = b_i + a_i / x_{i-1}
+
+# The namespace of a float's value: NumPy's exp, expm1, log and log1p,
+# returning Python floats. math's versions round differently from NumPy's
+# vector loops in a few percent of arguments (on AVX-512 builds, for
+# example): a number computed with them would differ in the last bit from
+# the same element of an array, and a cdf near 0, a difference of two such
+# logs, in its twelfth digit.
+_FLOAT = SimpleNamespace(**{f.__name__: _on_float(f)
+                            for f in (np.exp, np.expm1, np.log, np.log1p)})
+
+
+def _lentz(alpha: float, rho: float, partials: bool):
+    """log of the Legendre continued fraction at one float rho, by the
+    modified Lentz recurrence; with partials also its first two shape
+    derivatives (else NaN).
+
+    The fraction is 1/E_0 times the product of the Lentz factors C_i / E_i,
+    where C_i and E_i = 1/D_i obey the same recurrence x_i = b_i + a_i / x_{i-1}
     from different starts. The first and second log shape derivatives of
     both follow from that recurrence differentiated in alpha (b_i' = -1,
     a_i' = i), and those of the fraction are their running sums.
@@ -145,13 +165,13 @@ def _log_continued_fraction(alpha: float, rho: float):
     # first and second shape derivatives of log h
     p = q = s = 0.0
     r = -d
-    h1, h2 = d, d * d
+    h1, h2 = (d, d * d) if partials else (math.nan, math.nan)
     hits = 0
+    c_prev, d_prev = c, d
     for i in range(1, 100_001):
         ia = i - alpha
         an = -i * ia
         b += 2.0
-        c_prev, d_prev = c, d
         d = an * d + b
         if abs(d) < _TINY:
             d = _TINY
@@ -161,26 +181,29 @@ def _log_continued_fraction(alpha: float, rho: float):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        # x'/x = (i u - a_i u p - 1) / x and
-        # x''/x = (a_i u (2 p^2 - q) - 2 i u p) / x, u = 1/x_{i-1}
-        uc, ue = i / c_prev, i * d_prev
-        wc, we = uc * ia, ue * ia  # -a_i u
-        inv_c = 1.0 / c
-        q = (wc * (q - 2.0 * p * p) - 2.0 * uc * p) * inv_c
-        p = (uc + wc * p - 1.0) * inv_c
-        s = (we * (s - 2.0 * r * r) - 2.0 * ue * r) * d
-        r = (ue + we * r - 1.0) * d
-        inc1, inc2 = p - r, q - s - p * p + r * r
-        h1 += inc1
-        h2 += inc2
+        if partials:
+            # x'/x = (i u - a_i u p - 1) / x and
+            # x''/x = (a_i u (2 p^2 - q) - 2 i u p) / x, u = 1/x_{i-1}
+            uc, ue = i / c_prev, i * d_prev
+            wc, we = uc * ia, ue * ia  # -a_i u
+            inv_c = 1.0 / c
+            q = (wc * (q - 2.0 * p * p) - 2.0 * uc * p) * inv_c
+            p = (uc + wc * p - 1.0) * inv_c
+            s = (we * (s - 2.0 * r * r) - 2.0 * ue * r) * d
+            r = (ue + we * r - 1.0) * d
+            inc1, inc2 = p - r, q - s - p * p + r * r
+            h1 += inc1
+            h2 += inc2
+            c_prev, d_prev = c, d
         # require two consecutive converged steps: lone |delta - 1| dips
         # below tolerance can occur before the tail has settled
-        if (abs(delta - 1.0) < 1e-16 and abs(inc1) < 1e-16 * (1.0 + abs(h1))
-                and abs(inc2) < 1e-16 * (1.0 + abs(h2))):
+        if abs(delta - 1.0) < 1e-16 and (
+            not partials
+            or abs(inc1) < 1e-16 * (1.0 + abs(h1)) and abs(inc2) < 1e-16 * (1.0 + abs(h2))
+        ):
             hits += 1
             if hits >= 2:
-                lr = math.log(rho)
-                return -rho + alpha * lr + math.log(h), lr + h1, h2
+                return math.log(h), h1, h2
         else:
             hits = 0
     raise NumericsError(
@@ -188,37 +211,75 @@ def _log_continued_fraction(alpha: float, rho: float):
     )
 
 
-def _log_series(alpha: float, rho: float):
-    """log Gamma(alpha, rho) via the lower-gamma power series, alpha > 1,
-    with the first two shape derivatives.
+def _continued_fraction(alpha: float, rho, partials: bool):
+    """log Gamma(alpha, rho) by the Legendre continued fraction; with
+    partials (a float rho) also its first two shape derivatives. Converges
+    for rho > max(1, alpha + 1); valid for negative alpha. Gamma(alpha, inf)
+    is 0.
+
+    An array runs element by element. Near rho = 1 the fraction takes about
+    90 Lentz steps, each some ten NumPy calls over an array: vectorized, it
+    took about 0.7 ms for the one or two such elements a 40-point gof
+    transform typically has, against about 30 us per element in floats.
+    """
+    if isinstance(rho, float):
+        if rho == math.inf:
+            return -math.inf
+        log_h, h1, h2 = _lentz(alpha, rho, partials)
+        lr = _FLOAT.log(rho)
+        value = alpha * lr - rho + log_h
+        return (value, lr + h1, h2) if partials else value
+    fin = rho < math.inf
+    if not fin.all():
+        out = np.full_like(rho, -math.inf)
+        out[fin] = _continued_fraction(alpha, rho[fin], False)
+        return out
+    log_h = [_lentz(alpha, r, False)[0] for r in rho.tolist()]
+    return alpha * np.log(rho) - rho + np.array(log_h)
+
+
+def _series(alpha: float, rho, partials: bool):
+    """log Gamma(alpha, rho) via the lower-gamma power series, alpha > 1;
+    with partials (a float rho) also its first two shape derivatives.
 
     gamma(alpha, rho) = rho^alpha e^-rho sum_k t_k with
     t_k = rho^k / (alpha (alpha+1) ... (alpha+k)), so t_k'/t_k = -H_k and
     t_k''/t_k = H_k^2 + H2_k for the partial sums H_k, H2_k of 1/(alpha+j)
-    and 1/(alpha+j)^2.
+    and 1/(alpha+j)^2. The terms' ratio to the partial sum grows with rho,
+    so the sum stops when the largest rho's has settled.
     """
+    number = isinstance(rho, float)
+    xp = _FLOAT if number else np
     ap = alpha
-    delt = 1.0 / alpha
-    s = delt
-    hk = delt
-    h2k = delt * delt
-    s1 = -delt * hk
-    s2 = delt * (hk * hk + h2k)
+    delt = s = 1.0 / alpha
+    r_max = rho if number else float(rho.max())
+    delt_max = s_max = delt  # the largest rho's, for an array
+    hk, h2k = delt, delt * delt
+    s1, s2 = -delt * hk, delt * (hk * hk + h2k)
     for _ in range(10_000):
         ap += 1.0
-        delt *= rho / ap
-        s += delt
-        inv = 1.0 / ap
-        hk += inv
-        h2k += inv * inv
-        s1 -= delt * hk
-        s2 += delt * (hk * hk + h2k)
-        if abs(delt) < abs(s) * 1e-17:
-            break
+        delt = delt * (rho / ap)
+        s = s + delt
+        if partials:
+            inv = 1.0 / ap
+            hk += inv
+            h2k += inv * inv
+            s1 = s1 - delt * hk
+            s2 = s2 + delt * (hk * hk + h2k)
+        if number:
+            if delt < s * 1e-17:
+                break
+        else:
+            delt_max *= r_max / ap
+            s_max += delt_max
+            if delt_max < s_max * 1e-17:
+                break
     lgam = math.lgamma(alpha)
-    lr = math.log(rho)
-    log_p = alpha * lr - rho + math.log(s) - lgam
-    value = lgam + math.log1p(-math.exp(log_p))
+    lr = xp.log(rho)
+    log_p = alpha * lr - rho + xp.log(s) - lgam
+    value = lgam + xp.log1p(-xp.exp(log_p))
+    if not partials:
+        return value
     # Gamma(alpha, rho) = Gamma(alpha) (1 - P), P the regularized lower part
     psi, psi1 = digamma_trigamma(alpha)
     lp1 = lr + s1 / s - psi
@@ -263,9 +324,10 @@ def _small_shape_head_partials(a: float, lx: float, head: float, xa: float,
     return h1, h2
 
 
-def _log_small_shape(a: float, x: float, lx: float):
-    """log Gamma(a, x) for |a| <= 0.5, 0 < x <= 2, including a = 0 exactly,
-    with its first two a-derivatives and log Gamma(a+1, x).
+def _small_shape(a: float, x, lx, partials: bool):
+    """log Gamma(a, x) for |a| <= 0.5, 0 < x <= 2, including a = 0 exactly;
+    with partials (a float x) also its first two a-derivatives and
+    log Gamma(a+1, x).
 
     Rearranged power series with the 1/a pole cancelled analytically:
 
@@ -273,40 +335,57 @@ def _log_small_shape(a: float, x: float, lx: float):
         t_k = (-x)^k / (k! (a+k))
 
     Each piece is evaluated in a form that stays stable as a -> 0, where the
-    naive Gamma(a) - gamma(a, x) subtraction loses all precision. The sum's
-    a-derivatives come term by term. The same terms also give
-    log Gamma(a+1, x) = log(Gamma(1+a) + x^a sum_{k>=1} k t_k), whose sum is
-    the lower series of gamma(a+1, x) with no pole to cancel.
+    naive Gamma(a) - gamma(a, x) subtraction loses all precision. The sum is
+    a polynomial in x, taken by Horner's rule to the degree where the
+    largest x's term, x^k / k!, falls below 1e-18. Its a-derivatives are
+    polynomials with the coefficients' a-derivatives, summed in the same
+    pass. So is sum_{k>=1} k t_k, the lower series of gamma(a+1, x) with no
+    pole to cancel, which gives
+    log Gamma(a+1, x) = log(Gamma(1+a) + x^a sum_{k>=1} k t_k).
     """
+    number = isinstance(x, float)
+    xp = _FLOAT if number else np
     lg1p = _lgamma1p(a)
     if a == 0.0:
         head = -_EULER - lx
     else:
-        head = (math.expm1(lg1p) - math.expm1(a * lx)) / a
-    term = 1.0
+        head = (math.expm1(lg1p) - xp.expm1(a * lx)) / a
+    # coefficients (-1)^k / (k! (a + k)) of x^k, k = 1, 2, ...
+    x_max = x if number else float(x.max())
+    coef, t, t_max, k = [], 1.0, 1.0, 0
+    while t_max >= 1e-18 and k < 500:
+        k += 1
+        t /= -k
+        t_max *= x_max / k
+        coef.append(t / (a + k))
+    # with partials also sum t_k / (a+k), sum t_k / (a+k)^2 and sum k t_k,
+    # each over x
     s = s1 = s2 = s_up = 0.0
-    for k in range(1, 500):
-        term *= -x / k
-        t = term / (a + k)
-        s += t
-        s_up += k * t
-        inv = 1.0 / (a + k)
-        t *= inv
-        s1 -= t
-        s2 += t * inv
-        if abs(term) < 1e-18 * max(1.0, abs(s)):
-            break
-    xa = math.exp(a * lx)
+    for c in reversed(coef):
+        s = s * x + c
+        if partials:
+            inv = 1.0 / (a + k)
+            s1 = s1 * x + c * inv
+            s2 = s2 * x + c * inv * inv
+            s_up = s_up * x + k * c
+            k -= 1
+    s = s * x
+    xa = xp.exp(a * lx)
     g = head - xa * s
+    if not partials:
+        return xp.log(g)
+    s1, s2, s_up = -s1 * x, s2 * x, s_up * x
     g1p = math.exp(lg1p)
     hd1, hd2 = _small_shape_head_partials(a, lx, head, xa, g1p)
     d1 = (hd1 - xa * (lx * s + s1)) / g
     g2 = hd2 - xa * (lx * (lx * s + 2.0 * s1) + 2.0 * s2)
-    return math.log(g), d1, g2 / g - d1 * d1, math.log(g1p + xa * s_up)
+    return xp.log(g), d1, g2 / g - d1 * d1, math.log(g1p + xa * s_up)
 
 
-def _step_down(up, a: float, rho: float, log_rho: float):
-    """log Gamma(a, rho) and its a-derivatives from those at a + 1, via
+def _step_down(up, a: float, rho, log_rho, partials: bool):
+    """log Gamma(a, rho) from log Gamma(a + 1, rho), up; with partials, up
+    and the result carry the first two a-derivatives and the result ends
+    with up's value. Via
 
         Gamma(a, rho) = (Gamma(a+1, rho) - rho^a e^-rho) / a
 
@@ -316,16 +395,19 @@ def _step_down(up, a: float, rho: float, log_rho: float):
     two terms never come within 20% of each other; a subtraction that
     cancels raises instead of returning a value without precision.
     """
-    log_g_up, u1, u2 = up[:3]
+    number = isinstance(rho, float)
+    xp = _FLOAT if number else np
+    log_g_up = up[0] if partials else up
     l_term = a * log_rho - rho
-    if a > 0:
-        hi, lo = log_g_up, l_term
-    else:
-        hi, lo = l_term, log_g_up
-    ratio = math.exp(lo - hi)
-    if abs(1.0 - ratio) < 1e-6:
-        raise _cancels(a, rho)
-    value = hi + math.log1p(-ratio) - math.log(abs(a))
+    hi, lo = (log_g_up, l_term) if a > 0 else (l_term, log_g_up)
+    ratio = xp.exp(lo - hi)  # below 1 unless rounding says otherwise
+    if (ratio if number else ratio.max()) > 1.0 - 1e-6:
+        raise NumericsError(
+            f"incomplete gamma recurrence cancels at alpha={a}, rho={rho}")
+    value = hi + xp.log1p(-ratio) - math.log(abs(a))
+    if not partials:
+        return value
+    u1, u2 = up[1], up[2]
     k = abs(a) / (1.0 - ratio)
     r_up, r_term = (k, k * ratio) if a > 0 else (k * ratio, k)
     d1 = (r_up * u1 - r_term * log_rho - 1.0) / a
@@ -333,162 +415,47 @@ def _step_down(up, a: float, rho: float, log_rho: float):
     return value, d1, m2 - d1 * d1, log_g_up
 
 
-def _cancels(a: float, rho) -> NumericsError:
-    return NumericsError(f"incomplete gamma recurrence cancels at alpha={a}, rho={rho}")
-
-
-def _on_fraction(alpha: float, rho):
-    """Whether the continued fraction serves rho (a number, or elementwise
-    over an array). It also converges (fast) for deeply negative alpha at
-    any rho, which keeps the recurrence chain below ~30 steps."""
-    return (rho > max(1.0, alpha + 1.0)) | (alpha <= -30.0)
-
-
-def _log_upper_inc_gamma(alpha: float, rho: float):
-    """(d, d_alpha, d_alpha_alpha, d_up) of d = log Gamma(alpha, rho), rho > 0,
-    and d_up = log Gamma(alpha + 1, rho)."""
-    if _on_fraction(alpha, rho):
-        out = _log_continued_fraction(alpha, rho)
-    elif alpha > 1.0:
-        out = _log_series(alpha, rho)
+def _log_gamma(alpha: float, rho, partials: bool = False):
+    """log Gamma(alpha, rho) for rho > 0, a float or a 1-D array; with
+    partials (a float rho) the tuple (d, d_alpha, d_alpha_alpha, d_up) of
+    d = log Gamma(alpha, rho) and d_up = log Gamma(alpha + 1, rho). A float
+    takes its branch by if, an array's elements by mask."""
+    # the continued fraction also converges (fast) for deeply negative alpha
+    # at any rho, which keeps the recurrence chain below ~30 steps
+    on_cf = (rho > max(1.0, alpha + 1.0)) | (alpha <= -30.0)
+    if isinstance(rho, float):
+        xp = _FLOAT
     else:
-        log_rho = math.log(rho)
+        xp = np
+        n_cf = np.count_nonzero(on_cf)
+        if 0 < n_cf < rho.size:  # elements on both sides
+            out = np.empty_like(rho)
+            out[on_cf] = _continued_fraction(alpha, rho[on_cf], False)
+            out[~on_cf] = _log_gamma(alpha, rho[~on_cf])
+            return out
+        on_cf = n_cf == rho.size
+    if on_cf:
+        out = _continued_fraction(alpha, rho, partials)
+    elif alpha > 1.0:
+        out = _series(alpha, rho, partials)
+    else:
+        log_rho = xp.log(rho)
         if alpha > 0.5:
-            return _step_down(_log_series(alpha + 1.0, rho), alpha, rho, log_rho)
+            return _step_down(_series(alpha + 1.0, rho, partials), alpha, rho,
+                              log_rho, partials)
         # anchor the recurrence at the chain point inside (-0.5, 0.5], where
         # the dedicated series is stable, then walk down to alpha; each
         # link's value is the next one's d_up
         j = int(math.floor(0.5 - alpha))
         a = alpha + j
-        out = _log_small_shape(a, rho, log_rho)
+        out = _small_shape(a, rho, log_rho, partials)
         for _ in range(j):
             a -= 1.0
-            out = _step_down(out, a, rho, log_rho)
+            out = _step_down(out, a, rho, log_rho, partials)
         return out
     # off the step-down chain d_up takes one more value-only evaluation, as
     # a separate call would
-    return (*out, float(_log_values(alpha + 1.0, np.float64(rho))))
-
-
-# ------------------------------------------------------- values over arrays
-# Each function below takes a 1-D array of rho, or one NumPy float, at one
-# shape, and works with operators and ufuncs only, so a single number runs
-# on NumPy's scalar arithmetic rather than on a one-element array.
-def _cf_values(alpha: float, rho):
-    """_log_continued_fraction's value, element by element.
-
-    Near rho = 1 the fraction takes about 90 Lentz steps, each some ten
-    NumPy calls over an array: vectorized, it took about 0.7 ms for the one
-    or two such elements a 40-point gof transform typically has, against
-    about 30 us per element in floats. So the elements run one at a time;
-    the recurrence and its stop are the scalar branch's without the
-    derivatives.
-    """
-    log_h = []
-    for r in np.ravel(rho).tolist():
-        b = r + 1.0 - alpha
-        c = 1.0 / _TINY
-        d = h = 1.0 / b
-        hits = 0
-        for i in range(1, 100_001):
-            an = -i * (i - alpha)
-            b += 2.0
-            d = an * d + b
-            if abs(d) < _TINY:
-                d = _TINY
-            c = b + an / c
-            if abs(c) < _TINY:
-                c = _TINY
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            hits = hits + 1 if abs(delta - 1.0) < 1e-16 else 0
-            if hits >= 2:
-                break
-        else:
-            raise NumericsError(
-                f"incomplete gamma continued fraction stalled at alpha={alpha}, rho={r}")
-        log_h.append(math.log(h))
-    return alpha * np.log(rho) - rho + np.reshape(log_h, np.shape(rho))
-
-
-def _series_values(alpha: float, rho):
-    """_log_series's value, alpha > 1. The terms' ratio to the partial sum
-    grows with rho, so the sum stops when the largest rho's has settled."""
-    ap = alpha
-    delt = s = 1.0 / alpha
-    r_max = float(rho.max())
-    delt_max = s_max = delt
-    for _ in range(10_000):
-        ap += 1.0
-        delt = delt * (rho / ap)
-        s = s + delt
-        delt_max *= r_max / ap
-        s_max += delt_max
-        if delt_max < s_max * 1e-17:
-            break
-    lgam = math.lgamma(alpha)
-    log_p = alpha * np.log(rho) - rho + np.log(s) - lgam
-    return lgam + np.log1p(-np.exp(log_p))
-
-
-def _small_shape_values(a: float, x, lx):
-    """_log_small_shape's value. The sum is a polynomial in x, taken by
-    Horner's rule to the degree where the largest x's term, x^k / k!, falls
-    below 1e-18: no element's own test, 1e-18 max(1, |s|), stops earlier."""
-    lg1p = _lgamma1p(a)
-    if a == 0.0:
-        head = -_EULER - lx
-    else:
-        head = (math.expm1(lg1p) - np.expm1(a * lx)) / a
-    # coefficients (-1)^k / (k! (a + k)) of x^k, k = 1, 2, ...
-    x_max = float(x.max())
-    coef, t, t_max, k = [], 1.0, 1.0, 0
-    while t_max >= 1e-18 and k < 500:
-        k += 1
-        t /= -k
-        t_max *= x_max / k
-        coef.append(t / (a + k))
-    s = coef[-1]
-    for c in reversed(coef[:-1]):
-        s = s * x + c
-    return np.log(head - np.exp(a * lx) * (s * x))
-
-
-def _step_down_values(up, a: float, rho, log_rho):
-    """_step_down's value, from log Gamma(a + 1, rho)."""
-    l_term = a * log_rho - rho
-    hi, lo = (up, l_term) if a > 0 else (l_term, up)
-    ratio = np.exp(lo - hi)  # below 1 unless rounding says otherwise
-    if ratio.max() > 1.0 - 1e-6:
-        raise _cancels(a, rho)
-    return hi + np.log1p(-ratio) - math.log(abs(a))
-
-
-def _log_values(alpha: float, rho):
-    """log Gamma(alpha, rho) for rho > 0: each element takes the branch that
-    _log_upper_inc_gamma would, by mask."""
-    on_cf = _on_fraction(alpha, rho)
-    n_cf = np.count_nonzero(on_cf)
-    if n_cf == np.size(rho):
-        return _cf_values(alpha, rho)
-    if n_cf:  # an array with elements on both sides
-        out = np.empty_like(rho)
-        out[on_cf] = _cf_values(alpha, rho[on_cf])
-        out[~on_cf] = _log_values(alpha, rho[~on_cf])
-        return out
-    if alpha > 1.0:
-        return _series_values(alpha, rho)
-    log_rho = np.log(rho)
-    if alpha > 0.5:
-        return _step_down_values(_series_values(alpha + 1.0, rho), alpha, rho, log_rho)
-    j = int(math.floor(0.5 - alpha))
-    a = alpha + j
-    out = _small_shape_values(a, rho, log_rho)
-    for _ in range(j):
-        a -= 1.0
-        out = _step_down_values(out, a, rho, log_rho)
-    return out
+    return (*out, _log_gamma(alpha + 1.0, rho)) if partials else out
 
 
 def log_upper_inc_gamma(alpha: float, rho):
@@ -500,7 +467,7 @@ def log_upper_inc_gamma(alpha: float, rho):
     alpha : any real shape.
     rho : lower integration limit, a number or an array, >= 0 (0 allowed
         only for alpha > 0, where the integral is the complete gamma
-        function).
+        function); Gamma(alpha, inf) = 0 gives -inf.
 
     Returns a float for a number rho and an array of rho's shape otherwise.
 
@@ -510,24 +477,28 @@ def log_upper_inc_gamma(alpha: float, rho):
         If some rho < 0, or rho == 0 with alpha <= 0 (the integral diverges).
     """
     alpha = float(alpha)
-    y = np.asarray(rho, dtype=float)
-    lo = float(y.min()) if y.size else 1.0
+    if isinstance(rho, (float, int)):
+        y = lo = float(rho)
+    else:
+        y = np.asarray(rho, dtype=float)
+        lo = float(y.min()) if y.size else 1.0
+        if y.ndim == 0:
+            y = lo
     if math.isnan(alpha) or math.isnan(lo):
         raise ValueError("alpha and rho must be numbers")
     if lo < 0.0:
         raise ValueError(f"rho must be >= 0, got {lo}")
-    if lo > 0.0:
-        out = _log_values(alpha, y[()] if y.ndim == 0 else y.ravel())
-    elif alpha <= 0.0:
+    if lo == 0.0 and alpha <= 0.0:
         raise ValueError("Gamma(alpha, 0) diverges for alpha <= 0")
-    elif y.ndim == 0:
-        return math.lgamma(alpha)
-    else:
-        flat = y.ravel()
-        out = np.full_like(flat, math.lgamma(alpha))
-        pos = flat > 0.0
-        out[pos] = _log_values(alpha, flat[pos])
-    return float(out) if y.ndim == 0 else out.reshape(y.shape)
+    if isinstance(y, float):
+        return _log_gamma(alpha, y) if y > 0.0 else math.lgamma(alpha)
+    flat = y.ravel()
+    if lo > 0.0:
+        return _log_gamma(alpha, flat).reshape(y.shape)
+    out = np.full_like(flat, math.lgamma(alpha))
+    pos = flat > 0.0
+    out[pos] = _log_gamma(alpha, flat[pos])
+    return out.reshape(y.shape)
 
 
 @dataclass(frozen=True)
@@ -539,7 +510,7 @@ class IncGammaEval:
     chain's previous link, or for alpha in (-0.5, 0.5] the small-shape
     series' by-product. On the continued-fraction and lower-series branches
     it is one more value-only evaluation at alpha + 1. Against
-    mpmath it is within 2.6e-15 on the seam grid and 4.0e-14 on the inner
+    mpmath it is within 2.6e-15 on the seam grid and 4.1e-14 on the inner
     solve's region (see tests/test_specfun.py).
     """
 
@@ -567,11 +538,11 @@ def inc_gamma_eval(alpha: float, rho: float) -> IncGammaEval:
     is exact.
     """
     alpha, rho = float(alpha), float(rho)
-    if not rho > 0.0:
-        raise ValueError(f"rho must be > 0, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
     if math.isnan(alpha):
         raise ValueError("alpha and rho must be numbers")
-    d0, da, daa, d_up = _log_upper_inc_gamma(alpha, rho)
+    d0, da, daa, d_up = _log_gamma(alpha, rho, True)
     dr = d_rho(alpha, rho, d0)
     # positional: a frozen dataclass takes twice as long by keyword
     return IncGammaEval(d0, da, dr, daa, dr * (math.log(rho) - da),

@@ -132,6 +132,17 @@ class TestCdfSurvival:
         assert cdf(FTG_REF, xs)[0, :2].tolist() == [0.0, 0.0]
         assert survival(FTG_REF, xs)[0, :2].tolist() == [1.0, 1.0]
 
+    def test_infinite_loss(self):
+        # Gamma(alpha, inf) = 0: no loss exceeds infinity, for a number and
+        # inside an array, on both edges and inside
+        for p in GRID + [FTG_REF, PARETO_REF, FtgParams.gamma(2.0, 1.0)]:
+            assert survival(p, math.inf) == 0.0
+            assert cdf(p, math.inf) == 1.0
+            got = cdf(p, np.array([1.0, math.inf]))
+            assert got[0] == pytest.approx(cdf(p, 1.0), rel=1e-14)
+            assert got[1] == 1.0
+            assert survival(p, np.array([1.0, math.inf]))[1] == 0.0
+
     def test_monotone(self):
         xs = np.linspace(0, 50, 200)
         for p in (FTG_REF, PARETO_REF):

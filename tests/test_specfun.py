@@ -87,6 +87,18 @@ class TestLogUpperIncGamma:
         devs = [abs(ratio(-0.2, r) - 0.2) for r in (1e-6, 1e-8, 1e-10)]
         assert devs[0] > devs[1] > devs[2]
 
+    def test_infinite_rho_is_minus_infinity(self):
+        # Gamma(alpha, inf) = 0 on every branch's side of the seams, for a
+        # number and inside an array
+        for a in (-50.0, -12.5, -0.5, 0.0, 0.3, 2.0, 200.0):
+            assert log_upper_inc_gamma(a, math.inf) == -math.inf
+            got = log_upper_inc_gamma(a, np.array([0.3, math.inf, 1.5, math.inf]))
+            assert got[[1, 3]].tolist() == [-math.inf, -math.inf]
+            assert got[[0, 2]].tolist() == [log_upper_inc_gamma(a, 0.3),
+                                            log_upper_inc_gamma(a, 1.5)]
+        with pytest.raises(ValueError):
+            inc_gamma_eval(2.0, math.inf)
+
     def test_extreme_corners_stay_finite(self):
         for a, r in [(-50.0, 1e-12), (-50.0, 700.0), (200.0, 1e-12), (200.0, 700.0)]:
             v = log_upper_inc_gamma(a, r)
@@ -139,6 +151,25 @@ class TestIncGammaEval:
         with pytest.raises(ValueError):
             inc_gamma_eval(1.0, 0.0)
 
+    def test_value_matches_the_value_only_call(self):
+        # the value inc_gamma_eval carries with its partials is the one a
+        # value-only call returns: the same bits where the series and the
+        # step-down chain serve, and within 1e-15 (relative to
+        # max(1, |value|)) on the continued fraction, whose derivatives
+        # can take a step or two more to settle than the value
+        alphas = (-50.0, -30.0, -12.5, -3.3, -1.0, -0.5, -0.196, 0.0, 0.3, 0.5,
+                  0.75, 1.0, 2.5, 12.0, 200.0, 650.0)
+        rhos = (1e-12, 1e-8, 4.3e-4, 0.05, 0.3, 0.7, 0.999, 1.0, 1.001, 1.5, 3.0,
+                30.0, 300.0, 700.0)
+        for a in alphas:
+            for r in rhos:
+                got = inc_gamma_eval(a, r).log_value
+                want = log_upper_inc_gamma(a, r)
+                if r > max(1.0, a + 1.0) or a <= -30.0:
+                    assert abs(got - want) <= 1e-15 * max(1.0, abs(want)), (a, r)
+                else:
+                    assert got == want, (a, r)
+
 
 class TestMpmathOracle:
     """All seven outputs of inc_gamma_eval against mpmath at 60 digits.
@@ -151,11 +182,11 @@ class TestMpmathOracle:
     log_value_up is checked against log Gamma(alpha + 1, rho).
 
     Measured maxima of |error| / max(1, |reference|) on these points:
-    log_value 5.8e-15, d_alpha 6.3e-14, d_rho 2.5e-13, d_alpha_alpha
+    log_value 6.5e-15, d_alpha 6.1e-14, d_rho 2.5e-13, d_alpha_alpha
     6.0e-13, d_alpha_rho 1.8e-13, d_rho_rho 6.3e-12, log_value_up 2.6e-15.
     On the inner solve's region (alpha in [-3, 1], rho up to 1.6; see
     test_value_up_where_the_inner_solve_reads_it) log_value_up is within
-    4.0e-14, at (-2.022, 0.604), where a value-only call at alpha + 1 has
+    4.1e-14, at (-2.022, 0.604), where a value-only call at alpha + 1 has
     the same error: there log_value_up is that call's chain link. The
     small-shape series' own log_value_up, alpha in (-0.5, 0.5], was within
     2.9e-15 over 2,000 random points. A 1,000-point random
