@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import log_upper_inc_gamma
+from .specfun import _FLOAT, log_upper_inc_gamma
 
 _INTERIOR = "interior"
 _GAMMA = "gamma"
@@ -202,12 +202,12 @@ def _tail(p: FtgParams, x, upper: bool):
         if x <= 0.0:
             return 1.0 if upper else 0.0
         log_s = float(_log_survival(p, float(x)))
-        return math.exp(log_s) if upper else -math.expm1(log_s)
+        return _FLOAT.exp(log_s) if upper else 0.0 - _FLOAT.expm1(log_s)
     x = np.asarray(x, dtype=float)
     log_s = np.zeros(x.shape)
     pos = ~(x <= 0.0)  # NaN goes to log_upper_inc_gamma, which refuses it
     log_s[pos] = _log_survival(p, x[pos])
-    # 0 - expm1 keeps P(X <= 0) = +0.0
+    # 0 - expm1 keeps P(X <= 0) = +0.0; a number rounds as an element does
     return np.exp(log_s) if upper else 0.0 - np.expm1(log_s)
 
 

@@ -22,7 +22,7 @@ from .data import Sample
 from .dist import FtgParams, cdf
 from .errors import FitError
 from .fit import _fit_family, fit_ftg  # noqa: F401  (fit_ftg stays importable here)
-from .sample import RngStream, ftg_rvs
+from .sample import RngStream, _usable_cpus, ftg_rvs
 
 _Z_CLAMP = 1e-15
 
@@ -71,6 +71,15 @@ def bootstrap_pvalue(sample, family: str, n_boot: int, rng: RngStream) -> GofRep
     each and recomputes the statistics; p = (1 + #{null >= observed}) /
     (n_boot + 1). Individual refit failures are skipped and counted; more
     than 10% of them aborts the report.
+
+    Replicate b draws only from rng.child(b + 1), so the replicates run
+    apart: where more than one CPU is usable, os.fork exists and the
+    process runs no other thread, forked workers share them with this
+    process (see _map_replicates); otherwise this process runs them all.
+    The replicates are then folded here in order b = 0, 1, ..., and a
+    replicate that warned or raised in a worker runs again here, so the
+    report, the abort and every exception and warning are those of one
+    process running them in order, on any number of CPUs.
     """
     if n_boot < 99:
         raise ValueError("n_boot must be at least 99")
@@ -79,22 +88,30 @@ def bootstrap_pvalue(sample, family: str, n_boot: int, rng: RngStream) -> GofRep
     fit = _fit_family(smp, family)
     model = fit.params
     w2_obs, a2_obs = cvm_ad_statistics(smp, model)
+
+    def replicate(b: int):
+        """(W^2, A^2) of replicate b, or None if its refit fails."""
+        sim = Sample._adopt(ftg_rvs(model, n, rng.child(b + 1)))
+        try:
+            refit = _fit_family(sim, family)
+            return cvm_ad_statistics(sim, refit.params)
+        except (FitError, ValueError):
+            return None
+
+    ran = _map_replicates(replicate, n_boot)
     exceed_w2 = exceed_a2 = 0
     failures = 0
     done = 0
     for b in range(n_boot):
-        sub = rng.child(b + 1)
-        sim = Sample._adopt(ftg_rvs(model, n, sub))
-        try:
-            refit = _fit_family(sim, family)
-            w2_b, a2_b = cvm_ad_statistics(sim, refit.params)
-        except (FitError, ValueError):
+        stats = ran[b] if b in ran else replicate(b)
+        if stats is None:
             failures += 1
             if failures > 0.1 * n_boot:
                 raise FitError(
                     f"{failures} bootstrap refits failed out of {b + 1}; aborting"
                 )
             continue
+        w2_b, a2_b = stats
         done += 1
         exceed_w2 += w2_b >= w2_obs
         exceed_a2 += a2_b >= a2_obs
@@ -106,6 +123,128 @@ def bootstrap_pvalue(sample, family: str, n_boot: int, rng: RngStream) -> GofRep
         n_bootstrap=done,
         n_refit_failures=failures,
     )
+
+
+# A worker must earn its start. The fork blocks the parent for 1.5-2.5 ms,
+# the child's first replicates run about 7.5 ms slower in all while it
+# faults in the pages it shares with the parent, and its exit and reaping
+# take a few ms more: about eight replicates of 1.5 ms, a 40-point FTG refit
+# (2-core x86_64, Python 3.11). With at least _PER_WORKER replicates for each
+# worker, that stays near a third of its share, and a many-core host forks
+# at most three workers for 99 replicates.
+_PER_WORKER = 25
+# a ticket is 4 bytes; 1024 of them fill a 4 KiB page, which any pipe holds,
+# so the parent writes every ticket before a process reads one
+_MAX_TICKETS = 1024
+
+
+def _map_replicates(replicate, n_boot: int) -> dict:
+    """{b: replicate(b)} for b in range(n_boot), computed by this process
+    and by min(usable CPUs - 1, n_boot // _PER_WORKER) forked workers.
+
+    Workers are forked only where os.fork exists and this process runs no
+    other thread; otherwise the same loop runs here with none. The start of
+    every chunk of replicates is a ticket in one pipe, and each process,
+    this one included, claims the next chunk with one read until the pipe
+    is empty, so a worker on a core the host is busy with claims fewer.
+    Each worker sends its share back in one pickle and ends in os._exit.
+    A replicate that raised or warned where it ran is left out of the map,
+    as is every replicate of a worker that did not exit cleanly: the caller
+    runs those again itself, in order. Every worker is reaped before this
+    returns or raises, and killed first if this process's own share raised.
+    """
+    import os
+    import pickle
+    import signal
+    import struct
+    import threading
+
+    chunk = -(-n_boot // _MAX_TICKETS)
+    starts = range(0, n_boot, chunk)
+    tickets, write_end = os.pipe()
+    os.write(write_end, struct.pack(f"={len(starts)}I", *starts))
+    os.close(write_end)
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    n_workers = min(_usable_cpus() - 1, n_boot // _PER_WORKER) if forks else 0
+    workers = []  # (pid, read end of its result pipe)
+    aborted = True
+    try:
+        for _ in range(n_workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no room for another process: go on with fewer
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                _work(replicate, tickets, chunk, n_boot, write_end)
+            os.close(write_end)
+            workers.append((pid, read_end))
+        if workers:
+            with warnings.catch_warnings():
+                # a warning here would come before those of earlier
+                # replicates that workers ran: raise it, and rerun in order
+                warnings.simplefilter("error")
+                ran = _run_share(replicate, tickets, chunk, n_boot)
+        else:
+            ran = _run_share(replicate, tickets, chunk, n_boot)
+        payloads = []
+        for _, fd in workers:
+            with open(fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+        aborted = False
+    finally:
+        os.close(tickets)
+        statuses = []
+        for pid, fd in workers:
+            os.close(fd)
+            if aborted:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for payload, status in zip(payloads, statuses):
+        if status == 0:
+            ran.update(pickle.loads(payload))
+    return ran
+
+
+def _run_share(replicate, tickets: int, chunk: int, n_boot: int) -> dict:
+    """{b: replicate(b)} over the chunks this process claims from the ticket
+    pipe, until the pipe is empty. An exception, a warning raised as one
+    among them, ends the share and leaves its replicate out, and so does the
+    end of this process's parent: a worker whose caller was killed stops
+    claiming."""
+    import os
+    import struct
+
+    parent = os.getppid()
+    ran = {}
+    while os.getppid() == parent and (ticket := os.read(tickets, 4)):
+        (start,) = struct.unpack("=I", ticket)
+        for b in range(start, min(start + chunk, n_boot)):
+            try:
+                ran[b] = replicate(b)
+            except Exception:
+                return ran
+    return ran
+
+
+def _work(replicate, tickets: int, chunk: int, n_boot: int, out: int):
+    """A forked worker: run a share with every warning raised, send it to
+    the parent in one pickle, and end. It never returns into its caller's
+    stack, and os._exit leaves the stdout it inherited unflushed."""
+    import os
+    import pickle
+
+    code = 1
+    try:
+        warnings.simplefilter("error")
+        ran = _run_share(replicate, tickets, chunk, n_boot)
+        with open(out, "wb") as pipe:
+            pickle.dump(ran, pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # ------------------------------------------------------------------ binning

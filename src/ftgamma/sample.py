@@ -98,11 +98,13 @@ def _block(missing: int) -> int:
     return int(min(max(_OVERDRAW * missing, 1024), _BLOCK))
 
 
-def _may_use_two_cpus() -> bool:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the sampler draws ahead and
+    gof.bootstrap_pvalue forks workers only where there is more than one."""
     try:
-        return len(os.sched_getaffinity(0)) > 1
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) > 1
+        return os.cpu_count() or 1
 
 
 def _draw_ahead(draw, asks, results):
@@ -147,7 +149,7 @@ def _accept_and_fill(draw, judge, n: int):
     # the variates still missing only shrink, so the test passes for a
     # prefix of the blocks or for none: the first block's test decides
     helper = None
-    if n - k >= _BLOCK / _OVERDRAW and _may_use_two_cpus():
+    if n - k >= _BLOCK / _OVERDRAW and _usable_cpus() > 1:
         import queue  # imported here: only a request that draws ahead needs it
 
         asks, results = queue.SimpleQueue(), queue.SimpleQueue()

@@ -1,9 +1,13 @@
 """Helpers that only tests use: reading a fit back from its JSON form, the
 paper's log-log slope of a binned density, the threshold rescaling of raw
-exceedances, and a near-constant sample."""
+exceedances, a near-constant sample, the usable CPUs a test pretends to have
+and the environment of a child interpreter."""
+
+import os
 
 import numpy as np
 
+import ftgamma
 from ftgamma import FitResult, FtgParams, Sample
 from ftgamma.gof import LogBinnedHistogram
 
@@ -51,3 +55,17 @@ def near_constant_sample(seed: int = 1, spread: float = 3e-8) -> np.ndarray:
     mean(log) is a few ulps of rounding, and the gamma shape equation's
     root, near 1/gap, runs to 1e15 and beyond."""
     return 1.0 + spread * np.random.default_rng(seed).random(40)
+
+
+def set_usable_cpus(monkeypatch, cpus: int):
+    """Let the sampler and the bootstrap see `cpus` usable CPUs, whatever
+    this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports the same ftgamma
+    as this process, installed or not."""
+    src = os.path.dirname(os.path.dirname(ftgamma.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))

@@ -11,7 +11,7 @@ import pytest
 import ftgamma
 from ftgamma.cli import main
 
-from helpers import fit_result_from_dict, near_constant_sample
+from helpers import child_env, fit_result_from_dict, near_constant_sample
 
 
 DATA = Path(__file__).parent / "data"
@@ -570,13 +570,6 @@ class TestPlotdata:
         assert payload["mode"] == "bootstrap"
         ids = [r["sample_id"] for r in payload["rows"]]
         assert 0 in ids and len(ids) == 3
-
-
-def child_env():
-    # a child imports the same ftgamma as this process, installed or not
-    src = os.path.dirname(os.path.dirname(ftgamma.__file__))
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def run_module(*argv, timeout):

@@ -1,4 +1,12 @@
+import contextlib
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +14,7 @@ import pytest
 from ftgamma import (
     FitError,
     FtgParams,
+    NumericsError,
     RngStream,
     Sample,
     cvm_ad_statistics,
@@ -19,7 +28,7 @@ from ftgamma import (
 from ftgamma import gof
 from ftgamma.fit import _fit_family
 
-from helpers import loglog_least_squares
+from helpers import child_env, loglog_least_squares, set_usable_cpus
 
 
 class TestCvmAdStatistics:
@@ -118,45 +127,193 @@ class TestBootstrapPvalue:
         assert rpt.p_w2 > 0.01 and rpt.p_a2 > 0.01
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _replicates(losses, family, seed, n_boot=99):
+    """{bytes of replicate b's values: b}: how a replaced refit tells which
+    replicate it was handed, in whichever process runs it."""
+    model = _fit_family(losses, family).params
+    stream = RngStream(seed)
+    return {ftg_rvs(model, len(losses), stream.child(b + 1)).tobytes(): b
+            for b in range(n_boot)}
+
+
 class TestBootstrapRefitFailures:
     @staticmethod
-    def _run(losses, monkeypatch, failing):
-        """bootstrap_pvalue on the losses with the refits of the replicates
-        in failing raising FitError, and every statistic it computed."""
-        calls, seen = [], []
+    def _run(losses, monkeypatch, failing, cpus):
+        """bootstrap_pvalue on the losses at `cpus` usable CPUs, with the
+        refits of the replicates in failing raising FitError."""
+        which = _replicates(losses, "pareto", 5)
 
         def fit_family(smp, family):
-            # call 1 fits the data, call b + 2 refits replicate b
-            calls.append(None)
-            if len(calls) - 2 in failing:
+            if which.get(smp.values.tobytes()) in failing:
                 raise FitError("injected")
             return _fit_family(smp, family)
 
-        def statistics(smp, model):
-            seen.append(cvm_ad_statistics(smp, model))
-            return seen[-1]
-
+        set_usable_cpus(monkeypatch, cpus)
         monkeypatch.setattr(gof, "_fit_family", fit_family)
-        monkeypatch.setattr(gof, "cvm_ad_statistics", statistics)
-        return bootstrap_pvalue(losses, "pareto", 99, RngStream(5)), seen
+        try:
+            return bootstrap_pvalue(losses, "pareto", 99, RngStream(5))
+        finally:
+            _no_child_left()
 
-    def test_failures_counted_and_left_out_of_the_pvalues(self, losses, monkeypatch):
-        clean, seen = self._run(losses, monkeypatch, ())
+    @staticmethod
+    def _statistics(losses):
+        """The observed (W^2, A^2), and every replicate's in order b, from a
+        loop of this test's own."""
+        model = _fit_family(losses, "pareto").params
+        stream = RngStream(5)
+        replicates = []
+        for b in range(99):
+            sim = Sample(ftg_rvs(model, len(losses), stream.child(b + 1)))
+            replicates.append(cvm_ad_statistics(sim, _fit_family(sim, "pareto").params))
+        return cvm_ad_statistics(losses, model), replicates
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failures_counted_and_left_out_of_the_pvalues(self, losses, monkeypatch, cpus):
+        clean = self._run(losses, monkeypatch, (), cpus)
         assert clean.n_refit_failures == 0
-        (w2_obs, a2_obs), replicates = seen[0], seen[1:]
+        (w2_obs, a2_obs), replicates = self._statistics(losses)
         failing = {0, 17, 50, 98}
-        rpt, _ = self._run(losses, monkeypatch, failing)
+        rpt = self._run(losses, monkeypatch, failing, cpus)
         kept = [stat for b, stat in enumerate(replicates) if b not in failing]
         assert rpt.n_refit_failures == 4 and rpt.n_bootstrap == 95
         assert (rpt.w2, rpt.a2) == (w2_obs, a2_obs)
         assert rpt.p_w2 == (1 + sum(w2 >= w2_obs for w2, _ in kept)) / 96
         assert rpt.p_a2 == (1 + sum(a2 >= a2_obs for _, a2 in kept)) / 96
 
-    def test_more_than_a_tenth_failing_aborts(self, losses, monkeypatch):
-        rpt, _ = self._run(losses, monkeypatch, set(range(0, 99, 11)))
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_more_than_a_tenth_failing_aborts(self, losses, monkeypatch, cpus):
+        rpt = self._run(losses, monkeypatch, set(range(0, 99, 11)), cpus)
         assert rpt.n_refit_failures == 9 and rpt.n_bootstrap == 90
         with pytest.raises(FitError, match="10 bootstrap refits failed out of 91"):
-            self._run(losses, monkeypatch, set(range(0, 99, 10)))
+            self._run(losses, monkeypatch, set(range(0, 99, 10)), cpus)
+
+
+class TestBootstrapOnWorkers:
+    """The replicates spread over forked workers; every figure, error and
+    warning is that of one process running them in order."""
+
+    # GofReport fields of bootstrap_pvalue(losses, family, 99, RngStream(seed)),
+    # captured from the serial loop before the replicates were spread
+    PINNED = {
+        ("ftg", 11): (0.05829705937500183, 0.37369268422494883, 0.19, 0.2, 99, 0),
+        ("ftg", 12): (0.05829705937500183, 0.37369268422494883, 0.25, 0.24, 99, 0),
+        ("ftg", 13): (0.05829705937500183, 0.37369268422494883, 0.17, 0.21, 99, 0),
+        ("pareto", 11): (0.04662673333139112, 0.34312747943306476, 0.46, 0.46, 99, 0),
+        ("pareto", 12): (0.04662673333139112, 0.34312747943306476, 0.52, 0.53, 99, 0),
+        ("pareto", 13): (0.04662673333139112, 0.34312747943306476, 0.48, 0.47, 99, 0),
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_reports_equal_the_serial_loop(self, losses, monkeypatch, cpus):
+        set_usable_cpus(monkeypatch, cpus)
+        for (family, seed), fields in self.PINNED.items():
+            rpt = bootstrap_pvalue(losses, family, 99, RngStream(seed))
+            _no_child_left()
+            assert tuple(rpt.to_dict().values()) == fields, (family, seed)
+
+    @staticmethod
+    def _inject(losses, monkeypatch, cpus, effect):
+        """At `cpus` usable CPUs, let effect(b) run at the start of replicate
+        b's refit, in whichever process runs it; returns the replicates whose
+        refit this process ran, in order."""
+        which = _replicates(losses, "ftg", 11)
+        parent, here = os.getpid(), []
+
+        def fit_family(smp, family):
+            b = which.get(smp.values.tobytes())
+            if b is not None:
+                if os.getpid() == parent:
+                    here.append(b)
+                effect(b)
+            return _fit_family(smp, family)
+
+        set_usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(gof, "_fit_family", fit_family)
+        return here
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_an_error_raises_in_the_parent_at_its_replicate(self, losses, monkeypatch, cpus):
+        def effect(b):
+            if b in (30, 70):
+                raise NumericsError(f"injected at {b}")
+
+        here = self._inject(losses, monkeypatch, cpus, effect)
+        with pytest.raises(NumericsError, match="injected at 30"):
+            bootstrap_pvalue(losses, "ftg", 99, RngStream(11))
+        _no_child_left()
+        assert here[-1] == 30
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_warnings_come_once_from_the_parent_in_order(self, losses, monkeypatch, cpus):
+        # ten replicates warn, so that workers run some of them
+        warned = range(3, 99, 10)
+
+        def effect(b):
+            if b in warned:
+                warnings.warn(f"injected at {b}")
+
+        here = self._inject(losses, monkeypatch, cpus, effect)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rpt = bootstrap_pvalue(losses, "ftg", 99, RngStream(11))
+        _no_child_left()
+        assert [str(w.message) for w in caught] == [f"injected at {b}" for b in warned]
+        assert tuple(rpt.to_dict().values()) == self.PINNED["ftg", 11]
+        assert set(warned) <= set(here)
+
+    def test_a_slow_worker_claims_fewer_chunks(self, losses, monkeypatch):
+        run_share, parent, claimed = gof._run_share, os.getpid(), []
+
+        def share(replicate, *args):
+            if os.getpid() != parent:
+                return run_share(lambda b: (time.sleep(0.02), replicate(b))[1], *args)
+            ran = run_share(replicate, *args)
+            claimed.append(len(ran))
+            return ran
+
+        set_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(gof, "_run_share", share)
+        rpt = bootstrap_pvalue(losses, "ftg", 99, RngStream(11))
+        _no_child_left()
+        assert tuple(rpt.to_dict().values()) == self.PINNED["ftg", 11]
+        assert 99 - claimed[0] > 0  # the worker ran, and claimed less
+        assert claimed[0] > 99 - claimed[0]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+    def test_a_killed_caller_leaves_no_worker_running(self):
+        # a worker holds its caller's stdout: one that went on claiming after
+        # its caller was killed would hold the pipe open for its whole share,
+        # here some 99,999 replicates
+        script = textwrap.dedent("""
+            import os
+            from ftgamma import RngStream, bootstrap_pvalue, gof, load_external_fraud
+            os.sched_getaffinity = lambda pid: {0, 1}
+            run_share, parent = gof._run_share, os.getpid()
+            def share(*args):
+                if os.getpid() != parent:
+                    print(os.getpid(), flush=True)
+                return run_share(*args)
+            gof._run_share = share
+            bootstrap_pvalue(load_external_fraud(), "ftg", 99_999, RngStream(1))
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, env=child_env())
+        worker = None
+        try:
+            worker = int(proc.stdout.readline())
+            proc.terminate()
+            proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+            if worker is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(worker, signal.SIGKILL)  # reaped by init, if it lived on
 
 
 class TestLogBinnedHistogram:

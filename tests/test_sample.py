@@ -1,6 +1,5 @@
 import hashlib
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -18,6 +17,7 @@ from ftgamma import (
     sample_ftg,
 )
 
+from helpers import set_usable_cpus
 from oracles import quad_log_upper_gamma
 
 GRID = [
@@ -253,11 +253,6 @@ class _DrawFailed(RuntimeError):
     pass
 
 
-def _cpus(monkeypatch, cpus):
-    """Let the sampler see `cpus` usable CPUs, whatever this machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 class TestDrawAhead:
     """The next block is drawn on a helper thread while the caller judges
     the current one; every figure below is that of the serial loop."""
@@ -285,7 +280,7 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_pinned_from_the_serial_loop(self, monkeypatch, cpus):
-        _cpus(monkeypatch, cpus)
+        set_usable_cpus(monkeypatch, cpus)
         for p, n, key, digest, attempts, after in self.PINNED:
             rng = RngStream(*key)
             vals = ftg_rvs(p, n, rng)
@@ -299,7 +294,7 @@ class TestDrawAhead:
         # more requests than cores, each with its own helper, with the
         # interpreter switching threads every 10 us: a block handed over out
         # of order or lost would change the bits or hang
-        _cpus(monkeypatch, 2)
+        set_usable_cpus(monkeypatch, 2)
         got = {}
 
         def run(i, p, n, key):
@@ -332,7 +327,7 @@ class TestDrawAhead:
         return started
 
     def test_one_block_starts_no_thread(self, ftg_fit, monkeypatch):
-        _cpus(monkeypatch, 2)
+        set_usable_cpus(monkeypatch, 2)
         started = self._count_threads(monkeypatch)
         ftg_rvs(ftg_fit.params, 40, RngStream(1))
         sample_ftg(FtgParams(1.7, 1.0, 0.5), 40, RngStream(1))
@@ -341,14 +336,14 @@ class TestDrawAhead:
         assert started == [1]  # one helper for the whole request
 
     def test_one_cpu_starts_no_thread(self, ftg_fit, monkeypatch):
-        _cpus(monkeypatch, 1)
+        set_usable_cpus(monkeypatch, 1)
         started = self._count_threads(monkeypatch)
         ftg_rvs(ftg_fit.params, 2_000_000, RngStream(1))
         ftg_rvs(FtgParams(1.7, 1.0, 0.5), 200_000, RngStream(1))
         assert started == []
 
     def test_large_request_leaves_no_thread(self, ftg_fit, monkeypatch):
-        _cpus(monkeypatch, 2)
+        set_usable_cpus(monkeypatch, 2)
         before = threading.active_count()
         ftg_rvs(ftg_fit.params, 2_000_000, RngStream(2))
         assert threading.active_count() == before
@@ -362,7 +357,7 @@ class TestDrawAhead:
         (FtgParams(1.7, 1.0, 0.5), 3, True),
     ])
     def test_draw_failure_reaches_the_caller(self, ftg_fit, monkeypatch, law, fail_at, on_helper):
-        _cpus(monkeypatch, 2)
+        set_usable_cpus(monkeypatch, 2)
         gen = _FaultyGenerator(RngStream(3).generator, fail_at)
         monkeypatch.setattr(RngStream, "generator", property(lambda self: gen))
         before = threading.active_count()
@@ -374,7 +369,7 @@ class TestDrawAhead:
     def test_judge_failure_joins_the_drawing_helper(self, ftg_fit, monkeypatch):
         # block 2's uniforms come one short: the caller's arithmetic on them
         # raises while the helper draws blocks 3 and 4, asked ahead
-        _cpus(monkeypatch, 2)
+        set_usable_cpus(monkeypatch, 2)
         gen = _FaultyGenerator(RngStream(3).generator, 4, short=True)
         monkeypatch.setattr(RngStream, "generator", property(lambda self: gen))
         before = threading.active_count()
