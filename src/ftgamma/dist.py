@@ -165,9 +165,12 @@ class Moments:
 
 # ----------------------------------------------------------------- densities
 def log_pdf(p: FtgParams, x: float) -> float:
-    """Log density at x >= 0."""
-    if x < 0.0:
-        raise ValueError("support is x >= 0")
+    """Log density at a number x >= 0; -inf at x = inf."""
+    if not x >= 0.0:
+        raise ValueError(f"support is x >= 0, got {x}")
+    if x == math.inf:
+        # the interior formula would form inf - inf for alpha >= 1
+        return -math.inf
     if p.is_pareto:
         return (
             math.log(-p.alpha)
@@ -197,15 +200,19 @@ def _log_survival(p: FtgParams, x):
 
 def _tail(p: FtgParams, x, upper: bool):
     """P(X > x) if upper, else P(X <= x), for a number x or elementwise over
-    an array of them."""
+    an array of them; NaN is refused in every regime."""
     if np.ndim(x) == 0:
+        if math.isnan(x):
+            raise ValueError("x must be a number, got nan")
         if x <= 0.0:
             return 1.0 if upper else 0.0
         log_s = float(_log_survival(p, float(x)))
         return _FLOAT.exp(log_s) if upper else 0.0 - _FLOAT.expm1(log_s)
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("x must hold numbers, got nan")
     log_s = np.zeros(x.shape)
-    pos = ~(x <= 0.0)  # NaN goes to log_upper_inc_gamma, which refuses it
+    pos = x > 0.0
     log_s[pos] = _log_survival(p, x[pos])
     # 0 - expm1 keeps P(X <= 0) = +0.0; a number rounds as an element does
     return np.exp(log_s) if upper else 0.0 - np.expm1(log_s)

@@ -55,8 +55,12 @@ class RiskReport:
     lam: float
     quantile_level: float
     tail_expectation: float | None = None
-    infinite_mean_severity: bool = False
     fit: FitResult | None = None
+
+    @property
+    def infinite_mean_severity(self) -> bool:
+        """Whether the severity model has an infinite mean."""
+        return moments(self.severity_model).infinite_mean
 
     def to_dict(self) -> dict:
         """JSON form; severity_model is tagged with the fit's family, or as
@@ -109,7 +113,6 @@ def simulate_aggregate(severity: FtgParams, cfg: RiskConfig,
         seed=cfg.seed,
         lam=cfg.lam,
         quantile_level=cfg.quantile_level,
-        infinite_mean_severity=moments(severity).infinite_mean,
     )
 
 
@@ -156,15 +159,11 @@ class BootstrapStudy:
         return [*self.rows, self.original]
 
 
-def _failed_row(sample_id: int, exc: Exception) -> BootstrapRow:
-    return BootstrapRow(sample_id, error=str(exc))
-
-
 def _fit_row(smp: Sample, sample_id: int) -> BootstrapRow:
     try:
         ftg = fit_ftg(smp)
     except (FitError, ValueError) as exc:
-        return _failed_row(sample_id, exc)
+        return BootstrapRow(sample_id, error=str(exc))
     return BootstrapRow(sample_id, ftg_fit=ftg)
 
 
@@ -178,7 +177,7 @@ def _simulate_row(row: BootstrapRow, cfg: RiskConfig, rng: RngStream) -> Bootstr
         rc_p = simulate_aggregate(row.pareto_fit.params, cfg, rng.child(row.sample_id, 0))
         rc_f = simulate_aggregate(row.ftg_fit.params, cfg, rng.child(row.sample_id, 1))
     except (FitError, ValueError) as exc:
-        return _failed_row(row.sample_id, exc)
+        return BootstrapRow(row.sample_id, error=str(exc))
     return replace(row, pareto_risk_capital=rc_p.risk_capital,
                    ftg_risk_capital=rc_f.risk_capital)
 

@@ -89,7 +89,11 @@ class SampleBatch:
 
     values: np.ndarray
     attempts: int
-    acceptance_rate: float
+
+    @property
+    def acceptance_rate(self) -> float:
+        """Share of the proposals that were accepted."""
+        return self.values.size / self.attempts
 
 
 def _block(missing: int) -> int:
@@ -305,8 +309,7 @@ def sample_ftg(p: FtgParams, n: int, rng: RngStream) -> SampleBatch:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    values, attempts = _draw(p, n, rng.generator)
-    return SampleBatch(values=values, attempts=attempts, acceptance_rate=n / attempts)
+    return SampleBatch(*_draw(p, n, rng.generator))
 
 
 def ftg_rvs(p: FtgParams, n: int, rng: RngStream) -> np.ndarray:

@@ -4,6 +4,7 @@ exceedances, a near-constant sample, the usable CPUs a test pretends to have
 and the environment of a child interpreter."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,9 +21,12 @@ def model_from_dict(d: dict) -> FtgParams:
 
 
 def fit_result_from_dict(d: dict) -> FitResult:
-    """The fit that FitResult.to_dict wrote as d (without its pareto_fit)."""
-    return FitResult(**{**d, "params": model_from_dict(d["params"]),
-                        **{k: np.asarray(d[k]) for k in FitResult._ARRAYS}})
+    """The fit that FitResult.to_dict wrote as d (without its pareto_fit),
+    built from its stored fields alone: std_errors is recomputed."""
+    stored = {f.name: d[f.name] for f in fields(FitResult) if f.name in d}
+    return FitResult(**{**stored, "params": model_from_dict(d["params"]),
+                        **{k: np.asarray(v) for k, v in stored.items()
+                           if k in FitResult._ARRAYS}})
 
 
 def loglog_least_squares(hist: LogBinnedHistogram) -> tuple[float, float]:

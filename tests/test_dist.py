@@ -94,6 +94,12 @@ class TestPdf:
         with pytest.raises(ValueError):
             log_pdf(FtgParams(1.0, 1.0, 1.0), -0.5)
 
+    def test_density_vanishes_at_infinity(self):
+        # for alpha >= 1 the interior formula would form inf - inf
+        for p in GRID + [FtgParams.gamma(a, 1.0) for a in (0.5, 1.0, 2.0)] + [PARETO_REF]:
+            assert log_pdf(p, math.inf) == -math.inf, p
+            assert pdf(p, math.inf) == 0.0, p
+
     def test_normalization_across_grid(self):
         for p in GRID:
             total = pdf_quadrature_norm(
@@ -142,6 +148,15 @@ class TestCdfSurvival:
             assert got[0] == pytest.approx(cdf(p, 1.0), rel=1e-14)
             assert got[1] == 1.0
             assert survival(p, np.array([1.0, math.inf]))[1] == 0.0
+
+    def test_nan_refused_in_every_regime(self):
+        for p in (FTG_REF, FtgParams(2.0, 1.0, 0.5), FtgParams.gamma(2.0, 1.0), PARETO_REF):
+            for f, x in [(log_pdf, math.nan), (pdf, math.nan),
+                         (cdf, math.nan), (survival, math.nan),
+                         (cdf, np.array([1.0, math.nan])),
+                         (survival, np.array([[math.nan], [0.0]]))]:
+                with pytest.raises(ValueError, match="nan"):
+                    f(p, x)
 
     def test_monotone(self):
         xs = np.linspace(0, 50, 200)

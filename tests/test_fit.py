@@ -59,6 +59,22 @@ class TestSufficientStats:
         assert st.r_bar > 1.0 and st.s_bar > 0.0
         assert st.r_bar >= math.exp(st.s_bar)  # AM-GM on 1 + x/sigma
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0])
+    def test_sigma_outside_the_positive_reals_refused(self, losses, sigma):
+        for call in (lambda: sufficient_stats(losses, sigma),
+                     lambda: loglik_ftg(losses, -0.2, sigma, 1e-3),
+                     lambda: score_ftg(losses, -0.2, sigma, 1e-3),
+                     lambda: observed_information(losses, -0.2, sigma, 1e-3),
+                     lambda: inner_solve(losses, sigma),
+                     lambda: loglik_pareto(losses, -0.5, sigma)):
+            with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+                call()
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, 0.5])
+    def test_pareto_alpha_must_be_negative(self, losses, alpha):
+        with pytest.raises(ValueError, match="Pareto alpha must be < 0"):
+            loglik_pareto(losses, alpha, 1.0)
+
     def test_sigma_derivatives_fd(self, losses):
         h = 1e-6
         for sig in (0.5, 3.0):
@@ -212,6 +228,12 @@ class TestObservedInformation:
             h = r**a * mpmath.exp(-r) / mpmath.gammainc(a, r)  # -rho d_rho
             want = -(h / r) * ((a - 1) / r - 1) - (h / r) ** 2 + a / r**2
             assert abs((got - want) / want) < 1e-11
+
+    def test_standard_errors_are_read_off_the_information_once(self, losses):
+        fit = fit_ftg(losses)
+        se = fit.std_errors
+        assert fit.std_errors is se
+        np.testing.assert_array_equal(se, np.sqrt(np.diag(np.linalg.inv(fit.observed_info))))
 
     def test_alpha_standard_error_near_reference(self, losses, ftg_fit):
         # reference: s.e.(alpha) = 0.16; sigma 0.59 and rho 6.2e-4 are not

@@ -119,6 +119,26 @@ class TestBootstrapPvalue:
         b = bootstrap_pvalue(losses, "pareto", 99, RngStream(5))
         assert a == b
 
+    def test_refits_invert_no_information(self, losses, monkeypatch):
+        # a replicate reads only its refit's params, and standard errors
+        # are computed when first read, so no refit builds an inverse
+        set_usable_cpus(monkeypatch, 1)
+        calls = []
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("inv", "pinv"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        rpt = bootstrap_pvalue(losses, "ftg", 99, RngStream(1))
+        assert rpt.n_bootstrap + rpt.n_refit_failures == 99
+        assert calls == []
+
     def test_sampler_passes_its_own_gof(self, ftg_fit):
         # data generated from the fitted model must not be rejected by the
         # fitted-model goodness-of-fit machinery
