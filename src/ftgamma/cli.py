@@ -107,11 +107,14 @@ def _fit_text(pareto: FitResult | None, ftg: FitResult | None,
     if ftg is not None:
         fp = ftg.params
         lines.append("FTG distribution")
-        if ftg.boundary:
-            edge, scale = ("Pareto", "sigma") if fp.is_pareto else ("gamma", "theta")
-            lines.append(f"  (optimum on the {edge} edge rho -> 0; reporting that model)")
+        if ftg.boundary == "pareto":
+            lines.append("  (optimum on the Pareto edge rho -> 0; reporting that model)")
             lines.append(f"  alpha  {fp.alpha:12.4f}")
-            lines.append(f"  {scale}  {getattr(fp, scale):12.4f}")
+            lines.append(f"  sigma  {fp.sigma:12.4f}")
+        elif ftg.boundary == "gamma":
+            lines.append("  (optimum on the gamma edge rho -> 0; reporting that model)")
+            lines.append(f"  alpha  {fp.alpha:12.4f}")
+            lines.append(f"  theta  {fp.theta:12.4f}")
         else:
             lines.append(f"  alpha  {fp.alpha:12.4f}   (s.e. {ftg.std_errors[0]:.4f})")
             lines.append(f"  sigma  {fp.sigma:12.4f}   (s.e. {ftg.std_errors[1]:.4f})")

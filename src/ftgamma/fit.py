@@ -697,12 +697,11 @@ def lrt_pareto_vs_ftg(ftg: FitResult) -> tuple[float, float]:
     statistic = 2 (l_FTG - l_Pareto), referenced to chi-square with one
     degree of freedom. The Pareto sits on the rho = 0 edge of the parameter
     space, so the chi-square(1) reference is the conventional (not
-    boundary-corrected) choice. Its measured size at p < 0.05 runs from
-    0.0275 to 0.070, and at p < 0.01 from 0.0075 to 0.020, under Pareto
-    nulls that put 0-19% of their FTG fits on the Pareto edge, not the
-    half that the Self-Liang mixture (chi2_0 + chi2_1) / 2 assumes (README
-    has each case). The FTG family contains the Pareto, so a statistic
-    below 0 (an FTG fit short of the Pareto likelihood) is read as 0.
+    boundary-corrected) choice. Under Pareto nulls its measured size is
+    0.0275-0.070 at p < 0.05 and 0.0075-0.020 at p < 0.01, with 0-19% of
+    the FTG fits on the Pareto edge (README has each case). The FTG family
+    contains the Pareto, so a statistic below 0 (an FTG fit short of the
+    Pareto likelihood) is read as 0.
     """
     pareto = ftg.pareto_fit
     if pareto is None:

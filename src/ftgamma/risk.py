@@ -159,11 +159,15 @@ class BootstrapStudy:
         return [*self.rows, self.original]
 
 
+def _failed_row(sample_id: int, exc: Exception) -> BootstrapRow:
+    return BootstrapRow(sample_id, error=str(exc))
+
+
 def _fit_row(smp: Sample, sample_id: int) -> BootstrapRow:
     try:
         ftg = fit_ftg(smp)
     except (FitError, ValueError) as exc:
-        return BootstrapRow(sample_id, error=str(exc))
+        return _failed_row(sample_id, exc)
     return BootstrapRow(sample_id, ftg_fit=ftg)
 
 
@@ -177,7 +181,7 @@ def _simulate_row(row: BootstrapRow, cfg: RiskConfig, rng: RngStream) -> Bootstr
         rc_p = simulate_aggregate(row.pareto_fit.params, cfg, rng.child(row.sample_id, 0))
         rc_f = simulate_aggregate(row.ftg_fit.params, cfg, rng.child(row.sample_id, 1))
     except (FitError, ValueError) as exc:
-        return BootstrapRow(row.sample_id, error=str(exc))
+        return _failed_row(row.sample_id, exc)
     return replace(row, pareto_risk_capital=rc_p.risk_capital,
                    ftg_risk_capital=rc_f.risk_capital)
 

@@ -46,18 +46,24 @@ class TestFit:
         assert '"manifest"' in err
 
     # each family and both FTG edges, with the Pareto fit that stops on its
-    # exponential limit: the fit rebuilt from its stored fields writes the
-    # same JSON, its std_errors recomputed from the information
+    # exponential limit: the JSON is the library's fit of the same data, and
+    # the fit rebuilt from its stored fields writes it again, its std_errors
+    # recomputed from the information
     @pytest.mark.parametrize("data, family", [
         ("bundled", "ftg"), ("bundled", "pareto"), ("bundled", "gamma"),
         ("gamma_edge_sample.txt", "ftg"), ("gamma_edge_sample.txt", "pareto"),
         ("pareto_edge_sample.txt", "ftg"),
     ])
-    def test_json_round_trips_fit_result(self, capsys, data, family):
-        source = ["--bundled"] if data == "bundled" else ["--data", str(DATA / data)]
+    def test_json_round_trips_fit_result(self, capsys, losses, data, family):
+        if data == "bundled":
+            source, smp = ["--bundled"], losses
+        else:
+            source, smp = ["--data", str(DATA / data)], ftgamma.read_dataset(str(DATA / data))
         code, out, _ = run_cli(capsys, "fit", *source, "--family", family, "--json")
         assert code == 0
         payload = json.loads(out)[family]
+        want = getattr(ftgamma, f"fit_{family}")(smp)
+        assert payload == json.loads(json.dumps(want.to_dict()))
         assert fit_result_from_dict(payload).to_dict() == payload
 
     def test_empty_file_is_data_error(self, capsys, tmp_path):
