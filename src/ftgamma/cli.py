@@ -277,9 +277,8 @@ def cmd_plotdata(args) -> tuple[int, dict, str]:
     ftg = fit_ftg(smp)
     p_f, p_p = ftg.params, ftg.pareto_fit.params
     if args.mode == "survival":
-        header, emp_format = "x empirical ftg pareto", ".6f"
+        header, emp_format, model = "x empirical ftg pareto", ".6f", survival
         points, empirical = empirical_survival(smp)
-        fitted = [survival(p, points).tolist() for p in (p_f, p_p)]
     else:
         origin, per_decade = args.origin, args.bins_per_decade
         if args.preset == "cyclone":
@@ -287,9 +286,9 @@ def cmd_plotdata(args) -> tuple[int, dict, str]:
         elif origin is None:
             origin = math.floor(math.log10(float(smp.values[smp.values > 0].min())))
         hist = log_binned_histogram(smp, decade_origin=origin, bins_per_decade=per_decade)
-        header, emp_format = "p density ftg pareto", ".6e"
+        header, emp_format, model = "p density ftg pareto", ".6e", pdf
         points, empirical = hist.eval_points, hist.densities
-        fitted = [[pdf(p, x) for x in points.tolist()] for p in (p_f, p_p)]
+    fitted = [model(p, points).tolist() for p in (p_f, p_p)]
     rows = [list(r) for r in zip(points.tolist(), empirical.tolist(), *fitted)]
     lines = [header] + [f"{x:.6g} {emp:{emp_format}} {f:.6e} {q:.6e}"
                         for x, emp, f, q in rows]

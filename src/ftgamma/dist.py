@@ -80,8 +80,9 @@ class FtgParams:
             if alpha >= 0.0:
                 raise ValueError("Pareto boundary (theta = 0) requires alpha < 0")
             sigma = self.sigma
-            if sigma is None or not (float(sigma) > 0.0):
-                raise ValueError("Pareto boundary requires an explicit sigma > 0")
+            if sigma is None or not 0.0 < float(sigma) < math.inf:
+                raise ValueError("Pareto boundary requires an explicit finite sigma > 0, "
+                                 f"got {sigma}")
             sigma = float(sigma)
         else:
             raise ValueError("rho > 0 with theta = 0 is not a valid regime")
@@ -95,8 +96,8 @@ class FtgParams:
         """Construct from (alpha, sigma, rho); theta = rho / sigma."""
         sigma = float(sigma)
         rho = float(rho)
-        if sigma <= 0.0:
-            raise ValueError("sigma must be > 0")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
         if rho == 0.0:
             return cls.pareto(alpha, sigma)
         return cls(alpha, rho / sigma, rho)
@@ -164,8 +165,19 @@ class Moments:
 
 
 # ----------------------------------------------------------------- densities
-def log_pdf(p: FtgParams, x: float) -> float:
-    """Log density at a number x >= 0; -inf at x = inf."""
+def _each(f, p: FtgParams, x) -> np.ndarray:
+    """f(p, v) at each element v of the array x, as the number it is, in
+    x's shape: an element gets a number's bits and refusals."""
+    x = np.asarray(x, dtype=float)
+    return np.array([f(p, v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def log_pdf(p: FtgParams, x):
+    """Log density at a number x >= 0, or elementwise over an array of them;
+    -inf at x = inf."""
+    # isinstance first: np.ndim of a float costs more than its density
+    if not isinstance(x, float) and np.ndim(x) > 0:
+        return _each(log_pdf, p, x)
     if not x >= 0.0:
         raise ValueError(f"support is x >= 0, got {x}")
     if x == math.inf:
@@ -186,7 +198,10 @@ def log_pdf(p: FtgParams, x: float) -> float:
     return math.log(p.theta) + (p.alpha - 1.0) * math.log(t) - t - p.log_norm
 
 
-def pdf(p: FtgParams, x: float) -> float:
+def pdf(p: FtgParams, x):
+    """Density at a number x >= 0, or elementwise over an array of them."""
+    if not isinstance(x, float) and np.ndim(x) > 0:
+        return _each(pdf, p, x)
     return math.exp(log_pdf(p, x))
 
 

@@ -276,6 +276,11 @@ def log_binned_histogram(sample, decade_origin: float = 8.0,
     laid to cover the data (or x_range if given); observations outside the
     covered span are excluded from counts but still included in the density
     normalization.
+
+    Raises ValueError for an origin so far from the data's decades (NaN and
+    infinite ones included) that the exponents decade_origin + s / b cannot
+    resolve half a bin, and wherever the bin edges are not finite and
+    strictly increasing.
     """
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
@@ -288,13 +293,24 @@ def log_binned_histogram(sample, decade_origin: float = 8.0,
     lo, hi = (float(x.min()), float(x.max())) if x_range is None else x_range
     if not 0.0 < lo <= hi:
         raise ValueError("x_range must be positive and ordered")
+    unresolved = (f"decade origin {decade_origin} cannot lay finite, strictly "
+                  "increasing bin edges over the data")
+    # the exponents decade_origin + s / b, at most `reach` in size, must
+    # resolve half a bin, 0.5 / b, before any edge is laid
+    reach = abs(decade_origin) + abs(math.log10(lo)) + abs(math.log10(hi)) + 1.0
+    if not b * math.ulp(reach) < 0.5:
+        raise ValueError(unresolved)
     # smallest s with edge >= lo, largest with edge <= hi, padded to cover
     s_lo = math.floor(b * (math.log10(lo) - math.log10(offset)) - b * decade_origin)
     s_hi = math.ceil(b * (math.log10(hi) - math.log10(offset)) - b * decade_origin)
-    while offset * 10.0 ** (decade_origin + s_lo / b) >= lo:
+    for _ in range(2):  # one step down is all that rounding can need
+        if offset * 10.0 ** (decade_origin + s_lo / b) < lo:
+            break
         s_lo -= 1  # bins are left-open: the minimum must lie strictly inside
     s = np.arange(s_lo, s_hi + 1)
     edges = offset * 10.0 ** (decade_origin + s / b)
+    if not (edges[0] < lo and np.isfinite(edges[-1]) and (np.diff(edges) > 0.0).all()):
+        raise ValueError(unresolved)
     eval_points = 10.0 ** (decade_origin + s[:-1] / b)
     # bin j is (edges[j], edges[j+1]]
     j = np.searchsorted(edges, x, side="left") - 1

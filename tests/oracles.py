@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths: quadrature goes
 through the raw defining integral with its own transform, erfc through its
 Maclaurin series, derivatives through finite differences, and Poisson tail
-probabilities through direct summation of the pmf. The last two helpers,
-the sample-free profile value and the L1 distance to the Pareto limit, do
-build on the library's incomplete gamma function; only tests use them.
+probabilities through direct summation of the pmf. The last three helpers,
+the second rho-derivative of log Gamma(alpha, rho), the sample-free profile
+value and the L1 distance to the Pareto limit, do build on the library's
+incomplete gamma function; only tests use them.
 """
 
 import math
@@ -132,6 +133,15 @@ def tail_var_es(grid, mass, level: float):
     k = int(np.searchsorted(np.cumsum(mass), level))
     beyond = mass[k + 1:]
     return float(grid[k]), float((beyond * grid[k + 1:]).sum() / beyond.sum())
+
+
+def d_rho_rho(alpha: float, rho: float, d_rho: float) -> float:
+    """Closed-form d^2/drho^2 of log Gamma(alpha, rho) from its first rho
+    derivative d_rho = -rho^(alpha-1) e^-rho / Gamma(alpha, rho), as
+    inc_gamma_eval returns it: differentiating
+    log(-d_rho) = (alpha - 1) log rho - rho - log Gamma(alpha, rho) in rho
+    gives d_rho ((alpha - 1) / rho - 1 - d_rho)."""
+    return d_rho * ((alpha - 1.0) / rho - 1.0 - d_rho)
 
 
 def loglik_sample_free(n: int, alpha: float, sigma: float, rho: float) -> float:

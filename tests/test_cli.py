@@ -266,6 +266,14 @@ class TestSample:
         assert code == 1
         assert err == "ftg: invalid request: ftg needs --rho (plus --theta or --sigma)\n"
 
+    @pytest.mark.parametrize("family, scale", [("pareto", ()), ("ftg", ("--rho", "1"))])
+    def test_infinite_sigma_is_invalid_request(self, capsys, family, scale):
+        code, out, err = run_cli(capsys, "sample", "--family", family, "--alpha", "-1.5",
+                                 "--sigma", "inf", *scale, "-n", "3", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ftg: invalid request: ") and "sigma" in err
+
     def test_unseeded_run_reports_seed(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--family", "pareto",
                                  "--alpha", "-0.5", "--sigma", "1", "-n", "2")
@@ -547,6 +555,16 @@ class TestPlotdata:
                                "histogram")
         assert code == 0
         assert len(out.strip().splitlines()) > 3
+
+    @pytest.mark.parametrize("origin", ["1e300", "-1e300", "inf", "-inf", "1e16", "-1e16",
+                                        "nan"])
+    def test_far_origin_is_invalid_request(self, origin):
+        proc = run_module("plotdata", "--bundled", "--mode", "histogram",
+                          f"--origin={origin}", timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = [ln for ln in proc.stderr.splitlines() if not ln.startswith('{"manifest"')]
+        assert len(lines) == 1 and lines[0].startswith("ftg: invalid request: "), proc.stderr
 
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "plotdata", "--bundled", "--mode",

@@ -70,6 +70,14 @@ class TestParams:
             FtgParams.pareto(-0.5, 0.0)
         with pytest.raises(ValueError):
             FtgParams.pareto(-0.5, -1.0)
+        # a sigma outside (0, inf) is refused by name, on the edge and in
+        # the (alpha, sigma, rho) parameterization
+        for sigma in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                FtgParams.pareto(-1.5, sigma)
+            for rho in (0.0, 1.0):
+                with pytest.raises(ValueError, match="sigma"):
+                    FtgParams.from_sigma(-0.5, sigma, rho)
 
 
 class TestPdf:
@@ -91,8 +99,10 @@ class TestPdf:
         assert pdf(p, 1.0) == pytest.approx(kernel(1.0) / norm, rel=1e-9)
 
     def test_negative_x_rejected(self):
-        with pytest.raises(ValueError):
-            log_pdf(FtgParams(1.0, 1.0, 1.0), -0.5)
+        for f in (log_pdf, pdf):
+            for x in (-0.5, np.array([1.0, -0.5])):
+                with pytest.raises(ValueError, match="x >= 0"):
+                    f(FtgParams(1.0, 1.0, 1.0), x)
 
     def test_density_vanishes_at_infinity(self):
         # for alpha >= 1 the interior formula would form inf - inf
@@ -127,13 +137,14 @@ class TestCdfSurvival:
 
     def test_arrays_match_numbers(self):
         # one array call per law, its points on both sides of the continued
-        # fraction's seam and at x <= 0, against one call per point
+        # fraction's seam and at x <= 0 (x = 0 only for the density, whose
+        # support it bounds), against one call per point
         xs = np.array([[-1.0, 0.0, 1e-3, 0.01, 1.0], [7.3, 50.0, 400.0, 891.62, 1e4]])
         for p in GRID + [FTG_REF, PARETO_REF]:
-            for f in (cdf, survival):
-                got = f(p, xs)
-                assert got.shape == xs.shape
-                want = [[f(p, float(x)) for x in row] for row in xs]
+            for f, pts in [(cdf, xs), (survival, xs), (log_pdf, xs[:, 1:]), (pdf, xs[:, 1:])]:
+                got = f(p, pts)
+                assert got.shape == pts.shape
+                want = [[f(p, float(x)) for x in row] for row in pts]
                 np.testing.assert_array_equal(got, want, err_msg=f"{p} {f.__name__}")
         assert cdf(FTG_REF, xs)[0, :2].tolist() == [0.0, 0.0]
         assert survival(FTG_REF, xs)[0, :2].tolist() == [1.0, 1.0]
@@ -154,7 +165,9 @@ class TestCdfSurvival:
             for f, x in [(log_pdf, math.nan), (pdf, math.nan),
                          (cdf, math.nan), (survival, math.nan),
                          (cdf, np.array([1.0, math.nan])),
-                         (survival, np.array([[math.nan], [0.0]]))]:
+                         (survival, np.array([[math.nan], [0.0]])),
+                         (log_pdf, np.array([1.0, math.nan])),
+                         (pdf, np.array([[math.nan], [0.0]]))]:
                 with pytest.raises(ValueError, match="nan"):
                     f(p, x)
 

@@ -380,6 +380,28 @@ class TestLogBinnedHistogram:
             np.testing.assert_array_equal(
                 h.densities, h.counts / (xs.size * np.diff(h.bin_edges)))
 
+    def test_far_origin_refused_promptly(self):
+        # 1e300 once hung the loop that moves the first edge below the
+        # data, inf raised OverflowError and 1e16 gave edges that were not
+        # increasing and NaN densities: each is a ValueError, in a child
+        # that must finish
+        code = textwrap.dedent("""
+            import math
+            import numpy as np
+            from ftgamma import Sample, log_binned_histogram
+            smp = Sample(np.array([1.5, 20.0, 900.0]))
+            for origin in (1e300, -1e300, math.inf, -math.inf, 1e16, -1e16, math.nan):
+                try:
+                    log_binned_histogram(smp, decade_origin=origin)
+                except ValueError as exc:
+                    assert "decade origin" in str(exc), exc
+                else:
+                    raise SystemExit(f"origin {origin} accepted")
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+
     def test_mass_equals_inrange_fraction(self):
         gen = RngStream(33).generator
         xs = gen.pareto(1.3, size=500) * 10.0

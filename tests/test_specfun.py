@@ -5,13 +5,12 @@ import pytest
 
 from ftgamma.specfun import (
     chi2_survival_1df,
-    d_rho,
     digamma_trigamma,
     inc_gamma_eval,
     log_upper_inc_gamma,
 )
 
-from oracles import central_diff, erfc_series, quad_log_upper_gamma
+from oracles import central_diff, d_rho_rho, erfc_series, quad_log_upper_gamma
 
 
 class TestLogUpperIncGamma:
@@ -98,6 +97,26 @@ class TestLogUpperIncGamma:
                                             log_upper_inc_gamma(a, 1.5)]
         with pytest.raises(ValueError):
             inc_gamma_eval(2.0, math.inf)
+        # a 2-D array mixing rho = 0 (alpha > 0), rho = inf and interior
+        # points on both sides of the continued fraction's seam, for shapes
+        # on the continued fraction everywhere (alpha <= -30), the step-down
+        # chain, the small-shape anchor, the series at alpha + 1 with one
+        # step down and the lower series: element for element the number
+        # calls' bits
+        for a in (-50.0, -12.5, -0.5, 0.0, 0.3, 0.75, 2.0, 200.0):
+            seam = max(1.0, a + 1.0)
+            rho = np.array([[0.0, 1e-12, 0.3, math.inf],
+                            [seam, seam * (1.0 + 1e-9), math.inf, 700.0],
+                            [0.0, 4.3e-4, 30.0, 0.999 * seam]])
+            if a <= 0.0:
+                rho[rho == 0.0] = 0.05
+            got = log_upper_inc_gamma(a, rho)
+            assert got.shape == rho.shape
+            want = [[log_upper_inc_gamma(a, r) for r in row] for row in rho.tolist()]
+            assert got.tolist() == want, a
+            assert got[np.isinf(rho)].tolist() == [-math.inf] * 2
+            if a > 0.0:
+                assert got[rho == 0.0].tolist() == [math.lgamma(a)] * 2
 
     def test_extreme_corners_stay_finite(self):
         for a, r in [(-50.0, 1e-12), (-50.0, 700.0), (200.0, 1e-12), (200.0, 700.0)]:
@@ -109,7 +128,7 @@ class TestIncGammaEval:
     def test_d_rho_exponential_shape(self):
         ev = inc_gamma_eval(1.0, 0.7)
         assert ev.d_rho == pytest.approx(-1.0, abs=1e-13)
-        assert ev.d_rho_rho == pytest.approx(0.0, abs=1e-12)
+        assert d_rho_rho(1.0, 0.7, ev.d_rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_d_alpha_against_fd_oracle(self):
         # parameter point from the cyclone-scale fit regime
@@ -125,14 +144,12 @@ class TestIncGammaEval:
             assert ev.d_rho == pytest.approx(ref, rel=1e-6)
 
     def test_d_rho_rho_identity(self):
+        # the oracle's closed form against a central difference of d_rho
         for a, r in [(0.28, 0.02), (-0.45, 1.2), (3.0, 0.3)]:
-            ev = inc_gamma_eval(a, r)
-            closed = ev.d_rho * ((a - 1.0) / r - 1.0 - ev.d_rho)
-            assert ev.d_rho_rho == pytest.approx(closed, rel=1e-8)
-            # against a second-difference oracle too
+            closed = d_rho_rho(a, r, inc_gamma_eval(a, r).d_rho)
             h = 1e-4 * max(r, 0.01)
-            fd = central_diff(lambda t: d_rho(a, t, log_upper_inc_gamma(a, t)), r, h)
-            assert ev.d_rho_rho == pytest.approx(fd, rel=2e-5)
+            fd = central_diff(lambda t: inc_gamma_eval(a, t).d_rho, r, h)
+            assert closed == pytest.approx(fd, rel=2e-5)
 
     def test_second_alpha_derivative_fd(self):
         for a, r in [(0.5, 0.3), (-0.8, 0.9), (1.7, 2.5)]:
@@ -172,7 +189,8 @@ class TestIncGammaEval:
 
 
 class TestMpmathOracle:
-    """All seven outputs of inc_gamma_eval against mpmath at 60 digits.
+    """All six outputs of inc_gamma_eval, and d_rho_rho from the oracle's
+    closed form in its d_rho, against mpmath at 60 digits.
 
     The points cover the box alpha in [-50, 200] x rho in [1e-12, 700] and
     every branch seam: rho = max(1, alpha + 1) and just above it, alpha at
@@ -240,8 +258,9 @@ class TestMpmathOracle:
                 for r in (1e-12, 4.3e-4, 0.7, 1.5, seam, seam * (1.0 + 1e-9), 30.0,
                           700.0):
                     ev = inc_gamma_eval(a, r)
+                    got = {**vars(ev), "d_rho_rho": d_rho_rho(a, r, ev.d_rho)}
                     for name, want in self._reference(mpmath, a, r).items():
-                        err = float(abs(getattr(ev, name) - want) / max(1, abs(want)))
+                        err = float(abs(got[name] - want) / max(1, abs(want)))
                         if err > worst[name][0]:
                             worst[name] = (err, (a, r))
         for name, (err, point) in worst.items():
