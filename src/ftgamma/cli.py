@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import json
 import math
+import re
 import secrets
 import sys
 import time
@@ -38,6 +39,12 @@ _EXIT_NUMERIC = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -1.5 for negative numbers, and reads
+        # -2e-1 as an option: take any float literal with a minus sign
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")

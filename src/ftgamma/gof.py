@@ -278,9 +278,10 @@ def log_binned_histogram(sample, decade_origin: float = 8.0,
     normalization.
 
     Raises ValueError for an origin so far from the data's decades (NaN and
-    infinite ones included) that the exponents decade_origin + s / b cannot
-    resolve half a bin, and wherever the bin edges are not finite and
-    strictly increasing.
+    infinite ones included) that the exponents decade_origin + s / b are
+    not formed to within 1e-9 of a decade, which would move the points off
+    the 10^(origin + s/b) grid, or cannot resolve half a bin, and wherever
+    the bin edges are not finite and strictly increasing.
     """
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
@@ -293,12 +294,13 @@ def log_binned_histogram(sample, decade_origin: float = 8.0,
     lo, hi = (float(x.min()), float(x.max())) if x_range is None else x_range
     if not 0.0 < lo <= hi:
         raise ValueError("x_range must be positive and ordered")
-    unresolved = (f"decade origin {decade_origin} cannot lay finite, strictly "
-                  "increasing bin edges over the data")
-    # the exponents decade_origin + s / b, at most `reach` in size, must
-    # resolve half a bin, 0.5 / b, before any edge is laid
+    unresolved = (f"decade origin {decade_origin} is too far from the data's "
+                  "decades to lay its grid of bins over them")
+    # the exponents decade_origin + s / b, at most `reach` in size, are
+    # formed to within ulp(reach): that must stay within 1e-9 of a decade
+    # and resolve half a bin, 0.5 / b, before any edge is laid
     reach = abs(decade_origin) + abs(math.log10(lo)) + abs(math.log10(hi)) + 1.0
-    if not b * math.ulp(reach) < 0.5:
+    if not (math.ulp(reach) <= 1e-9 and b * math.ulp(reach) < 0.5):
         raise ValueError(unresolved)
     # smallest s with edge >= lo, largest with edge <= hi, padded to cover
     s_lo = math.floor(b * (math.log10(lo) - math.log10(offset)) - b * decade_origin)

@@ -10,6 +10,7 @@ It fits every resample but simulates only the rows it reports.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -19,9 +20,12 @@ from .data import Sample
 from .dist import FtgParams, conditional_mean_excess, model_to_dict, moments
 from .errors import FitError
 from .fit import FitResult, _fit_family, fit_ftg
-from .sample import RngStream, ftg_rvs
+from .sample import RngStream, _pieces
 
 _REPORT_LEVELS = (0.5, 0.9, 0.99, 0.999)
+# losses per fold step: bounds the fold's temporaries whatever the size of
+# the sampler's pieces (an edge law's draw is one piece)
+_FOLD = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,22 +90,58 @@ def _empirical_quantile(sorted_vals: np.ndarray, level: float) -> float:
     return float(sorted_vals[k - 1])
 
 
+def _annual_totals(severity: FtgParams, counts: np.ndarray,
+                   rng: RngStream) -> np.ndarray:
+    """The total loss of each year y: the sum of its counts[y] severities,
+    drawn year after year from rng.
+
+    The losses are folded into the totals as the sampler hands them over, so
+    no array of all of them, nor of their years, is ever built. Each total
+    is the sum of its year's losses left to right from 0.0, formed in one
+    np.bincount, bit for bit the sum that a single bincount over all the
+    losses forms: the losses of a year that a fold step does not finish are
+    held over and summed whole in a later step.
+    """
+    ends = np.cumsum(counts)  # one past the index of each year's last loss
+    totals = np.zeros(counts.size)
+    year = 0  # the first year not yet summed
+    held = np.empty(0)  # its losses drawn so far
+    with contextlib.closing(_pieces(severity, int(ends[-1]), rng.generator)) as pieces:
+        for piece, _ in pieces:
+            for lo in range(0, piece.size, _FOLD):
+                losses = np.concatenate((held, piece[lo:lo + _FOLD]))
+                first = ends[year] - counts[year]  # the index of losses[0]
+                done = int(np.searchsorted(ends, first + losses.size, side="right"))
+                if done == year:  # no year ends in losses
+                    held = losses
+                    continue
+                used = ends[done - 1] - first
+                # each used loss's year, counted from `year`, is the number
+                # of years that end at or before it
+                marks = np.bincount(ends[year:done - 1] - first, minlength=used)
+                local = np.cumsum(marks[:used])
+                totals[year:done] = np.bincount(local, weights=losses[:used],
+                                                minlength=done - year)
+                held = losses[used:]
+                year = done
+    return totals
+
+
 def simulate_aggregate(severity: FtgParams, cfg: RiskConfig,
                        rng: RngStream | None = None) -> RiskReport:
     """Simulate cfg.n_sims draws of the aggregate loss and read off quantiles.
 
     Counts and severities come from separate child streams of the seed, so
     reports are reproducible; an infinite-mean Pareto severity is simulated
-    as-is (inversion needs no moments) and only flagged.
+    as-is (inversion needs no moments) and only flagged. The simulation
+    holds the counts, the annual totals and a few sampler blocks, never the
+    cfg.n_sims * lam or so losses themselves (but for an edge law, whose
+    losses are drawn in one piece).
     """
     if rng is None:
         rng = RngStream(cfg.seed)
     counts = rng.child(0).generator.poisson(cfg.lam, cfg.n_sims)
-    total = int(counts.sum())
-    sevs = ftg_rvs(severity, total, rng.child(1))
-    agg = np.bincount(
-        np.repeat(np.arange(cfg.n_sims), counts), weights=sevs, minlength=cfg.n_sims
-    )
+    agg = _annual_totals(severity, counts, rng.child(1))
     agg.sort()
     levels = sorted(set(_REPORT_LEVELS) | {cfg.quantile_level})
     quantiles = {lvl: _empirical_quantile(agg, lvl) for lvl in levels}

@@ -9,29 +9,33 @@ composition envelope for alpha < 1 with rho < 1, whose acceptance tends to
 1 as rho -> 0, and from a shifted exponential for every other interior law.
 
 Both envelopes share one accept-and-fill loop, which proposes in blocks of
-at most ``_BLOCK`` candidates, so that every temporary stays cache-sized
-and a request for n variates holds little beyond its n-element result.
+at most ``_BLOCK`` candidates and hands each block's accepted variates on,
+in proposal order, as one piece: every temporary stays cache-sized, and a
+caller that folds the pieces as they come, as ``risk.simulate_aggregate``
+does, never holds all n variates. ``ftg_rvs`` and ``sample_ftg`` copy the
+pieces into their n-element result, and hold little beyond it.
 Each envelope splits a block into ``draw(k)``, which makes every generator
 call, and ``judge(drawn)``, pure arithmetic that returns the candidates and
 their acceptance. Where the process may use two CPUs, the blocks that the
 loop would certainly draw at the full ``_BLOCK`` size are drawn on a helper
-thread, up to ``_AHEAD`` blocks ahead, while the caller judges; NumPy
-releases the GIL for both. The generator makes the same calls in the same
-order either way, so the variates, the attempt count and the generator's
-end position are bit for bit those of the serial loop, and no block is
-drawn that the serial loop would not draw. A request for fewer than
-_BLOCK * (1 + 1 / _OVERDRAW), about 1.1e5, variates starts no thread.
+thread, up to ``_AHEAD`` blocks ahead, while the caller judges and takes
+the pieces; NumPy releases the GIL for both. The generator makes the same
+calls in the same order either way, so the variates, the attempt count and
+the generator's end position are bit for bit those of the serial loop, and
+no block is drawn that the serial loop would not draw. A request for fewer
+than _BLOCK * (1 + 1 / _OVERDRAW), about 1.1e5, variates starts no thread.
 The two-piece envelope computes its power-law piece densely with in-place
 ufuncs, recycling the pick uniform as that piece's inversion uniform, and
 draws the exponential piece only at the positions that picked it. The
-boundary samplers and the interior map (T - rho) / theta work in place on
-their result.
+boundary samplers draw all n variates at once, as one piece, and they and
+the interior map (T - rho) / theta work in place on their pieces.
 ``ftg_rvs`` returns the variates; ``sample_ftg`` returns the same
 variates with the envelope's attempt count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -122,30 +126,32 @@ def _draw_ahead(draw, asks, results):
 
 
 def _accept_and_fill(draw, judge, n: int):
-    """The first n accepted proposals, in proposal order, and the number of
-    proposals up to the one that completed the batch.
+    """Yield the first n accepted proposals, in proposal order, as the
+    accepted proposals of one block at a time, each with the number of
+    proposals made so far: through its whole block, or in the last piece up
+    to the one that completed the request.
 
     draw(k) makes every generator call for a block of k proposals and
     judge(drawn) turns it into (t, accept) without the generator. Each
     block holds _OVERDRAW times the number of variates still missing, within
     [1024, _BLOCK]. The cap keeps the envelope's temporaries (a few arrays
-    of k doubles) in cache: one block for a whole large request would
-    allocate, page-fault and stream each of them through memory, and hold
-    them all at once next to the result.
+    of k doubles) and each piece in cache: one block for a whole large
+    request would allocate, page-fault and stream each of them through
+    memory, and hold them all at once.
 
     A block is certain to be drawn, at exactly _BLOCK, when the blocks
     before it leave at least _BLOCK / _OVERDRAW variates missing even if
     they accept every proposal: n - filled - (proposals drawn but not yet
     folded) >= _BLOCK / _OVERDRAW. Where the process may use two CPUs, a
     helper thread draws such blocks, up to _AHEAD of them ahead, while this
-    thread judges and folds; every other block is drawn here, after the
-    helper's blocks are folded. The generator sees the same calls in the
-    same order on either path, so the values, the attempts and its end
-    position are bit-identical to the serial loop, and no block is drawn
-    that the serial loop would not draw. The helper starts only for a
-    request whose first test passes, and is joined on every exit.
+    thread judges and the caller takes the pieces; every other block is
+    drawn here, after the helper's blocks are folded. The generator sees
+    the same calls in the same order on either path, so the values, the
+    attempts and its end position are bit-identical to the serial loop, and
+    no block is drawn that the serial loop would not draw. The helper
+    starts only for a request whose first test passes, and is joined on
+    every exit, including the caller's closing of this generator.
     """
-    out = np.empty(n)
     filled = 0
     attempts = 0
     k = _block(n)
@@ -171,12 +177,11 @@ def _accept_and_fill(draw, judge, n: int):
             hits = np.flatnonzero(acc)
             need = n - filled
             if hits.size >= need:
-                attempts += int(hits[need - 1]) + 1
-                out[filled:n] = t[hits[:need]]
-                return out, attempts
+                yield t[hits[:need]], attempts + int(hits[need - 1]) + 1
+                return
             attempts += k
-            out[filled:filled + hits.size] = t[hits]
             filled += hits.size
+            yield t[hits], attempts
             if queued:
                 k, drawn = _BLOCK, results.get()
                 queued -= 1
@@ -193,7 +198,8 @@ def _accept_and_fill(draw, judge, n: int):
 
 def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
                              gen: np.random.Generator):
-    """T with density t^(alpha-1) e^-t on (rho, inf), alpha >= 1 or rho >= 1.
+    """n draws of T, with density t^(alpha-1) e^-t on (rho, inf), alpha >= 1
+    or rho >= 1, in the pieces of ``_accept_and_fill``.
 
     Rejection from the shifted exponential rho + Exp(lam) with the classical
     optimal rate lam = (rho - alpha + sqrt((rho - alpha)^2 + 4 rho)) / (2 rho),
@@ -229,7 +235,8 @@ def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
 
 def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
                            gen: np.random.Generator):
-    """T with density t^(alpha-1) e^-t on (rho, inf), alpha < 1 and rho < 1.
+    """n draws of T, with density t^(alpha-1) e^-t on (rho, inf), alpha < 1
+    and rho < 1, in the pieces of ``_accept_and_fill``.
 
     Composition envelope: a power-law piece t^(alpha-1) e^-rho on (rho, 1]
     with mass m1 and an exponential piece e^-t on (1, inf) with mass
@@ -277,8 +284,10 @@ def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
     return _accept_and_fill(draw, judge, n)
 
 
-def _draw(p: FtgParams, n: int, gen: np.random.Generator):
-    """n variates of p and the proposals they took (n at the boundaries)."""
+def _pieces(p: FtgParams, n: int, gen: np.random.Generator):
+    """Yield n variates of p, in order, in pieces, each with the proposals
+    taken so far (n at the boundaries, whose one draw is one piece). Close
+    it to stop early: its helper thread is joined."""
     if p.is_pareto:
         # 1 - U in (0, 1]: never raises 0 to a negative power
         x = gen.random(n)
@@ -286,18 +295,36 @@ def _draw(p: FtgParams, n: int, gen: np.random.Generator):
         x **= 1.0 / p.alpha
         x -= 1.0
         x *= p.sigma
-        return x, n
+        yield x, n
+        return
     if p.is_gamma:
         x = gen.gamma(p.alpha, size=n)
         x /= p.theta
-        return x, n
+        yield x, n
+        return
     if p.alpha < 1.0 and p.rho < 1.0:
-        x, attempts = _trunc_gamma_two_piece(p.alpha, p.rho, n, gen)
+        blocks = _trunc_gamma_two_piece(p.alpha, p.rho, n, gen)
     else:
-        x, attempts = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
-    x -= p.rho
-    x /= p.theta
-    return x, attempts
+        blocks = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
+    with contextlib.closing(blocks):
+        for x, attempts in blocks:
+            x -= p.rho
+            x /= p.theta
+            yield x, attempts
+
+
+def _draw(p: FtgParams, n: int, gen: np.random.Generator):
+    """n variates of p in one array, and the proposals they took."""
+    out, filled = None, 0
+    for x, attempts in _pieces(p, n, gen):
+        if x.size == n:  # the whole request in one piece: no copy
+            out = x
+        else:
+            if out is None:
+                out = np.empty(n)
+            out[filled:filled + x.size] = x
+            filled += x.size
+    return out, attempts
 
 
 def sample_ftg(p: FtgParams, n: int, rng: RngStream) -> SampleBatch:

@@ -6,7 +6,9 @@ Maclaurin series, derivatives through finite differences, and Poisson tail
 probabilities through direct summation of the pmf. The last three helpers,
 the second rho-derivative of log Gamma(alpha, rho), the sample-free profile
 value and the L1 distance to the Pareto limit, do build on the library's
-incomplete gamma function; only tests use them.
+incomplete gamma function; only tests use them. The direct compound-Poisson
+simulation draws its severities with the library's sampler, but holds them
+all and sums them by year in its own way.
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from ftgamma import NumericsError, inc_gamma_eval, log_upper_inc_gamma
+from ftgamma import NumericsError, ftg_rvs, inc_gamma_eval, log_upper_inc_gamma
 
 
 def quad_log_upper_gamma(alpha: float, rho: float) -> float:
@@ -96,6 +98,19 @@ def poisson_quantile_exact(lam: float, level: float) -> int:
         if k > 100000:
             raise RuntimeError("summation ran away")
     return k
+
+
+def aggregate_direct(severity, cfg, rng) -> np.ndarray:
+    """The sorted annual totals of cfg.n_sims compound-Poisson years, in the
+    direct form: every year's count from rng.child(0), all the severities
+    at once from rng.child(1), and one np.bincount over an np.repeat index
+    of their years."""
+    counts = rng.child(0).generator.poisson(cfg.lam, cfg.n_sims)
+    sevs = ftg_rvs(severity, int(counts.sum()), rng.child(1))
+    agg = np.bincount(np.repeat(np.arange(cfg.n_sims), counts), weights=sevs,
+                      minlength=cfg.n_sims)
+    agg.sort()
+    return agg
 
 
 def pdf_quadrature_norm(kernel, lo=0.0, pieces=(1e-3, 0.1, 1.0, 10.0, 100.0, 1e4)):

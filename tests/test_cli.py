@@ -11,7 +11,7 @@ import pytest
 import ftgamma
 from ftgamma.cli import main
 
-from helpers import child_env, fit_result_from_dict, near_constant_sample
+from helpers import child_env, fit_result_from_dict, near_constant_sample, set_usable_cpus
 
 
 DATA = Path(__file__).parent / "data"
@@ -266,6 +266,14 @@ class TestSample:
         assert code == 1
         assert err == "ftg: invalid request: ftg needs --rho (plus --theta or --sigma)\n"
 
+    @pytest.mark.parametrize("alpha", ["-2e-1", "-2E-1", "-.2e0", "-2.e-1"])
+    def test_negative_float_with_exponent_is_a_value(self, capsys, alpha):
+        # argparse alone reads -2e-1 as an option and exits 1
+        argv = ("sample", "--family", "pareto", "--sigma", "1", "-n", "2", "--seed", "1")
+        code, out, _ = run_cli(capsys, *argv, "--alpha", alpha)
+        assert code == 0
+        assert out == run_cli(capsys, *argv, "--alpha", "-0.2")[1]
+
     @pytest.mark.parametrize("family, scale", [("pareto", ()), ("ftg", ("--rho", "1"))])
     def test_infinite_sigma_is_invalid_request(self, capsys, family, scale):
         code, out, err = run_cli(capsys, "sample", "--family", family, "--alpha", "-1.5",
@@ -510,6 +518,16 @@ class TestPinnedStdout:
         assert code == 0
         assert out.encode() == (DATA / pin).read_bytes()
 
+    # the benchmark's risk-ftg command: ~2e6 two-piece draws, drawn ahead
+    # on a helper thread where there are two CPUs, folded into 1e5 years
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_risk_ftg_bundled(self, capsys, monkeypatch, cpus):
+        set_usable_cpus(monkeypatch, cpus)
+        code, out, _ = run_cli(capsys, "risk", "--bundled", "--family", "ftg",
+                               "--n-sims", "100000", "--seed", "7")
+        assert code == 0
+        assert out.encode() == (DATA / "risk_ftg_bundled.txt").read_bytes()
+
     def test_gof_ftg_statistics(self, capsys):
         # W^2 and A^2 of the bundled fit use no random draws; the p-values
         # follow NumPy's Generator stream and are left out
@@ -557,7 +575,7 @@ class TestPlotdata:
         assert len(out.strip().splitlines()) > 3
 
     @pytest.mark.parametrize("origin", ["1e300", "-1e300", "inf", "-inf", "1e16", "-1e16",
-                                        "nan"])
+                                        "nan", "1e12", "1e13", "1e14", "-1e14"])
     def test_far_origin_is_invalid_request(self, origin):
         proc = run_module("plotdata", "--bundled", "--mode", "histogram",
                           f"--origin={origin}", timeout=60)
@@ -565,6 +583,12 @@ class TestPlotdata:
         assert proc.stdout == ""
         lines = [ln for ln in proc.stderr.splitlines() if not ln.startswith('{"manifest"')]
         assert len(lines) == 1 and lines[0].startswith("ftg: invalid request: "), proc.stderr
+
+    def test_negative_origin_with_exponent_is_a_value(self, capsys):
+        argv = ("plotdata", "--bundled", "--mode", "histogram", "--origin")
+        code, out, _ = run_cli(capsys, *argv, "-1e3")
+        assert code == 0
+        assert out == run_cli(capsys, *argv, "-1000")[1]
 
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "plotdata", "--bundled", "--mode",

@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from ftgamma import (
     FitError,
     FtgParams,
     RiskConfig,
+    RiskReport,
     RngStream,
     Sample,
     bootstrap_study,
@@ -17,8 +20,8 @@ from ftgamma import (
 from ftgamma import risk
 from ftgamma.dist import cdf
 
-from helpers import rescale_to_threshold
-from oracles import compound_poisson_fft, poisson_quantile_exact
+from helpers import rescale_to_threshold, set_usable_cpus
+from oracles import aggregate_direct, compound_poisson_fft, poisson_quantile_exact
 
 
 class TestRiskConfig:
@@ -66,18 +69,77 @@ class TestSimulateAggregate:
         from ftgamma import moments
 
         cfg = RiskConfig(lam=20.0, n_sims=50_000, seed=8)
-        rep = simulate_aggregate(ftg_fit.params, cfg)
-        # recompute the aggregate sample for its mean
-        rng = RngStream(cfg.seed)
-        counts = rng.child(0).generator.poisson(cfg.lam, cfg.n_sims)
-        from ftgamma import ftg_rvs
-
-        sevs = ftg_rvs(ftg_fit.params, int(counts.sum()), rng.child(1))
-        agg = np.bincount(np.repeat(np.arange(cfg.n_sims), counts), weights=sevs,
-                          minlength=cfg.n_sims)
+        agg = aggregate_direct(ftg_fit.params, cfg, RngStream(cfg.seed))
         mean_l = moments(ftg_fit.params).mean
         se = agg.std(ddof=1) / math.sqrt(cfg.n_sims)
         assert agg.mean() == pytest.approx(cfg.lam * mean_l, abs=3 * se)
+
+    # the bundled interior fit (two-piece envelope), the shifted exponential
+    # and both edges, whose draw is one piece; lam 0.3 leaves most years
+    # empty, and lam 20 over 1e5 years draws ahead on two CPUs, with years
+    # that straddle the sampler's blocks
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("lam, n_sims", [(0.3, 20_000), (20.0, 100_000)])
+    @pytest.mark.parametrize("law", [None, FtgParams(2.0, 1.0, 1.0),
+                                     FtgParams.pareto(-0.5, 1.0),
+                                     FtgParams.gamma(2.0, 1.0)],
+                             ids=["bundled", "shifted-exp", "pareto", "gamma"])
+    def test_bit_identical_to_the_direct_sum(self, ftg_fit, monkeypatch, cpus, lam,
+                                             n_sims, law):
+        set_usable_cpus(monkeypatch, cpus)
+        law = law or ftg_fit.params
+        cfg = RiskConfig(lam=lam, n_sims=n_sims, seed=11)
+        agg = aggregate_direct(law, cfg, RngStream(cfg.seed))
+        rng = RngStream(cfg.seed)
+        counts = rng.child(0).generator.poisson(lam, n_sims)
+        totals = np.sort(risk._annual_totals(law, counts, rng.child(1)))
+        assert totals.tobytes() == agg.tobytes()
+        quantiles = {lvl: risk._empirical_quantile(agg, lvl)
+                     for lvl in sorted({0.5, 0.9, 0.99, 0.999})}
+        assert simulate_aggregate(law, cfg) == RiskReport(
+            risk_capital=quantiles[0.999], severity_model=law,
+            aggregate_quantiles=quantiles, n_sims=n_sims, seed=11, lam=lam,
+            quantile_level=0.999)
+
+    def test_peak_memory_holds_no_array_of_all_losses(self, ftg_fit, monkeypatch):
+        # the ~2e6 losses alone would take 16 MB; the simulation holds the
+        # counts, their running sums and the totals (0.8 MB each) and a few
+        # of the sampler's blocks, some drawn ahead
+        set_usable_cpus(monkeypatch, 2)
+        cfg = RiskConfig(lam=20.0, n_sims=100_000, seed=7)
+        tracemalloc.start()
+        try:
+            simulate_aggregate(ftg_fit.params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, peak
+
+    def test_fold_failure_joins_the_drawing_helper(self, ftg_fit, monkeypatch):
+        # the fold raises on its third step, while the sampler's helper
+        # thread draws blocks ahead
+        set_usable_cpus(monkeypatch, 2)
+        started = []
+        real_thread, real_bincount = threading.Thread, np.bincount
+
+        def recording(*args, **kwargs):
+            started.append(real_thread(*args, **kwargs))
+            return started[-1]
+
+        def failing(*args, **kwargs):
+            if len(calls) == 5:
+                raise RuntimeError("injected")
+            calls.append(None)
+            return real_bincount(*args, **kwargs)
+
+        calls = []
+        monkeypatch.setattr(threading, "Thread", recording)
+        monkeypatch.setattr(np, "bincount", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected"):
+            simulate_aggregate(ftg_fit.params, RiskConfig(lam=20.0, n_sims=100_000, seed=7))
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
 
     def test_reproducible(self, ftg_fit):
         cfg = RiskConfig(lam=20.0, n_sims=10_000, seed=77)
