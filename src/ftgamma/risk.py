@@ -10,7 +10,6 @@ It fits every resample but simulates only the rows it reports.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -20,12 +19,9 @@ from .data import Sample
 from .dist import FtgParams, conditional_mean_excess, model_to_dict, moments
 from .errors import FitError
 from .fit import FitResult, _fit_family, fit_ftg
-from .sample import RngStream, _pieces
+from .sample import RngStream, ftg_rvs
 
 _REPORT_LEVELS = (0.5, 0.9, 0.99, 0.999)
-# losses per fold step: bounds the fold's temporaries whatever the size of
-# the sampler's pieces (an edge law's draw is one piece)
-_FOLD = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,34 +92,33 @@ def _annual_totals(severity: FtgParams, counts: np.ndarray,
     drawn year after year from rng.
 
     The losses are folded into the totals as the sampler hands them over, so
-    no array of all of them, nor of their years, is ever built. Each total
-    is the sum of its year's losses left to right from 0.0, formed in one
-    np.bincount, bit for bit the sum that a single bincount over all the
-    losses forms: the losses of a year that a fold step does not finish are
-    held over and summed whole in a later step.
+    no array of all of them, nor of their years, is ever built. Each fold
+    step sums the partial sum carried for the first unfinished year, then
+    its losses in order, in one np.bincount over local year indices; the
+    sum of the year it leaves unfinished is carried on. As 0.0 + s == s,
+    every total is bit for bit the left-to-right sum from 0.0 that a single
+    bincount over all the losses forms.
     """
     ends = np.cumsum(counts)  # one past the index of each year's last loss
     totals = np.zeros(counts.size)
-    year = 0  # the first year not yet summed
-    held = np.empty(0)  # its losses drawn so far
-    with contextlib.closing(_pieces(severity, int(ends[-1]), rng.generator)) as pieces:
-        for piece, _ in pieces:
-            for lo in range(0, piece.size, _FOLD):
-                losses = np.concatenate((held, piece[lo:lo + _FOLD]))
-                first = ends[year] - counts[year]  # the index of losses[0]
-                done = int(np.searchsorted(ends, first + losses.size, side="right"))
-                if done == year:  # no year ends in losses
-                    held = losses
-                    continue
-                used = ends[done - 1] - first
-                # each used loss's year, counted from `year`, is the number
-                # of years that end at or before it
-                marks = np.bincount(ends[year:done - 1] - first, minlength=used)
-                local = np.cumsum(marks[:used])
-                totals[year:done] = np.bincount(local, weights=losses[:used],
-                                                minlength=done - year)
-                held = losses[used:]
-                year = done
+    # the first year not yet summed, the sum of its losses so far, and the
+    # number of losses folded
+    year, carry, drawn = 0, 0.0, 0
+
+    def fold(losses: np.ndarray) -> None:
+        nonlocal year, carry, drawn
+        first, drawn = drawn, drawn + losses.size
+        done = int(np.searchsorted(ends, drawn, side="right"))
+        # the carry at -1, then the losses of the years finished here and of
+        # the one left unfinished
+        sizes = np.diff(ends[year:done] - first, prepend=-1, append=losses.size)
+        sums = np.bincount(np.repeat(np.arange(sizes.size), sizes),
+                           weights=np.concatenate(([carry], losses)),
+                           minlength=sizes.size)
+        totals[year:done] = sums[:-1]
+        year, carry = done, sums[-1]
+
+    ftg_rvs(severity, int(ends[-1]), rng, take=fold)
     return totals
 
 

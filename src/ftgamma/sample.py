@@ -10,10 +10,11 @@ composition envelope for alpha < 1 with rho < 1, whose acceptance tends to
 
 Both envelopes share one accept-and-fill loop, which proposes in blocks of
 at most ``_BLOCK`` candidates and hands each block's accepted variates on,
-in proposal order, as one piece: every temporary stays cache-sized, and a
-caller that folds the pieces as they come, as ``risk.simulate_aggregate``
-does, never holds all n variates. ``ftg_rvs`` and ``sample_ftg`` copy the
-pieces into their n-element result, and hold little beyond it.
+in proposal order, as one piece: every temporary stays cache-sized.
+``ftg_rvs`` and ``sample_ftg`` copy the pieces into their n-element result,
+and hold little beyond it; ``ftg_rvs(..., take=fold)`` hands them to fold
+instead, at most ``_BLOCK`` variates at a time, so a caller that folds them
+as they come, as ``risk.simulate_aggregate`` does, never holds all n.
 Each envelope splits a block into ``draw(k)``, which makes every generator
 call, and ``judge(drawn)``, pure arithmetic that returns the candidates and
 their acceptance. Where the process may use two CPUs, the blocks that the
@@ -39,6 +40,7 @@ import contextlib
 import math
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,6 +341,19 @@ def sample_ftg(p: FtgParams, n: int, rng: RngStream) -> SampleBatch:
     return SampleBatch(*_draw(p, n, rng.generator))
 
 
-def ftg_rvs(p: FtgParams, n: int, rng: RngStream) -> np.ndarray:
-    """n variates of p; the values of ``sample_ftg`` without its diagnostics."""
-    return _draw(p, n, rng.generator)[0]
+def ftg_rvs(p: FtgParams, n: int, rng: RngStream,
+            take: Callable[[np.ndarray], object] | None = None) -> np.ndarray | None:
+    """n variates of p; the values of ``sample_ftg`` without its diagnostics.
+
+    Given ``take``, the variates are not gathered and None is returned:
+    take(x) is called on them in order, at most _BLOCK at a time, as the
+    sampler hands them over. An exception from take ends the draw, with
+    the sampler's helper thread joined, and propagates.
+    """
+    if take is None:
+        return _draw(p, n, rng.generator)[0]
+    with contextlib.closing(_pieces(p, n, rng.generator)) as pieces:
+        for x, _ in pieces:
+            for lo in range(0, x.size, _BLOCK):
+                take(x[lo:lo + _BLOCK])
+    return None

@@ -101,6 +101,20 @@ class TestSimulateAggregate:
             aggregate_quantiles=quantiles, n_sims=n_sims, seed=11, lam=lam,
             quantile_level=0.999)
 
+    # years of about 2e5 losses each span several of the sampler's pieces
+    # (4e4 to 6.5e4 variates), so most fold steps finish no year
+    @pytest.mark.parametrize("law", [None, FtgParams.pareto(-0.5, 1.0)],
+                             ids=["bundled", "pareto"])
+    def test_long_years_bit_identical_to_the_direct_sum(self, ftg_fit, monkeypatch, law):
+        set_usable_cpus(monkeypatch, 2)
+        law = law or ftg_fit.params
+        cfg = RiskConfig(lam=2e5, quantile_level=0.5, n_sims=20, seed=12)
+        agg = aggregate_direct(law, cfg, RngStream(cfg.seed))
+        rng = RngStream(cfg.seed)
+        counts = rng.child(0).generator.poisson(cfg.lam, cfg.n_sims)
+        totals = np.sort(risk._annual_totals(law, counts, rng.child(1)))
+        assert totals.tobytes() == agg.tobytes()
+
     def test_peak_memory_holds_no_array_of_all_losses(self, ftg_fit, monkeypatch):
         # the ~2e6 losses alone would take 16 MB; the simulation holds the
         # counts, their running sums and the totals (0.8 MB each) and a few
