@@ -76,19 +76,23 @@ class TestSimulateAggregate:
 
     # the bundled interior fit (two-piece envelope), the shifted exponential
     # and both edges, whose draw is one piece; lam 0.3 leaves most years
-    # empty, and lam 20 over 1e5 years draws ahead on two CPUs, with years
-    # that straddle the sampler's blocks
+    # empty, lam 20 over 1e5 years draws ahead on two CPUs, with years
+    # that straddle the sampler's blocks, and years of about 2e5 losses
+    # span several pieces (4e4 to 6.5e4 variates), so most fold steps
+    # finish no year
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("lam, n_sims", [(0.3, 20_000), (20.0, 100_000)])
+    @pytest.mark.parametrize("lam, n_sims, level", [(0.3, 20_000, 0.999),
+                                                    (20.0, 100_000, 0.999),
+                                                    (2e5, 20, 0.5)])
     @pytest.mark.parametrize("law", [None, FtgParams(2.0, 1.0, 1.0),
                                      FtgParams.pareto(-0.5, 1.0),
                                      FtgParams.gamma(2.0, 1.0)],
                              ids=["bundled", "shifted-exp", "pareto", "gamma"])
     def test_bit_identical_to_the_direct_sum(self, ftg_fit, monkeypatch, cpus, lam,
-                                             n_sims, law):
+                                             n_sims, level, law):
         set_usable_cpus(monkeypatch, cpus)
         law = law or ftg_fit.params
-        cfg = RiskConfig(lam=lam, n_sims=n_sims, seed=11)
+        cfg = RiskConfig(lam=lam, quantile_level=level, n_sims=n_sims, seed=11)
         agg = aggregate_direct(law, cfg, RngStream(cfg.seed))
         rng = RngStream(cfg.seed)
         counts = rng.child(0).generator.poisson(lam, n_sims)
@@ -97,23 +101,9 @@ class TestSimulateAggregate:
         quantiles = {lvl: risk._empirical_quantile(agg, lvl)
                      for lvl in sorted({0.5, 0.9, 0.99, 0.999})}
         assert simulate_aggregate(law, cfg) == RiskReport(
-            risk_capital=quantiles[0.999], severity_model=law,
+            risk_capital=quantiles[level], severity_model=law,
             aggregate_quantiles=quantiles, n_sims=n_sims, seed=11, lam=lam,
-            quantile_level=0.999)
-
-    # years of about 2e5 losses each span several of the sampler's pieces
-    # (4e4 to 6.5e4 variates), so most fold steps finish no year
-    @pytest.mark.parametrize("law", [None, FtgParams.pareto(-0.5, 1.0)],
-                             ids=["bundled", "pareto"])
-    def test_long_years_bit_identical_to_the_direct_sum(self, ftg_fit, monkeypatch, law):
-        set_usable_cpus(monkeypatch, 2)
-        law = law or ftg_fit.params
-        cfg = RiskConfig(lam=2e5, quantile_level=0.5, n_sims=20, seed=12)
-        agg = aggregate_direct(law, cfg, RngStream(cfg.seed))
-        rng = RngStream(cfg.seed)
-        counts = rng.child(0).generator.poisson(cfg.lam, cfg.n_sims)
-        totals = np.sort(risk._annual_totals(law, counts, rng.child(1)))
-        assert totals.tobytes() == agg.tobytes()
+            quantile_level=level)
 
     def test_peak_memory_holds_no_array_of_all_losses(self, ftg_fit, monkeypatch):
         # the ~2e6 losses alone would take 16 MB; the simulation holds the
@@ -130,7 +120,7 @@ class TestSimulateAggregate:
         assert peak < 12e6, peak
 
     def test_fold_failure_joins_the_drawing_helper(self, ftg_fit, monkeypatch):
-        # the fold raises on its third step, while the sampler's helper
+        # the fold raises on its sixth step, while the sampler's helper
         # thread draws blocks ahead
         set_usable_cpus(monkeypatch, 2)
         started = []
