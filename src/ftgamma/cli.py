@@ -42,8 +42,15 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes only -1 and -1.5 for negative numbers, and reads
-        # -2e-1 as an option: take any float literal with a minus sign
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # -2e-1 and -inf as options: take any float literal with a minus sign
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
+
+    def _parse_optional(self, arg_string):
+        # a number is a value before it is an option prefix: -nan is not -n an
+        if self._negative_number_matcher.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)

@@ -13,6 +13,7 @@ behaviour, and the empirical survival curve.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -22,7 +23,7 @@ from .data import Sample
 from .dist import FtgParams, cdf
 from .errors import FitError
 from .fit import _fit_family, fit_ftg  # noqa: F401  (fit_ftg stays importable here)
-from .sample import RngStream, _usable_cpus, ftg_rvs
+from .sample import RngStream, ftg_rvs
 
 _Z_CLAMP = 1e-15
 
@@ -138,6 +139,15 @@ _PER_WORKER = 25
 _MAX_TICKETS = 1024
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: bootstrap_pvalue forks workers
+    only where there is more than one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _map_replicates(replicate, n_boot: int) -> dict:
     """{b: replicate(b)} for b in range(n_boot), computed by this process
     and by min(usable CPUs - 1, n_boot // _PER_WORKER) forked workers.
@@ -153,7 +163,6 @@ def _map_replicates(replicate, n_boot: int) -> dict:
     runs those again itself, in order. Every worker is reaped before this
     returns or raises, and killed first if this process's own share raised.
     """
-    import os
     import pickle
     import signal
     import struct
@@ -214,7 +223,6 @@ def _run_share(replicate, tickets: int, chunk: int, n_boot: int) -> dict:
     among them, ends the share and leaves its replicate out, and so does the
     end of this process's parent: a worker whose caller was killed stops
     claiming."""
-    import os
     import struct
 
     parent = os.getppid()
@@ -233,7 +241,6 @@ def _work(replicate, tickets: int, chunk: int, n_boot: int, out: int):
     """A forked worker: run a share with every warning raised, send it to
     the parent in one pickle, and end. It never returns into its caller's
     stack, and os._exit leaves the stdout it inherited unflushed."""
-    import os
     import pickle
 
     code = 1

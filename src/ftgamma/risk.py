@@ -129,9 +129,8 @@ def simulate_aggregate(severity: FtgParams, cfg: RiskConfig,
     Counts and severities come from separate child streams of the seed, so
     reports are reproducible; an infinite-mean Pareto severity is simulated
     as-is (inversion needs no moments) and only flagged. The simulation
-    holds the counts, the annual totals and a few sampler blocks, never the
-    cfg.n_sims * lam or so losses themselves (but for an edge law, whose
-    losses are drawn in one piece).
+    holds the counts, the annual totals and a sampler block, never the
+    cfg.n_sims * lam or so losses themselves.
     """
     if rng is None:
         rng = RngStream(cfg.seed)

@@ -8,38 +8,30 @@ Non-Uniform Random Variate Generation, 1986, ch. II): from a two-piece
 composition envelope for alpha < 1 with rho < 1, whose acceptance tends to
 1 as rho -> 0, and from a shifted exponential for every other interior law.
 
-Both envelopes share one accept-and-fill loop, which proposes in blocks of
-at most ``_BLOCK`` candidates and hands each block's accepted variates on,
-in proposal order, as one piece: every temporary stays cache-sized.
-``ftg_rvs`` and ``sample_ftg`` copy the pieces into their n-element result,
-and hold little beyond it; ``ftg_rvs(..., take=fold)`` hands them to fold
-instead, at most ``_BLOCK`` variates at a time, so a caller that folds them
-as they come, as ``risk.simulate_aggregate`` does, never holds all n.
-Each envelope splits a block into ``draw(k)``, which makes every generator
-call, and ``judge(drawn)``, pure arithmetic that returns the candidates and
-their acceptance. Where the process may use two CPUs, the blocks that the
-loop would certainly draw at the full ``_BLOCK`` size are drawn on a helper
-thread, up to ``_AHEAD`` blocks ahead, while the caller judges and takes
-the pieces; NumPy releases the GIL for both. The generator makes the same
-calls in the same order either way, so the variates, the attempt count and
-the generator's end position are bit for bit those of the serial loop, and
-no block is drawn that the serial loop would not draw. A request for fewer
-than _BLOCK * (1 + 1 / _OVERDRAW), about 1.1e5, variates starts no thread.
-The two-piece envelope computes its power-law piece densely with in-place
-ufuncs, recycling the pick uniform as that piece's inversion uniform, and
-draws the exponential piece only at the positions that picked it. The
-boundary samplers draw all n variates at once, as one piece, and they and
-the interior map (T - rho) / theta work in place on their pieces.
-``ftg_rvs`` returns the variates; ``sample_ftg`` returns the same
-variates with the envelope's attempt count.
+Every sampler draws on the calling thread, in blocks of at most ``_BLOCK``
+variates or proposals, and hands each block's variates on, in order, as
+one piece; a block is drawn only once the previous piece has been taken,
+so every temporary stays cache-sized. The edges draw ``min(_BLOCK, left)``
+variates at a time, which gives the bits of one call for all n and leaves
+the generator where that call would. Both envelopes share one
+accept-and-fill loop; each splits a block into ``draw(k)``, which makes
+every generator call, and ``judge(drawn)``, pure arithmetic that returns
+the candidates and their acceptance. The two-piece envelope computes its
+power-law piece densely with in-place ufuncs, recycling the pick uniform
+as that piece's inversion uniform, and draws the exponential piece only at
+the positions that picked it. The edge samplers and the interior map
+(T - rho) / theta work in place on their pieces. A request for no variates
+draws nothing. ``ftg_rvs`` and ``sample_ftg`` copy the pieces into their
+n-element result and hold little beyond it: ``ftg_rvs`` returns the
+variates, ``sample_ftg`` the same variates with the envelope's attempt
+count. ``ftg_rvs(..., take=fold)`` hands the pieces to fold instead, so a
+caller that folds them as they come, as ``risk.simulate_aggregate`` does,
+never holds all n.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -50,9 +42,6 @@ from .dist import FtgParams
 _BLOCK = 1 << 16
 # proposals per still-missing variate in each block
 _OVERDRAW = 1.5
-# blocks the helper thread may draw ahead of the one being judged: with two,
-# the slower stage, the generator's, never waits for the caller to wake
-_AHEAD = 2
 
 
 @dataclass
@@ -62,10 +51,8 @@ class RngStream:
     Identical keys reproduce identical variate sequences; distinct keys give
     statistically independent streams (counter-based Philox under a
     SeedSequence). A stream owns its generator state: do not share one
-    instance between concurrent tasks, derive children instead. Within one
-    request the sampler may hand the generator to a helper thread, which
-    draws blocks ahead while the calling thread leaves the generator alone:
-    one thread at a time uses it.
+    instance between concurrent tasks, derive children instead. The
+    sampler uses the generator only on the thread that asked for the draw.
     """
 
     seed: int
@@ -108,30 +95,11 @@ def _block(missing: int) -> int:
     return int(min(max(_OVERDRAW * missing, 1024), _BLOCK))
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: the sampler draws ahead and
-    gof.bootstrap_pvalue forks workers only where there is more than one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _draw_ahead(draw, asks, results):
-    """The helper thread: draw(k) for each k asked, in order, until k = 0;
-    a draw that raises passes its exception on in place of the block."""
-    for k in iter(asks.get, 0):
-        try:
-            results.put(draw(k))
-        except BaseException as exc:  # raised again by the caller
-            results.put(exc)
-
-
 def _accept_and_fill(draw, judge, n: int):
     """Yield the first n accepted proposals, in proposal order, as the
     accepted proposals of one block at a time, each with the number of
     proposals made so far: through its whole block, or in the last piece up
-    to the one that completed the request.
+    to the one that completed the request. A request for none draws nothing.
 
     draw(k) makes every generator call for a block of k proposals and
     judge(drawn) turns it into (t, accept) without the generator. Each
@@ -139,63 +107,23 @@ def _accept_and_fill(draw, judge, n: int):
     [1024, _BLOCK]. The cap keeps the envelope's temporaries (a few arrays
     of k doubles) and each piece in cache: one block for a whole large
     request would allocate, page-fault and stream each of them through
-    memory, and hold them all at once.
-
-    A block is certain to be drawn, at exactly _BLOCK, when the blocks
-    before it leave at least _BLOCK / _OVERDRAW variates missing even if
-    they accept every proposal: n - filled - (proposals drawn but not yet
-    folded) >= _BLOCK / _OVERDRAW. Where the process may use two CPUs, a
-    helper thread draws such blocks, up to _AHEAD of them ahead, while this
-    thread judges and the caller takes the pieces; every other block is
-    drawn here, after the helper's blocks are folded. The generator sees
-    the same calls in the same order on either path, so the values, the
-    attempts and its end position are bit-identical to the serial loop, and
-    no block is drawn that the serial loop would not draw. The helper
-    starts only for a request whose first test passes, and is joined on
-    every exit, including the caller's closing of this generator.
+    memory, and hold them all at once. A block's temporaries are released
+    before its piece is handed on, so the caller's use of a piece never
+    overlaps them, and the next block is drawn only when the caller asks.
     """
-    filled = 0
-    attempts = 0
-    k = _block(n)
-    drawn = draw(k)
-    # the variates still missing only shrink, so the test passes for a
-    # prefix of the blocks or for none: the first block's test decides
-    helper = None
-    if n - k >= _BLOCK / _OVERDRAW and _usable_cpus() > 1:
-        import queue  # imported here: only a request that draws ahead needs it
-
-        asks, results = queue.SimpleQueue(), queue.SimpleQueue()
-        helper = threading.Thread(target=_draw_ahead, args=(draw, asks, results),
-                                  daemon=True)
-        helper.start()
-    queued = 0  # blocks asked of the helper and not yet taken
-    try:
-        while True:
-            while (helper is not None and queued < _AHEAD
-                   and n - filled - k - queued * _BLOCK >= _BLOCK / _OVERDRAW):
-                asks.put(_BLOCK)
-                queued += 1
-            t, acc = judge(drawn)
-            hits = np.flatnonzero(acc)
-            need = n - filled
-            if hits.size >= need:
-                yield t[hits[:need]], attempts + int(hits[need - 1]) + 1
-                return
-            attempts += k
-            filled += hits.size
-            yield t[hits], attempts
-            if queued:
-                k, drawn = _BLOCK, results.get()
-                queued -= 1
-                if isinstance(drawn, BaseException):
-                    raise drawn
-            else:
-                k = _block(n - filled)
-                drawn = draw(k)
-    finally:
-        if helper is not None:
-            asks.put(0)
-            helper.join()
+    filled = attempts = 0
+    while filled < n:
+        need = n - filled
+        k = _block(need)
+        t, acc = judge(draw(k))
+        hits = np.flatnonzero(acc)
+        if hits.size >= need:
+            piece, attempts = t[hits[:need]], attempts + int(hits[need - 1]) + 1
+        else:
+            piece, attempts = t[hits], attempts + k
+        del t, acc, hits
+        filled += piece.size
+        yield piece, attempts
 
 
 def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
@@ -287,45 +215,40 @@ def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
 
 
 def _pieces(p: FtgParams, n: int, gen: np.random.Generator):
-    """Yield n variates of p, in order, in pieces, each with the proposals
-    taken so far (n at the boundaries, whose one draw is one piece). Close
-    it to stop early: its helper thread is joined."""
-    if p.is_pareto:
-        # 1 - U in (0, 1]: never raises 0 to a negative power
-        x = gen.random(n)
-        np.subtract(1.0, x, out=x)
-        x **= 1.0 / p.alpha
-        x -= 1.0
-        x *= p.sigma
-        yield x, n
-        return
-    if p.is_gamma:
-        x = gen.gamma(p.alpha, size=n)
-        x /= p.theta
-        yield x, n
+    """Yield n variates of p, in order, in pieces of at most _BLOCK, each
+    with the proposals taken so far (the variates so far at the edges,
+    where every draw is accepted)."""
+    if p.is_pareto or p.is_gamma:
+        for filled in range(0, n, _BLOCK):
+            k = min(_BLOCK, n - filled)
+            if p.is_pareto:
+                # 1 - U in (0, 1]: never raises 0 to a negative power
+                x = gen.random(k)
+                np.subtract(1.0, x, out=x)
+                x **= 1.0 / p.alpha
+                x -= 1.0
+                x *= p.sigma
+            else:
+                x = gen.gamma(p.alpha, size=k)
+                x /= p.theta
+            yield x, filled + k
         return
     if p.alpha < 1.0 and p.rho < 1.0:
         blocks = _trunc_gamma_two_piece(p.alpha, p.rho, n, gen)
     else:
         blocks = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
-    with contextlib.closing(blocks):
-        for x, attempts in blocks:
-            x -= p.rho
-            x /= p.theta
-            yield x, attempts
+    for x, attempts in blocks:
+        x -= p.rho
+        x /= p.theta
+        yield x, attempts
 
 
 def _draw(p: FtgParams, n: int, gen: np.random.Generator):
     """n variates of p in one array, and the proposals they took."""
-    out, filled = None, 0
+    out, filled, attempts = np.empty(n), 0, 0
     for x, attempts in _pieces(p, n, gen):
-        if x.size == n:  # the whole request in one piece: no copy
-            out = x
-        else:
-            if out is None:
-                out = np.empty(n)
-            out[filled:filled + x.size] = x
-            filled += x.size
+        out[filled:filled + x.size] = x
+        filled += x.size
     return out, attempts
 
 
@@ -347,13 +270,11 @@ def ftg_rvs(p: FtgParams, n: int, rng: RngStream,
 
     Given ``take``, the variates are not gathered and None is returned:
     take(x) is called on them in order, at most _BLOCK at a time, as the
-    sampler hands them over. An exception from take ends the draw, with
-    the sampler's helper thread joined, and propagates.
+    sampler hands them over. An exception from take ends the draw and
+    propagates.
     """
     if take is None:
         return _draw(p, n, rng.generator)[0]
-    with contextlib.closing(_pieces(p, n, rng.generator)) as pieces:
-        for x, _ in pieces:
-            for lo in range(0, x.size, _BLOCK):
-                take(x[lo:lo + _BLOCK])
+    for x, _ in _pieces(p, n, rng.generator):
+        take(x)
     return None

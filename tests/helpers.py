@@ -62,8 +62,8 @@ def near_constant_sample(seed: int = 1, spread: float = 3e-8) -> np.ndarray:
 
 
 def set_usable_cpus(monkeypatch, cpus: int):
-    """Let the sampler and the bootstrap see `cpus` usable CPUs, whatever
-    this machine has."""
+    """Let gof's bootstrap see `cpus` usable CPUs, whatever this machine
+    has; the sampler draws on the calling thread whatever it is."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 

@@ -282,6 +282,14 @@ class TestSample:
         assert out == ""
         assert err.startswith("ftg: invalid request: ") and "sigma" in err
 
+    def test_negative_nan_sigma_is_a_value(self, capsys):
+        # not -n with the value an, which argparse alone would read
+        code, out, err = run_cli(capsys, "sample", "--family", "pareto", "--alpha", "-1.5",
+                                 "--sigma", "-nan", "-n", "3", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ftg: invalid request: ") and "sigma" in err
+
     def test_unseeded_run_reports_seed(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--family", "pareto",
                                  "--alpha", "-0.5", "--sigma", "1", "-n", "2")
@@ -518,8 +526,8 @@ class TestPinnedStdout:
         assert code == 0
         assert out.encode() == (DATA / pin).read_bytes()
 
-    # the benchmark's risk-ftg command: ~2e6 two-piece draws, drawn ahead
-    # on a helper thread where there are two CPUs, folded into 1e5 years
+    # the benchmark's risk-ftg command: ~2e6 two-piece draws, folded into
+    # 1e5 years
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_risk_ftg_bundled(self, capsys, monkeypatch, cpus):
         set_usable_cpus(monkeypatch, cpus)
@@ -583,6 +591,16 @@ class TestPlotdata:
         assert proc.stdout == ""
         lines = [ln for ln in proc.stderr.splitlines() if not ln.startswith('{"manifest"')]
         assert len(lines) == 1 and lines[0].startswith("ftg: invalid request: "), proc.stderr
+
+    # argparse alone reads -inf as an option, and -nan as -n with the value an
+    @pytest.mark.parametrize("origin", ["-inf", "-Infinity", "-nan"])
+    def test_negative_inf_and_nan_origins_are_values(self, capsys, origin):
+        code, out, err = run_cli(capsys, "plotdata", "--bundled", "--mode", "histogram",
+                                 "--origin", origin)
+        assert code == 1
+        assert out == ""
+        lines = [ln for ln in err.splitlines() if not ln.startswith('{"manifest"')]
+        assert len(lines) == 1 and lines[0].startswith("ftg: invalid request: "), err
 
     def test_negative_origin_with_exponent_is_a_value(self, capsys):
         argv = ("plotdata", "--bundled", "--mode", "histogram", "--origin")

@@ -195,6 +195,42 @@ class TestBulkSampler:
     def test_empty_request(self):
         assert ftg_rvs(GRID[0], 0, RngStream(1)).size == 0
 
+    # one law per sampler: the two-piece and shifted-exponential envelopes
+    # and both edges
+    REGIMES = [BUNDLED_FIT, FtgParams(1.7, 1.0, 0.5), PARETO_PTS[0], FtgParams.gamma(2.0, 1.0)]
+
+    @pytest.mark.parametrize("i", range(len(REGIMES)))
+    def test_request_for_nothing_draws_nothing(self, i):
+        fresh = RngStream(12, i).generator.random()
+        rng = RngStream(12, i)
+        assert ftg_rvs(self.REGIMES[i], 0, rng).size == 0
+        assert rng.generator.random() == fresh
+        taken = []
+        rng = RngStream(12, i)
+        assert ftg_rvs(self.REGIMES[i], 0, rng, take=taken.append) is None
+        assert taken == [] and rng.generator.random() == fresh
+
+    @pytest.mark.parametrize("law", [PARETO_PTS[0], FtgParams.gamma(0.5, 2.0),
+                                     FtgParams.gamma(3.0, 1.0)], ids=["pareto", "gamma-0.5",
+                                                                      "gamma-3"])
+    def test_edge_blocks_equal_one_call(self, law):
+        # the edges draw at most 65536 variates per generator call; NumPy
+        # fills in order, so the blocks hold the bits of one call for all n
+        # and leave the generator where that call does
+        n = 65536 * 3 + 17
+        one = RngStream(14).generator
+        if law.is_pareto:
+            want = law.sigma * ((1.0 - one.random(n)) ** (1.0 / law.alpha) - 1.0)
+        else:
+            want = one.gamma(law.alpha, size=n) / law.theta
+        rng = RngStream(14)
+        pieces = []
+        ftg_rvs(law, n, rng, take=pieces.append)
+        assert [x.size for x in pieces] == [65536] * 3 + [17]
+        assert np.concatenate(pieces).tobytes() == want.tobytes()
+        assert ftg_rvs(law, n, RngStream(14)).tobytes() == want.tobytes()
+        assert rng.generator.random() == one.random()
+
     # SHA-256 of ftg_rvs(law, 300_000, RngStream(77, i)).tobytes(), i the
     # position in this list; the pins follow NumPy's Generator stream. Each
     # regime's sampler is pinned: the two-piece envelope (the bundled fit,
@@ -253,16 +289,16 @@ class _DrawFailed(RuntimeError):
     pass
 
 
-class TestDrawAhead:
-    """The next block is drawn on a helper thread while the caller judges
-    the current one; every figure below is that of the serial loop."""
+class TestBlockLoop:
+    """Every block is drawn on the calling thread, when the previous piece
+    has been taken; the figures below are those of that serial loop."""
 
-    # captured at the commit before the draw-ahead, from the serial loop:
-    # the SHA-256 of ftg_rvs(law, n, RngStream(seed, stream)).tobytes(), the
-    # attempts of sample_ftg on the same stream, and the generator's next
-    # random() after either call. 65536 * 2 + 17 draws end in serial steps;
-    # BUNDLED_FIT is a two-piece envelope; (1.7, 1, 0.5) is the
-    # shifted exponential at its optimal rate, (-0.2, 0.5, 1) at rate 1
+    # captured from the serial loop: the SHA-256 of ftg_rvs(law, n,
+    # RngStream(seed, stream)).tobytes(), the attempts of sample_ftg on the
+    # same stream, and the generator's next random() after either call.
+    # 65536 * 2 + 17 draws end in short blocks; BUNDLED_FIT is a two-piece
+    # envelope; (1.7, 1, 0.5) is the shifted exponential at its optimal
+    # rate, (-0.2, 0.5, 1) at rate 1
     PINNED = [
         (BUNDLED_FIT, 2_000_000, (77, 9),
          "552a6b8bd932c1c0e6c1fe21c85a7b2d76288c934e8c639031d9d593ef58be7e",
@@ -291,9 +327,9 @@ class TestDrawAhead:
             assert rng.generator.random() == after, (p, n)
 
     def test_concurrent_requests_under_fast_switching(self, monkeypatch):
-        # more requests than cores, each with its own helper, with the
-        # interpreter switching threads every 10 us: a block handed over out
-        # of order or lost would change the bits or hang
+        # more requests than cores, each on a thread of its own and its own
+        # stream, with the interpreter switching threads every 10 us: a
+        # request that touched another's state would change the bits or hang
         set_usable_cpus(monkeypatch, 2)
         got = {}
 
@@ -315,65 +351,38 @@ class TestDrawAhead:
         for i, (_, _, _, digest, *_) in enumerate(self.PINNED[1:] * 2):
             assert got[i].hexdigest() == digest, i
 
-    def _count_threads(self, monkeypatch):
-        started = []
-        real = threading.Thread
-
-        def counting(*args, **kwargs):
-            started.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(threading, "Thread", counting)
-        return started
-
-    def test_one_block_starts_no_thread(self, ftg_fit, monkeypatch):
-        set_usable_cpus(monkeypatch, 2)
-        started = self._count_threads(monkeypatch)
-        ftg_rvs(ftg_fit.params, 40, RngStream(1))
-        sample_ftg(FtgParams(1.7, 1.0, 0.5), 40, RngStream(1))
-        assert started == []
-        ftg_rvs(ftg_fit.params, 200_000, RngStream(1))
-        assert started == [1]  # one helper for the whole request
-
-    def test_one_cpu_starts_no_thread(self, ftg_fit, monkeypatch):
-        set_usable_cpus(monkeypatch, 1)
-        started = self._count_threads(monkeypatch)
-        ftg_rvs(ftg_fit.params, 2_000_000, RngStream(1))
-        ftg_rvs(FtgParams(1.7, 1.0, 0.5), 200_000, RngStream(1))
-        assert started == []
-
-    def test_large_request_leaves_no_thread(self, ftg_fit, monkeypatch):
+    def test_large_request_starts_no_thread(self, ftg_fit, monkeypatch):
+        # two usable CPUs and 2e6 draws: every block is still drawn here
         set_usable_cpus(monkeypatch, 2)
         before = threading.active_count()
-        ftg_rvs(ftg_fit.params, 2_000_000, RngStream(2))
-        assert threading.active_count() == before
+        alive = set()
+        ftg_rvs(ftg_fit.params, 2_000_000, RngStream(1),
+                take=lambda x: alive.add(threading.active_count()))
+        assert alive == {before}
 
     # fills per block: two-piece u, w, exponential; shifted exponential
-    # exponential, uniform. Block 1 is drawn by the caller, later ones by
-    # the helper
-    @pytest.mark.parametrize("law, fail_at, on_helper", [
-        (None, 3, False),
-        (None, 4, True),
-        (FtgParams(1.7, 1.0, 0.5), 3, True),
+    # exponential, uniform. Fill 3 is in block 1, fill 4 in block 2 of the
+    # two-piece envelope and fill 3 in block 2 of the shifted exponential
+    @pytest.mark.parametrize("law, fail_at", [
+        (None, 3),
+        (None, 4),
+        (FtgParams(1.7, 1.0, 0.5), 3),
     ])
-    def test_draw_failure_reaches_the_caller(self, ftg_fit, monkeypatch, law, fail_at, on_helper):
+    def test_draw_failure_reaches_the_caller(self, ftg_fit, monkeypatch, law, fail_at):
         set_usable_cpus(monkeypatch, 2)
         gen = _FaultyGenerator(RngStream(3).generator, fail_at)
         monkeypatch.setattr(RngStream, "generator", property(lambda self: gen))
-        before = threading.active_count()
         with pytest.raises(_DrawFailed):
             ftg_rvs(law or ftg_fit.params, 2_000_000, RngStream(3))
-        assert threading.active_count() == before
-        assert (gen.faulty_thread is not threading.main_thread()) == on_helper
+        assert gen.faulty_thread is threading.current_thread()
+        assert gen.fills == fail_at  # nothing is drawn after the failure
 
-    def test_judge_failure_joins_the_drawing_helper(self, ftg_fit, monkeypatch):
-        # block 2's uniforms come one short: the caller's arithmetic on them
-        # raises while the helper draws blocks 3 and 4, asked ahead
+    def test_judge_failure_ends_the_draw(self, ftg_fit, monkeypatch):
+        # block 2's uniforms come one short: the arithmetic on them raises,
+        # and no later block is drawn
         set_usable_cpus(monkeypatch, 2)
         gen = _FaultyGenerator(RngStream(3).generator, 4, short=True)
         monkeypatch.setattr(RngStream, "generator", property(lambda self: gen))
-        before = threading.active_count()
         with pytest.raises(ValueError):
             ftg_rvs(ftg_fit.params, 2_000_000, RngStream(3))
-        assert threading.active_count() == before
-        assert gen.fills == 12  # blocks 1-4, three fills each
+        assert gen.fills == 6  # blocks 1 and 2, three fills each
