@@ -209,8 +209,8 @@ class TestBulkSampler:
         assert taken == [] and rng.generator.random() == fresh
 
     @pytest.mark.parametrize("law", [PARETO_PTS[0], FtgParams.gamma(0.5, 2.0),
-                                     FtgParams.gamma(3.0, 1.0)], ids=["pareto", "gamma-0.5",
-                                                                      "gamma-3"])
+                                     FtgParams.gamma(3.0, 1.0)],
+                             ids=["pareto", "gamma-0.5", "gamma-3"])
     def test_edge_blocks_equal_one_call(self, law):
         # the edges draw at most 65536 variates per generator call; NumPy
         # fills in order, so the blocks hold the bits of one call for all n
