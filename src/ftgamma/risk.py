@@ -19,7 +19,7 @@ from .data import Sample
 from .dist import FtgParams, conditional_mean_excess, model_to_dict, moments
 from .errors import FitError
 from .fit import FitResult, _fit_family, fit_ftg
-from .sample import RngStream, ftg_rvs
+from .sample import _BLOCK, RngStream, ftg_rvs
 
 _REPORT_LEVELS = (0.5, 0.9, 0.99, 0.999)
 
@@ -97,13 +97,15 @@ def _annual_totals(severity: FtgParams, counts: np.ndarray,
     its losses in order, in one np.bincount over local year indices; the
     sum of the year it leaves unfinished is carried on. As 0.0 + s == s,
     every total is bit for bit the left-to-right sum from 0.0 that a single
-    bincount over all the losses forms.
+    bincount over all the losses forms. The carry and the losses are
+    copied into one weights buffer, reused by every step.
     """
     ends = np.cumsum(counts)  # one past the index of each year's last loss
     totals = np.zeros(counts.size)
     # the first year not yet summed, the sum of its losses so far, and the
     # number of losses folded
     year, carry, drawn = 0, 0.0, 0
+    weights = np.empty(min(_BLOCK, int(ends[-1])) + 1)
 
     def fold(losses: np.ndarray) -> None:
         nonlocal year, carry, drawn
@@ -112,8 +114,10 @@ def _annual_totals(severity: FtgParams, counts: np.ndarray,
         # the carry at -1, then the losses of the years finished here and of
         # the one left unfinished
         sizes = np.diff(ends[year:done] - first, prepend=-1, append=losses.size)
-        sums = np.bincount(np.repeat(np.arange(sizes.size), sizes),
-                           weights=np.concatenate(([carry], losses)),
+        w = weights[:losses.size + 1]
+        w[0] = carry
+        w[1:] = losses
+        sums = np.bincount(np.repeat(np.arange(sizes.size), sizes), weights=w,
                            minlength=sizes.size)
         totals[year:done] = sums[:-1]
         year, carry = done, sums[-1]

@@ -223,7 +223,8 @@ class TestBulkSampler:
             want = one.gamma(law.alpha, size=n) / law.theta
         rng = RngStream(14)
         pieces = []
-        ftg_rvs(law, n, rng, take=pieces.append)
+        # a piece is valid until take returns
+        ftg_rvs(law, n, rng, take=lambda x: pieces.append(x.copy()))
         assert [x.size for x in pieces] == [65536] * 3 + [17]
         assert np.concatenate(pieces).tobytes() == want.tobytes()
         assert ftg_rvs(law, n, RngStream(14)).tobytes() == want.tobytes()
@@ -266,21 +267,24 @@ class _FaultyGenerator:
         self.fills = 0
         self.faulty_thread = None
 
-    def _fill(self, name, k):
+    def _fill(self, name, size, out):
         self.fills += 1
         self._left -= 1
         if self._left == 0:
             self.faulty_thread = threading.current_thread()
             if not self._short:
                 raise _DrawFailed(name)
-            k -= 1
-        return getattr(self._gen, name)(k)
+            if out is None:
+                size -= 1
+            else:
+                out = out[:-1]
+        return getattr(self._gen, name)(size=size, out=out)
 
-    def random(self, k):
-        return self._fill("random", k)
+    def random(self, size=None, out=None):
+        return self._fill("random", size, out)
 
-    def standard_exponential(self, k):
-        return self._fill("standard_exponential", k)
+    def standard_exponential(self, size=None, out=None):
+        return self._fill("standard_exponential", size, out)
 
 
 class _DrawFailed(RuntimeError):
