@@ -14,11 +14,11 @@ one piece; a block is drawn only once the previous piece has been taken,
 so every working array stays cache-sized. A request allocates its working
 arrays once, at the size of its first block, and every block reuses them:
 the generator fills them through ``out=``, the arithmetic runs in place,
-and each piece is a view of them that the next block overwrites. With a
-fresh array per block, malloc handed each block's freed arrays back to
-the kernel and the next block page-faulted them in again: about 7,500
-minor faults in a 1e5-year simulation of the bundled fit, against 1,300
-with reuse. The edges draw ``min(_BLOCK, left)``
+and each piece is a view of them that the next block overwrites. Fresh
+arrays per block would let malloc hand each block's freed arrays back to
+the kernel and make the next block page-fault them in again: about 7,500
+minor faults in a fresh process's 1e5-year simulation of the bundled fit,
+against 1,300 with reuse. The edges draw ``min(_BLOCK, left)``
 variates at a time, which gives the bits of one call for all n and leaves
 the generator where that call would. Both envelopes share one
 accept-and-fill loop; each splits a block into ``draw(k)``, which makes

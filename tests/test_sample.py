@@ -208,6 +208,17 @@ class TestBulkSampler:
         assert ftg_rvs(law, 0, rng, take=taken.append) is None
         assert taken == [] and rng.generator.random() == fresh
 
+    @pytest.mark.parametrize("law", [BUNDLED_FIT, FtgParams(1.7, 1.0, 0.5), PARETO_PTS[0],
+                                     FtgParams.gamma(2.0, 1.0)],
+                             ids=["two-piece", "shifted-exp", "pareto", "gamma"])
+    def test_blocks_reuse_one_buffer(self, law):
+        # every piece of a request is a view of the memory of its first, so
+        # no block allocates (and page-faults) arrays of its own
+        starts = []
+        ftg_rvs(law, 65536 * 3 + 17, RngStream(15),
+                take=lambda x: starts.append(x.__array_interface__["data"][0]))
+        assert len(starts) >= 4 and len(set(starts)) == 1
+
     @pytest.mark.parametrize("law", [PARETO_PTS[0], FtgParams.gamma(0.5, 2.0),
                                      FtgParams.gamma(3.0, 1.0)],
                              ids=["pareto", "gamma-0.5", "gamma-3"])
