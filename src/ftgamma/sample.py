@@ -18,22 +18,20 @@ and each piece is a view of them that the next block overwrites. Fresh
 arrays per block would let malloc hand each block's freed arrays back to
 the kernel and make the next block page-fault them in again: about 7,500
 minor faults in a fresh process's 1e5-year simulation of the bundled fit,
-against 1,300 with reuse. The edges draw ``min(_BLOCK, left)``
-variates at a time, which gives the bits of one call for all n and leaves
-the generator where that call would. Both envelopes share one
-accept-and-fill loop; each splits a block into ``draw(k)``, which makes
-every generator call, and ``judge(drawn)``, pure arithmetic that returns
-the candidates and their acceptance. The two-piece envelope computes its
-power-law piece densely with in-place ufuncs, recycling the pick uniform
-as that piece's inversion uniform, and draws the exponential piece only at
-the positions that picked it. The edge samplers and the interior map
-(T - rho) / theta work in place on their pieces. A request for no variates
-draws nothing. ``ftg_rvs`` and ``sample_ftg`` copy the pieces into their
-n-element result and hold little beyond it: ``ftg_rvs`` returns the
-variates, ``sample_ftg`` the same variates with the envelope's attempt
-count. ``ftg_rvs(..., take=fold)`` hands the pieces to fold instead, so a
-caller that folds them as they come, as ``risk.simulate_aggregate`` does,
-never holds all n.
+against 1,300 with reuse. The edges draw ``min(_BLOCK, left)`` variates at
+a time, which gives the bits of one call for all n and leaves the
+generator where that call would. Both envelopes feed one accept-and-fill
+loop, each through a closure that proposes one block. The two-piece
+envelope computes its power-law piece densely with in-place ufuncs,
+recycling the pick uniform as that piece's inversion uniform, and draws
+the exponential piece only at the positions that picked it. The edge
+samplers and the interior map (T - rho) / theta work in place on their
+pieces. A request for no variates draws nothing. ``ftg_rvs`` and
+``sample_ftg`` copy the pieces into their n-element result and hold little
+beyond it: ``ftg_rvs`` returns the variates, ``sample_ftg`` the same
+variates with the envelope's attempt count. ``ftg_rvs(..., take=fold)``
+hands the pieces to fold instead, so a caller that folds them as they
+come, as ``risk.simulate_aggregate`` does, never holds all n.
 """
 
 from __future__ import annotations
@@ -102,43 +100,11 @@ def _block(missing: int) -> int:
     return int(min(max(_OVERDRAW * missing, 1024), _BLOCK))
 
 
-def _accept_and_fill(draw, judge, n: int, out: np.ndarray):
-    """Yield the first n accepted proposals, in proposal order, as the
-    accepted proposals of one block at a time, each with the number of
-    proposals made so far: through its whole block, or in the last piece up
-    to the one that completed the request. A request for none draws nothing.
-
-    draw(k) makes every generator call for a block of k proposals and
-    judge(drawn) turns it into (t, accept) without the generator. Each
-    block holds _OVERDRAW times the number of variates still missing, within
-    [1024, _BLOCK]. The cap keeps the envelope's working arrays (a few
-    arrays of k doubles) and each piece in cache: one block for a whole
-    large request would stream each of them through memory. Each piece is
-    gathered into out, a buffer of _block(n) doubles that t and accept do
-    not use, and the next block is drawn only when the caller asks, so the
-    envelopes and this loop reuse the same memory for every block.
-    """
-    filled = attempts = 0
-    while filled < n:
-        need = n - filled
-        k = _block(need)
-        t, acc = judge(draw(k))
-        hits = np.flatnonzero(acc)
-        if hits.size >= need:
-            hits, attempts = hits[:need], attempts + int(hits[need - 1]) + 1
-        else:
-            attempts += k
-        # mode="clip" writes into out directly ("raise" buffers the result)
-        piece = np.take(t, hits, out=out[:hits.size], mode="clip")
-        del t, acc, hits
-        filled += piece.size
-        yield piece, attempts
-
-
 def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
                              gen: np.random.Generator):
-    """n draws of T, with density t^(alpha-1) e^-t on (rho, inf), alpha >= 1
-    or rho >= 1, in the pieces of ``_accept_and_fill``.
+    """propose(k) -> (t, accept) for T, with density t^(alpha-1) e^-t on
+    (rho, inf), alpha >= 1 or rho >= 1, and the buffer row it leaves free,
+    for ``_pieces``.
 
     Rejection from the shifted exponential rho + Exp(lam) with the classical
     optimal rate lam = (rho - alpha + sqrt((rho - alpha)^2 + 4 rho)) / (2 rho),
@@ -165,15 +131,11 @@ def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
     bufs = np.empty((4, _block(n)))
     accept = np.empty(bufs.shape[1], dtype=bool)
 
-    def draw(k: int):
-        return (gen.standard_exponential(out=bufs[0, :k]),
-                gen.random(out=bufs[1, :k]))
-
-    def judge(drawn):
+    def propose(k: int):
         # in place: t = rho + e / lam, and
         # u <= exp((alpha - 1) ln t - one_m t - log_m)
-        t, u = drawn
-        k = t.size
+        t = gen.standard_exponential(out=bufs[0, :k])
+        u = gen.random(out=bufs[1, :k])
         t /= lam
         t += rho
         log_ratio, term = bufs[2, :k], bufs[3, :k]
@@ -185,13 +147,14 @@ def _trunc_gamma_shifted_exp(alpha: float, rho: float, n: int,
         np.exp(log_ratio, out=log_ratio)
         return t, np.less_equal(u, log_ratio, out=accept[:k])
 
-    return _accept_and_fill(draw, judge, n, bufs[1])
+    return propose, bufs[1]
 
 
 def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
                            gen: np.random.Generator):
-    """n draws of T, with density t^(alpha-1) e^-t on (rho, inf), alpha < 1
-    and rho < 1, in the pieces of ``_accept_and_fill``.
+    """propose(k) -> (t, accept) for T, with density t^(alpha-1) e^-t on
+    (rho, inf), alpha < 1 and rho < 1, and the buffer row it leaves free,
+    for ``_pieces``.
 
     Composition envelope: a power-law piece t^(alpha-1) e^-rho on (rho, 1]
     with mass m1 and an exponential piece e^-t on (1, inf) with mass
@@ -211,14 +174,11 @@ def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
     bufs = np.empty((3, _block(n)))
     mask = np.empty(bufs.shape[1], dtype=bool)
 
-    def draw(k: int):
+    def propose(k: int):
         u = gen.random(out=bufs[0, :k])
         w = gen.random(out=bufs[1, :k])
         other = np.flatnonzero(np.greater_equal(u, p1, out=mask[:u.size]))
-        return u, w, other, gen.standard_exponential(other.size)
-
-    def judge(drawn):
-        u, w, other, t = drawn
+        t = gen.standard_exponential(other.size)
         u[other] = 0.0
         # in place, by inversion on (rho, 1] with v = u / p1 uniform on
         # [0, 1) given u < p1: T = rho (1 + v expm1(alpha ln(1/rho)))^(1/alpha),
@@ -239,14 +199,25 @@ def _trunc_gamma_two_piece(alpha: float, rho: float, n: int,
         ratio[other] = t ** (alpha - 1.0)
         return u, np.less_equal(w, ratio, out=mask[:u.size])
 
-    return _accept_and_fill(draw, judge, n, bufs[1])
+    return propose, bufs[1]
 
 
 def _pieces(p: FtgParams, n: int, gen: np.random.Generator):
     """Yield n variates of p, in order, in pieces of at most _BLOCK, each
     with the proposals taken so far (the variates so far at the edges,
     where every draw is accepted). Every piece is a view of one buffer of
-    the request, which the next piece overwrites."""
+    the request, which the next piece overwrites.
+
+    An interior law keeps the first n accepted proposals of its envelope,
+    in proposal order. Each block holds _OVERDRAW times the number of
+    variates still missing, within [1024, _BLOCK]; the last piece counts
+    the proposals up to the one that completed the request. The cap keeps
+    the envelope's working arrays (a few arrays of k doubles) and each
+    piece in cache: one block for a whole large request would stream each
+    of them through memory. Each piece is gathered into the buffer row that
+    the envelope's t and accept do not use, and the next block is drawn only
+    when the caller asks, so every block reuses the same memory.
+    """
     if p.is_pareto or p.is_gamma:
         buf = np.empty(min(_BLOCK, n))
         for filled in range(0, n, _BLOCK):
@@ -265,12 +236,25 @@ def _pieces(p: FtgParams, n: int, gen: np.random.Generator):
             yield x, filled + x.size
         return
     if p.alpha < 1.0 and p.rho < 1.0:
-        blocks = _trunc_gamma_two_piece(p.alpha, p.rho, n, gen)
+        propose, out = _trunc_gamma_two_piece(p.alpha, p.rho, n, gen)
     else:
-        blocks = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
-    for x, attempts in blocks:
+        propose, out = _trunc_gamma_shifted_exp(p.alpha, p.rho, n, gen)
+    filled = attempts = 0
+    while filled < n:
+        need = n - filled
+        k = _block(need)
+        t, acc = propose(k)
+        hits = np.flatnonzero(acc)
+        if hits.size >= need:
+            hits, attempts = hits[:need], attempts + int(hits[need - 1]) + 1
+        else:
+            attempts += k
+        # mode="clip" writes into out directly ("raise" buffers the result)
+        x = np.take(t, hits, out=out[:hits.size], mode="clip")
+        del hits
         x -= p.rho
         x /= p.theta
+        filled += x.size
         yield x, attempts
 
 
