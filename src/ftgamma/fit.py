@@ -76,10 +76,15 @@ def sufficient_stats(sample, sigma: float) -> SufficientStats:
     np.log1p(w, out=w)
     # s_bar_sigma_sigma is the mean of x (2 sigma + x) / (sigma (sigma + x))^2
     # = q (2 - q) / sigma^2; q^2 <= q on [0, 1), so the difference never
-    # cancels
-    return SufficientStats(sigma, n, 1.0 + xbar / sigma, float(np.add.reduce(w) / n),
-                           -xbar / sigma**2, 2.0 * xbar / sigma**3, -q1 / sigma,
-                           (2.0 * q1 - q2) / sigma**2)
+    # cancels. sigma**2 and sigma**3 leave the float range only for data
+    # scaled far beyond 1e+-100
+    try:
+        return SufficientStats(sigma, n, 1.0 + xbar / sigma, float(np.add.reduce(w) / n),
+                               -xbar / sigma**2, 2.0 * xbar / sigma**3, -q1 / sigma,
+                               (2.0 * q1 - q2) / sigma**2)
+    except (OverflowError, ZeroDivisionError):
+        raise FitError(f"sigma = {sigma:g} leaves the float range in the "
+                       "likelihood's derivatives: rescale the data") from None
 
 
 def _stats(sample, sigma: float) -> SufficientStats:

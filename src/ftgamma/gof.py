@@ -284,11 +284,11 @@ def log_binned_histogram(sample, decade_origin: float = 8.0,
     covered span are excluded from counts but still included in the density
     normalization.
 
-    Raises ValueError for an origin so far from the data's decades (NaN and
-    infinite ones included) that the exponents decade_origin + s / b are
-    not formed to within 1e-9 of a decade, which would move the points off
-    the 10^(origin + s/b) grid, or cannot resolve half a bin, and wherever
-    the bin edges are not finite and strictly increasing.
+    Raises ValueError for a NaN origin, for one so far from the data's
+    decades (infinite ones included) that the exponents decade_origin + s / b
+    are not formed to within 1e-9 of a decade, which would move the points
+    off the 10^(origin + s/b) grid, or cannot resolve half a bin, and
+    wherever the bin edges are not finite and strictly increasing.
     """
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
@@ -301,6 +301,8 @@ def log_binned_histogram(sample, decade_origin: float = 8.0,
     lo, hi = (float(x.min()), float(x.max())) if x_range is None else x_range
     if not 0.0 < lo <= hi:
         raise ValueError("x_range must be positive and ordered")
+    if math.isnan(decade_origin):
+        raise ValueError("decade origin is not a number")
     unresolved = (f"decade origin {decade_origin} is too far from the data's "
                   "decades to lay its grid of bins over them")
     # the exponents decade_origin + s / b, at most `reach` in size, are

@@ -282,6 +282,16 @@ class TestSample:
         assert out == ""
         assert err.startswith("ftg: invalid request: ") and "sigma" in err
 
+    def test_overflowing_envelope_rate_is_invalid_request(self, capsys):
+        # the shifted exponential's rate once ended in an OverflowError
+        # traceback; test_sample.py has the other laws it refuses
+        code, out, err = run_cli(capsys, "sample", "--family", "ftg", "--alpha", "1e160",
+                                 "--rho", "1", "--theta", "1", "-n", "3", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith("ftg: invalid request: the sampler's rate")
+        assert "Traceback" not in err
+
     def test_negative_nan_sigma_is_a_value(self, capsys):
         # not -n with the value an, which argparse alone would read
         code, out, err = run_cli(capsys, "sample", "--family", "pareto", "--alpha", "-1.5",
@@ -485,6 +495,25 @@ class TestNearConstantData:
         assert "Traceback" not in err
 
 
+class TestFarScaledData:
+    # sigma**2 and sigma**3 leave the float range in the fit: each command
+    # once ended in a traceback and exit code 1, the usage-error code
+    @pytest.mark.parametrize("scale", [1e-110, 1e110])
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--family", "all"),
+        ("risk", "--family", "ftg", "--n-sims", "20000", "--seed", "1"),
+        ("gof", "--family", "ftg", "--n-boot", "99", "--seed", "1"),
+        ("plotdata", "--mode", "survival"),
+    ], ids=["fit", "risk", "gof", "plotdata"])
+    def test_reports_a_fit_error(self, capsys, tmp_path, losses, argv, scale):
+        path = tmp_path / "far_scaled.txt"
+        np.savetxt(path, losses.values * scale, fmt="%.17g")
+        code, _, err = run_cli(capsys, argv[0], "--data", str(path), *argv[1:])
+        assert code == 3
+        assert "ftg: numerical failure: " in err
+        assert "Traceback" not in err
+
+
 class TestPinnedStdout:
     # text stdout captured before the fitter's specfun and statistics passes
     # were merged: a speed change must not move a printed digit
@@ -528,9 +557,8 @@ class TestPinnedStdout:
 
     # the benchmark's risk-ftg command: ~2e6 two-piece draws, folded into
     # 1e5 years
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_risk_ftg_bundled(self, capsys, monkeypatch, cpus):
-        set_usable_cpus(monkeypatch, cpus)
+    def test_risk_ftg_bundled(self, capsys, monkeypatch):
+        set_usable_cpus(monkeypatch, 2)
         code, out, _ = run_cli(capsys, "risk", "--bundled", "--family", "ftg",
                                "--n-sims", "100000", "--seed", "7")
         assert code == 0
@@ -601,6 +629,15 @@ class TestPlotdata:
         assert out == ""
         lines = [ln for ln in err.splitlines() if not ln.startswith('{"manifest"')]
         assert len(lines) == 1 and lines[0].startswith("ftg: invalid request: "), err
+
+    @pytest.mark.parametrize("origin", ["nan", "-nan"])
+    def test_nan_origin_is_not_a_number(self, capsys, origin):
+        # once refused as too far from the data's decades
+        code, out, err = run_cli(capsys, "plotdata", "--bundled", "--mode", "histogram",
+                                 "--origin", origin)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "ftg: invalid request: decade origin is not a number"
 
     def test_negative_origin_with_exponent_is_a_value(self, capsys):
         argv = ("plotdata", "--bundled", "--mode", "histogram", "--origin")

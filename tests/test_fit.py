@@ -731,6 +731,17 @@ class TestFitFtg:
         assert fit_scaled.params.sigma == pytest.approx(ftg_fit.params.sigma * c, rel=1e-6)
         assert fit_scaled.loglik == pytest.approx(ftg_fit.loglik - n * math.log(c), abs=1e-5)
 
+    def test_far_scaled_data_fit_or_raise_fit_error(self, losses, ftg_fit):
+        # sigma**3 underflows to 0 at 1e-110 and sigma**2 overflows at 1e110:
+        # both fits once ended there in ZeroDivisionError and OverflowError
+        for c in (1e-100, 1e100):
+            fit = fit_ftg(Sample(losses.values * c))
+            assert fit.params.alpha == pytest.approx(ftg_fit.params.alpha, rel=1e-8), c
+        for c in (1e-110, 1e110):
+            for fit in (fit_pareto, fit_ftg):
+                with pytest.raises(FitError, match="float range"):
+                    fit(Sample(losses.values * c))
+
     UNIT_INPUTS = {
         "bundled": lambda losses: losses.values,
         "gamma(0.5)": lambda _: ftg_rvs(FtgParams.gamma(0.5, 1.0), 40,

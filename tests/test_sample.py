@@ -139,6 +139,15 @@ class TestSampleFtg:
             p = FtgParams.from_sigma(alpha, 1.0, rho)
             _assert_quantile_shares(p, sample_ftg(p, 200_000, RngStream(13, i)).values)
 
+    @pytest.mark.parametrize("alpha, rho", [(1e160, 1.0), (-1e300, 1.0), (2.0, 1e160)])
+    def test_shifted_exponential_rate_overflow_refused(self, alpha, rho):
+        # (rho - alpha)^2 overflows: once an OverflowError from the rate
+        p = FtgParams(alpha, 1.0, rho)
+        with pytest.raises(ValueError, match="rate overflows"):
+            sample_ftg(p, 3, RngStream(1))
+        with pytest.raises(ValueError, match="rate overflows"):
+            ftg_rvs(p, 3, RngStream(1), take=lambda x: None)
+
 
 class TestBulkSampler:
     def test_matches_diagnostic_sampler(self, ftg_fit):
@@ -327,9 +336,10 @@ class TestBlockLoop:
          239_719, 0.2914411074136809),
     ]
 
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_pinned_from_the_serial_loop(self, monkeypatch, cpus):
-        set_usable_cpus(monkeypatch, cpus)
+    def test_pinned_from_the_serial_loop(self, monkeypatch):
+        # two usable CPUs, where a helper that drew ahead would act; no
+        # code under test reads the count
+        set_usable_cpus(monkeypatch, 2)
         for p, n, key, digest, attempts, after in self.PINNED:
             rng = RngStream(*key)
             vals = ftg_rvs(p, n, rng)
@@ -390,7 +400,7 @@ class TestBlockLoop:
         assert gen.faulty_thread is threading.current_thread()
         assert gen.fills == fail_at  # nothing is drawn after the failure
 
-    def test_judge_failure_ends_the_draw(self, ftg_fit, monkeypatch):
+    def test_arithmetic_failure_ends_the_draw(self, ftg_fit, monkeypatch):
         # block 2's uniforms come one short: the arithmetic on them raises,
         # and no later block is drawn
         set_usable_cpus(monkeypatch, 2)
