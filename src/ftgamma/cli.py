@@ -213,7 +213,9 @@ def _bootstrap_report(study, seed: int) -> tuple[int, dict, str]:
         })
         tag = "orig" if r.sample_id == 0 else f"{r.sample_id:4d}"
         if not r.ok:
-            lines.append(f"{tag:>6}    fit failed: {r.error}")
+            # a row whose simulation failed keeps its fits
+            stage = "simulation" if r.ftg_fit else "fit"
+            lines.append(f"{tag:>6}    {stage} failed: {r.error}")
             continue
         pp, fp = r.pareto_fit.params, r.ftg_fit.params
         if fp.is_interior:

@@ -99,7 +99,7 @@ def bootstrap_pvalue(sample, family: str, n_boot: int, rng: RngStream) -> GofRep
         except (FitError, ValueError):
             return None
 
-    ran = _map_replicates(replicate, n_boot)
+    ran = _map_replicates(replicate, n_boot, _PER_WORKER)
     exceed_w2 = exceed_a2 = 0
     failures = 0
     done = 0
@@ -127,12 +127,13 @@ def bootstrap_pvalue(sample, family: str, n_boot: int, rng: RngStream) -> GofRep
 
 
 # A worker must earn its start. The fork blocks the parent for 1.5-2.5 ms,
-# the child's first replicates run about 7.5 ms slower in all while it
-# faults in the pages it shares with the parent, and its exit and reaping
-# take a few ms more: about eight replicates of 1.5 ms, a 40-point FTG refit
-# (2-core x86_64, Python 3.11). With at least _PER_WORKER replicates for each
-# worker, that stays near a third of its share, and a many-core host forks
-# at most three workers for 99 replicates.
+# the child's first tasks run about 7.5 ms slower in all while it faults in
+# the pages it shares with the parent, and its exit and reaping take a few
+# ms more: some 12 ms, or about eight replicates of 1.5 ms, a 40-point FTG
+# refit (2-core x86_64, Python 3.11). The caller of _map_replicates states
+# how many of its tasks a worker's share must hold: bootstrap_pvalue asks
+# for _PER_WORKER replicates, so that the start stays near a third of a
+# share, and a many-core host forks at most three workers for 99 replicates.
 _PER_WORKER = 25
 # a ticket is 4 bytes; 1024 of them fill a 4 KiB page, which any pipe holds,
 # so the parent writes every ticket before a process reads one
@@ -140,7 +141,7 @@ _MAX_TICKETS = 1024
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: bootstrap_pvalue forks workers
+    """The CPUs this process may run on: _map_replicates forks workers
     only where there is more than one."""
     try:
         return len(os.sched_getaffinity(0))
@@ -148,33 +149,42 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_replicates(replicate, n_boot: int) -> dict:
-    """{b: replicate(b)} for b in range(n_boot), computed by this process
-    and by min(usable CPUs - 1, n_boot // _PER_WORKER) forked workers.
+def _worker_count(n_tasks: int, per_worker: int) -> int:
+    """The workers _map_replicates forks, where it may, for n_tasks tasks
+    when each worker's share must hold at least per_worker of them: one for
+    each usable CPU beyond this process's own, as far as the tasks go."""
+    return min(_usable_cpus() - 1, n_tasks // per_worker)
+
+
+def _map_replicates(task, n_tasks: int, per_worker: int) -> dict:
+    """{i: task(i)} for i in range(n_tasks), computed by this process and
+    by _worker_count(n_tasks, per_worker) forked workers. The tasks are
+    gof's bootstrap replicates or the bootstrap study's simulations; each
+    must depend on its index alone, not on which tasks ran before it.
 
     Workers are forked only where os.fork exists and this process runs no
     other thread; otherwise the same loop runs here with none. The start of
-    every chunk of replicates is a ticket in one pipe, and each process,
-    this one included, claims the next chunk with one read until the pipe
-    is empty, so a worker on a core the host is busy with claims fewer.
-    Each worker sends its share back in one pickle and ends in os._exit.
-    A replicate that raised or warned where it ran is left out of the map,
-    as is every replicate of a worker that did not exit cleanly: the caller
-    runs those again itself, in order. Every worker is reaped before this
-    returns or raises, and killed first if this process's own share raised.
+    every chunk of tasks is a ticket in one pipe, and each process, this one
+    included, claims the next chunk with one read until the pipe is empty,
+    so a worker on a core the host is busy with claims fewer. Each worker
+    sends its share back in one pickle and ends in os._exit. A task that
+    raised or warned where it ran is left out of the map, as is every task
+    of a worker that did not exit cleanly: the caller runs those again
+    itself, in order. Every worker is reaped before this returns or raises,
+    and killed first if this process's own share raised.
     """
     import pickle
     import signal
     import struct
     import threading
 
-    chunk = -(-n_boot // _MAX_TICKETS)
-    starts = range(0, n_boot, chunk)
+    chunk = -(-n_tasks // _MAX_TICKETS) or 1
+    starts = range(0, n_tasks, chunk)
     tickets, write_end = os.pipe()
     os.write(write_end, struct.pack(f"={len(starts)}I", *starts))
     os.close(write_end)
     forks = hasattr(os, "fork") and threading.active_count() == 1
-    n_workers = min(_usable_cpus() - 1, n_boot // _PER_WORKER) if forks else 0
+    n_workers = _worker_count(n_tasks, per_worker) if forks else 0
     workers = []  # (pid, read end of its result pipe)
     aborted = True
     try:
@@ -187,17 +197,17 @@ def _map_replicates(replicate, n_boot: int) -> dict:
                 os.close(write_end)
                 break
             if pid == 0:
-                _work(replicate, tickets, chunk, n_boot, write_end)
+                _work(task, tickets, chunk, n_tasks, write_end)
             os.close(write_end)
             workers.append((pid, read_end))
         if workers:
             with warnings.catch_warnings():
-                # a warning here would come before those of earlier
-                # replicates that workers ran: raise it, and rerun in order
+                # a warning here would come before those of earlier tasks
+                # that workers ran: raise it, and rerun in order
                 warnings.simplefilter("error")
-                ran = _run_share(replicate, tickets, chunk, n_boot)
+                ran = _run_share(task, tickets, chunk, n_tasks)
         else:
-            ran = _run_share(replicate, tickets, chunk, n_boot)
+            ran = _run_share(task, tickets, chunk, n_tasks)
         payloads = []
         for _, fd in workers:
             with open(fd, "rb", closefd=False) as pipe:
@@ -217,10 +227,10 @@ def _map_replicates(replicate, n_boot: int) -> dict:
     return ran
 
 
-def _run_share(replicate, tickets: int, chunk: int, n_boot: int) -> dict:
-    """{b: replicate(b)} over the chunks this process claims from the ticket
+def _run_share(task, tickets: int, chunk: int, n_tasks: int) -> dict:
+    """{i: task(i)} over the chunks this process claims from the ticket
     pipe, until the pipe is empty. An exception, a warning raised as one
-    among them, ends the share and leaves its replicate out, and so does the
+    among them, ends the share and leaves its task out, and so does the
     end of this process's parent: a worker whose caller was killed stops
     claiming."""
     import struct
@@ -229,15 +239,15 @@ def _run_share(replicate, tickets: int, chunk: int, n_boot: int) -> dict:
     ran = {}
     while os.getppid() == parent and (ticket := os.read(tickets, 4)):
         (start,) = struct.unpack("=I", ticket)
-        for b in range(start, min(start + chunk, n_boot)):
+        for i in range(start, min(start + chunk, n_tasks)):
             try:
-                ran[b] = replicate(b)
+                ran[i] = task(i)
             except Exception:
                 return ran
     return ran
 
 
-def _work(replicate, tickets: int, chunk: int, n_boot: int, out: int):
+def _work(task, tickets: int, chunk: int, n_tasks: int, out: int):
     """A forked worker: run a share with every warning raised, send it to
     the parent in one pickle, and end. It never returns into its caller's
     stack, and os._exit leaves the stdout it inherited unflushed."""
@@ -246,7 +256,7 @@ def _work(replicate, tickets: int, chunk: int, n_boot: int, out: int):
     code = 1
     try:
         warnings.simplefilter("error")
-        ran = _run_share(replicate, tickets, chunk, n_boot)
+        ran = _run_share(task, tickets, chunk, n_tasks)
         with open(out, "wb") as pipe:
             pickle.dump(ran, pipe)
         code = 0

@@ -5,7 +5,9 @@ i.i.d. severities L_i drawn from a fitted tail model. Risk capital is the
 empirical 99.9% quantile of simulated aggregates; the bootstrap study
 refits resampled datasets with both severity families to expose how
 unstable the Pareto capital estimate is next to the full-tails gamma one.
-It fits every resample but simulates only the rows it reports.
+It fits every resample, one after another in the calling process, but
+simulates only the rows it reports; those simulations run apart, on
+gof's forked workers where they pay for their start.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .data import Sample
 from .dist import FtgParams, conditional_mean_excess, model_to_dict, moments
 from .errors import FitError
 from .fit import FitResult, _fit_family, fit_ftg
+from .gof import _map_replicates
 from .sample import _BLOCK, RngStream, ftg_rvs
 
 _REPORT_LEVELS = (0.5, 0.9, 0.99, 0.999)
@@ -197,31 +200,69 @@ class BootstrapStudy:
         return [*self.rows, self.original]
 
 
-def _failed_row(sample_id: int, exc: Exception) -> BootstrapRow:
-    return BootstrapRow(sample_id, error=str(exc))
-
-
 def _fit_row(smp: Sample, sample_id: int) -> BootstrapRow:
     try:
         ftg = fit_ftg(smp)
     except (FitError, ValueError) as exc:
-        return _failed_row(sample_id, exc)
+        return BootstrapRow(sample_id, error=str(exc))
     return BootstrapRow(sample_id, ftg_fit=ftg)
 
 
-def _simulate_row(row: BootstrapRow, cfg: RiskConfig, rng: RngStream) -> BootstrapRow:
-    """Both risk capitals of a fitted row, each from its own child stream of
-    the row's sample id, so a row's capitals do not depend on which other
-    rows are simulated."""
-    if not row.ok:
-        return row
-    try:
-        rc_p = simulate_aggregate(row.pareto_fit.params, cfg, rng.child(row.sample_id, 0))
-        rc_f = simulate_aggregate(row.ftg_fit.params, cfg, rng.child(row.sample_id, 1))
-    except (FitError, ValueError) as exc:
-        return _failed_row(row.sample_id, exc)
-    return replace(row, pareto_risk_capital=rc_p.risk_capital,
-                   ftg_risk_capital=rc_f.risk_capital)
+# A simulation costs some 28-34 ns per variate, drawn and folded into the
+# annual totals, and a forked worker some 12 ms to start (see gof._PER_WORKER;
+# 2-core x86_64, Python 3.11). A worker's share of the study's simulations
+# must draw at least _WORKER_VARIATES variates, about 36 ms of work, so
+# that its start stays near a third of it, as in gof: one worker for three
+# or more simulations of 2e4 years at lambda = 20, none for a study of 1e4
+# years at lambda = 0.3.
+_WORKER_VARIATES = 1_200_000
+
+
+def _sims_per_worker(cfg: RiskConfig) -> int:
+    """The simulations a forked worker's share must hold to draw
+    _WORKER_VARIATES variates, at about cfg.lam * cfg.n_sims each; at least
+    one, also for an infinite rate."""
+    return max(1, math.ceil(_WORKER_VARIATES / max(cfg.lam * cfg.n_sims, 1.0)))
+
+
+def _simulate_rows(rows: list[BootstrapRow], cfg: RiskConfig,
+                   rng: RngStream) -> list[BootstrapRow]:
+    """rows, with both risk capitals of each fitted one.
+
+    Each capital comes from its own child stream of the row's sample id, so
+    a row's capitals do not depend on which other rows are simulated, and
+    the simulations run apart, as gof's replicates do (see
+    gof._map_replicates). They are folded here in the serial order, the
+    Pareto then the FTG simulation of each row, and one that warned or
+    raised where it ran runs again here; a row whose Pareto simulation
+    fails keeps its fits, records the error and runs no FTG simulation.
+    """
+    tasks = [(row, side) for row in rows if row.ok for side in (0, 1)]
+
+    def simulate(i: int) -> float:
+        row, side = tasks[i]
+        fit = row.ftg_fit if side else row.pareto_fit
+        return simulate_aggregate(fit.params, cfg,
+                                  rng.child(row.sample_id, side)).risk_capital
+
+    ran = _map_replicates(simulate, len(tasks), _sims_per_worker(cfg))
+
+    def capital(i: int) -> float:
+        return ran[i] if i in ran else simulate(i)
+
+    simulated, i = [], 0
+    for row in rows:
+        if row.ok:
+            try:
+                rc_p = capital(i)
+                rc_f = capital(i + 1)
+            except (FitError, ValueError) as exc:
+                row = replace(row, error=str(exc))
+            else:
+                row = replace(row, pareto_risk_capital=rc_p, ftg_risk_capital=rc_f)
+            i += 2
+        simulated.append(row)
+    return simulated
 
 
 def _check_study(n_bootstrap: int, keep_every: int) -> None:
@@ -237,9 +278,15 @@ def bootstrap_study(sample, n_bootstrap: int, keep_every: int,
     Fits Pareto and FTG to each of n_bootstrap resamples, sorts the fitted
     rows by the Pareto tail parameter and keeps every keep_every-th row.
     Only the kept rows and the original sample are then simulated, so the
-    choice of rows depends on the fits alone. Rows whose fit or simulation
-    fails are listed last, in sample-id order, with their error recorded
-    rather than aborting the study.
+    choice of rows depends on the fits alone. The fits run one after
+    another here, the resamples drawn from one generator, then the original
+    sample's; the simulations run apart, on forked workers where more than
+    one CPU is usable and their variates pay for a worker's start (see
+    _simulate_rows), and the rows, errors and warnings are those of one
+    process running them in order, on any number of CPUs. Rows whose fit
+    or simulation fails are listed last, in sample-id order, with their
+    error recorded rather than aborting the study; a failed simulation
+    keeps its row's fits.
     """
     _check_study(n_bootstrap, keep_every)
     smp = Sample.coerce(sample)
@@ -248,11 +295,11 @@ def bootstrap_study(sample, n_bootstrap: int, keep_every: int,
     rows = [_fit_row(smp.resample(resample_gen), b) for b in range(1, n_bootstrap + 1)]
     fitted = sorted((r for r in rows if r.ok), key=lambda r: r.pareto_fit.params.alpha)
     chosen = fitted[::keep_every][: n_bootstrap // keep_every]
-    kept = [_simulate_row(r, cfg, rng) for r in chosen]
+    *kept, original = _simulate_rows([*chosen, _fit_row(smp, 0)], cfg, rng)
     failed = sorted((r for r in rows + kept if not r.ok), key=lambda r: r.sample_id)
     return BootstrapStudy(
         rows=[r for r in kept if r.ok] + failed,
-        original=_simulate_row(_fit_row(smp, 0), cfg, rng),
+        original=original,
         selection_rule=(
             f"sorted by Pareto alpha, kept every {keep_every}-th of "
             f"{n_bootstrap} resamples; fit failures listed last"

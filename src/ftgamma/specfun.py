@@ -499,7 +499,10 @@ def log_upper_inc_gamma(alpha: float, rho):
     return out.reshape(y.shape)
 
 
-@dataclass(frozen=True)
+# slotted rather than frozen: a frozen dataclass's __init__ sets each field
+# through object.__setattr__, and took about 1.1 us of the 9.4 us of one
+# inc_gamma_eval at (-0.2, 4e-4); this one, built positionally, about 0.3 us
+@dataclass(slots=True)
 class IncGammaEval:
     """d = log Gamma(alpha, rho), its partials d_alpha, d_rho, d_alpha_alpha
     and d_alpha_rho, and log_value_up = log Gamma(alpha + 1, rho).
@@ -536,7 +539,6 @@ def inc_gamma_eval(alpha: float, rho: float) -> IncGammaEval:
         raise ValueError("alpha and rho must be numbers")
     d0, da, daa, d_up = _log_gamma(alpha, rho, True)
     dr = -math.exp((alpha - 1.0) * math.log(rho) - rho - d0)
-    # positional: a frozen dataclass takes twice as long by keyword
     return IncGammaEval(d0, da, dr, daa, dr * (math.log(rho) - da), d_up)
 
 

@@ -1,12 +1,14 @@
 """Helpers that only tests use: reading a fit back from its JSON form, the
 paper's log-log slope of a binned density, the threshold rescaling of raw
-exceedances, a near-constant sample, the usable CPUs a test pretends to have
-and the environment of a child interpreter."""
+exceedances, a near-constant sample, the usable CPUs a test pretends to have,
+a check that no forked worker was left behind and the environment of a child
+interpreter."""
 
 import os
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
 import ftgamma
 from ftgamma import FitResult, FtgParams, Sample
@@ -62,9 +64,16 @@ def near_constant_sample(seed: int = 1, spread: float = 3e-8) -> np.ndarray:
 
 
 def set_usable_cpus(monkeypatch, cpus: int):
-    """Let gof's bootstrap see `cpus` usable CPUs, whatever this machine
+    """Let gof's fork map, which runs the gof bootstrap's replicates and the
+    risk study's simulations, see `cpus` usable CPUs, whatever this machine
     has; the sampler draws on the calling thread whatever it is."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def child_env() -> dict:

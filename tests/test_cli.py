@@ -436,6 +436,34 @@ class TestRisk:
         assert lines[-2:-1] == ["     3    fit failed: injected"]
         assert lines[-1].split()[0] == "orig"
 
+    @pytest.mark.parametrize("rate", ["1e19", "inf"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bootstrap_simulation_failures_keep_their_fits(self, capsys, monkeypatch,
+                                                           cpus, rate):
+        # a Poisson rate this large fails every simulation; each row reads
+        # as a failed simulation, and its fits are those of a study that
+        # simulates, since the row choice depends on the fits alone
+        set_usable_cpus(monkeypatch, cpus)
+        study = ("risk", "--bundled", "--bootstrap", "10", "--keep-every", "5",
+                 "--n-sims", "10000", "--seed", "3")
+        code, out, _ = run_cli(capsys, *study, "--lambda", rate)
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            f"{tag:>6}    simulation failed: lam value too large"
+            for tag in ("   1", "   7", "orig")]
+        code, out, _ = run_cli(capsys, *study, "--lambda", rate, "--json")
+        assert code == 0
+        failed = json.loads(out)["rows"]
+        _, out, _ = run_cli(capsys, *study, "--json")
+        simulated = {r["sample_id"]: r for r in json.loads(out)["rows"]}
+        assert [r["sample_id"] for r in failed] == [1, 7, 0]
+        for row in failed:
+            assert (row["ok"], row["error"]) == (False, "lam value too large")
+            assert row["pareto_risk_capital"] is None and row["ftg_risk_capital"] is None
+            fits = simulated[row["sample_id"]]
+            assert row["pareto"] == fits["pareto"] is not None
+            assert row["ftg"] == fits["ftg"] is not None
+
     def test_level_outside_the_unit_interval_is_invalid_request(self, capsys):
         code, _, err = run_cli(capsys, "risk", "--bundled", "--level", "1.5")
         assert code == 1

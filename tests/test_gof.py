@@ -28,7 +28,7 @@ from ftgamma import (
 from ftgamma import gof
 from ftgamma.fit import _fit_family
 
-from helpers import child_env, loglog_least_squares, set_usable_cpus
+from helpers import child_env, loglog_least_squares, no_child_left, set_usable_cpus
 
 
 class TestCvmAdStatistics:
@@ -147,11 +147,6 @@ class TestBootstrapPvalue:
         assert rpt.p_w2 > 0.01 and rpt.p_a2 > 0.01
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _replicates(losses, family, seed, n_boot=99):
     """{bytes of replicate b's values: b}: how a replaced refit tells which
     replicate it was handed, in whichever process runs it."""
@@ -178,7 +173,7 @@ class TestBootstrapRefitFailures:
         try:
             return bootstrap_pvalue(losses, "pareto", 99, RngStream(5))
         finally:
-            _no_child_left()
+            no_child_left()
 
     @staticmethod
     def _statistics(losses):
@@ -233,7 +228,7 @@ class TestBootstrapOnWorkers:
         set_usable_cpus(monkeypatch, cpus)
         for (family, seed), fields in self.PINNED.items():
             rpt = bootstrap_pvalue(losses, family, 99, RngStream(seed))
-            _no_child_left()
+            no_child_left()
             assert tuple(rpt.to_dict().values()) == fields, (family, seed)
 
     @staticmethod
@@ -265,7 +260,7 @@ class TestBootstrapOnWorkers:
         here = self._inject(losses, monkeypatch, cpus, effect)
         with pytest.raises(NumericsError, match="injected at 30"):
             bootstrap_pvalue(losses, "ftg", 99, RngStream(11))
-        _no_child_left()
+        no_child_left()
         assert here[-1] == 30
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -281,7 +276,7 @@ class TestBootstrapOnWorkers:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rpt = bootstrap_pvalue(losses, "ftg", 99, RngStream(11))
-        _no_child_left()
+        no_child_left()
         assert [str(w.message) for w in caught] == [f"injected at {b}" for b in warned]
         assert tuple(rpt.to_dict().values()) == self.PINNED["ftg", 11]
         assert set(warned) <= set(here)
@@ -299,7 +294,7 @@ class TestBootstrapOnWorkers:
         set_usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(gof, "_run_share", share)
         rpt = bootstrap_pvalue(losses, "ftg", 99, RngStream(11))
-        _no_child_left()
+        no_child_left()
         assert tuple(rpt.to_dict().values()) == self.PINNED["ftg", 11]
         assert 99 - claimed[0] > 0  # the worker ran, and claimed less
         assert claimed[0] > 99 - claimed[0]

@@ -1,5 +1,7 @@
 import math
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from ftgamma import (
     FitError,
     FtgParams,
+    NumericsError,
     RiskConfig,
     RiskReport,
     RngStream,
@@ -16,10 +19,10 @@ from ftgamma import (
     simulate_aggregate,
 )
 
-from ftgamma import risk
+from ftgamma import gof, risk
 from ftgamma.dist import cdf
 
-from helpers import rescale_to_threshold, set_usable_cpus
+from helpers import no_child_left, rescale_to_threshold, set_usable_cpus
 from oracles import aggregate_direct, compound_poisson_fft, poisson_quantile_exact
 
 
@@ -272,6 +275,9 @@ class TestBootstrapStudy:
                 return func(*args, **kwargs)
             return wrapper
 
+        # the counts are this process's: at one usable CPU it runs every
+        # simulation itself
+        set_usable_cpus(monkeypatch, 1)
         monkeypatch.setattr(risk, "fit_ftg", counted("fit", risk.fit_ftg))
         monkeypatch.setattr(risk, "simulate_aggregate",
                             counted("simulate", risk.simulate_aggregate))
@@ -317,10 +323,12 @@ class TestBootstrapStudy:
         n = len(survivors)
         assert capitals(study.rows[:n]) == capitals(survivors)
         assert [r.sample_id for r in study.rows[n:]] == failed_ids
-        for row in study.rows[n:]:
+        # a failed simulation keeps the row's fits
+        for row, fitted in zip(study.rows[n:], sorted(doomed, key=lambda r: r.sample_id)):
             assert row.error == "injected"
-            assert row.pareto_fit is None and row.pareto_risk_capital is None
-            assert row.ftg_fit is None and row.ftg_risk_capital is None
+            assert row.pareto_fit.params == fitted.pareto_fit.params
+            assert row.ftg_fit.params == fitted.ftg_fit.params
+            assert row.pareto_risk_capital is None and row.ftg_risk_capital is None
         assert capitals([study.original]) == capitals([clean.original])
 
     def test_fit_failures_come_last_with_their_errors(self, losses, monkeypatch):
@@ -341,3 +349,144 @@ class TestBootstrapStudy:
         assert all(r.ok for r in study.rows[:2]) and study.original.ok
         assert [(r.sample_id, r.ok, r.error) for r in study.rows[2:]] == [
             (3, False, "injected 3"), (7, False, "injected 7")]
+
+
+    def test_every_fit_failing_simulates_nothing(self, losses, monkeypatch):
+        def failing(smp):
+            raise FitError("injected")
+
+        monkeypatch.setattr(risk, "fit_ftg", failing)
+        study = bootstrap_study(losses, 4, 2, RiskConfig(lam=20.0, n_sims=10_000, seed=7))
+        assert [(r.sample_id, r.error) for r in study.all_rows()] == [
+            (b, "injected") for b in (1, 2, 3, 4, 0)]
+
+def _capitals(study):
+    return [(r.sample_id, r.pareto_risk_capital, r.ftg_risk_capital, r.error)
+            for r in study.all_rows()]
+
+
+class TestStudyOnWorkers:
+    """The study's simulations spread over gof's forked workers; every row,
+    error and warning is that of one process running them in order."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_rows_equal_the_serial_study(self, losses, monkeypatch, cpus):
+        fork, forked = os.fork, []
+
+        def counted():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        for seed in (7, 8):
+            cfg = RiskConfig(lam=20.0, n_sims=20_000, seed=seed)
+            # the serial study, and each of its capitals drawn on its own
+            set_usable_cpus(monkeypatch, 1)
+            serial = bootstrap_study(losses, 20, 10, cfg)
+            rng = RngStream(seed)
+            assert _capitals(serial) == [
+                (r.sample_id,
+                 simulate_aggregate(r.pareto_fit.params, cfg,
+                                    rng.child(r.sample_id, 0)).risk_capital,
+                 simulate_aggregate(r.ftg_fit.params, cfg,
+                                    rng.child(r.sample_id, 1)).risk_capital,
+                 None)
+                for r in serial.all_rows()]
+            set_usable_cpus(monkeypatch, cpus)
+            study = bootstrap_study(losses, 20, 10, cfg)
+            no_child_left()
+            assert _capitals(study) == _capitals(serial), seed
+        # six simulations of 4e5 variates in each study: two workers' worth,
+        # where the CPUs allow, and none in the serial ones
+        assert len(forked) == 2 * min(cpus - 1, 2)
+
+    @staticmethod
+    def _inject(monkeypatch, cpus, effect, log):
+        """At `cpus` usable CPUs, let effect(sample_id, side) run at the start
+        of each simulation, in whichever process runs it, and append that
+        process's id and the simulation to the file log; returns the
+        simulations this process ran, in order."""
+        parent, here = os.getpid(), []
+
+        def injected(severity, cfg, rng):
+            task = rng._path
+            if os.getpid() == parent:
+                here.append(task)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {task}\n")
+            effect(*task)
+            return simulate_aggregate(severity, cfg, rng)
+
+        set_usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(risk, "simulate_aggregate", injected)
+        return here
+
+    @staticmethod
+    def _ran_in_a_worker(log) -> bool:
+        return any(int(line.split()[0]) != os.getpid()
+                   for line in log.read_text().splitlines())
+
+    def test_failures_and_warnings_are_the_serial_studys(self, losses, monkeypatch,
+                                                          tmp_path):
+        cfg = RiskConfig(lam=20.0, n_sims=20_000, seed=7)
+        # every FTG simulation warns, and the first kept row's Pareto
+        # simulation fails, so that its FTG one never runs in order
+        def effect(sample_id, side):
+            if (sample_id, side) == (16, 0):
+                raise ValueError(f"injected at {sample_id}")
+            if side == 1:
+                warnings.warn(f"injected at {sample_id}")
+
+        results = {}
+        for cpus in (1, 2, 3):
+            log = tmp_path / f"ran-{cpus}"
+            self._inject(monkeypatch, cpus, effect, log)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                study = bootstrap_study(losses, 20, 10, cfg)
+            no_child_left()
+            results[cpus] = _capitals(study), [str(w.message) for w in caught]
+            if cpus > 1:
+                assert self._ran_in_a_worker(log)
+        rows, messages = results[1]
+        assert messages == ["injected at 15", "injected at 0"]
+        # the failed row keeps its fits and comes after the kept one
+        assert [r[0] for r in rows] == [15, 16, 0]
+        assert rows[1] == (16, None, None, "injected at 16")
+        assert results[2] == results[1] and results[3] == results[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_an_error_raises_in_the_caller_at_its_simulation(self, losses, monkeypatch,
+                                                             cpus, tmp_path):
+        def effect(sample_id, side):
+            if (sample_id, side) in ((15, 0), (0, 1)):
+                raise NumericsError(f"injected at {sample_id}")
+
+        log = tmp_path / "ran"
+        here = self._inject(monkeypatch, cpus, effect, log)
+        with pytest.raises(NumericsError, match="injected at 15"):
+            bootstrap_study(losses, 20, 10, RiskConfig(lam=20.0, n_sims=20_000, seed=7))
+        no_child_left()
+        assert here[-1] == (15, 0)
+        if cpus > 1:
+            assert self._ran_in_a_worker(log)
+
+    def test_worker_rule(self, monkeypatch):
+        for cpus in range(1, 9):
+            set_usable_cpus(monkeypatch, cpus)
+            for n_boot in (99, 100, 999, 5000):
+                assert (gof._worker_count(n_boot, gof._PER_WORKER)
+                        == min(cpus - 1, n_boot // 25)), (cpus, n_boot)
+        # the benchmark's study: six simulations of 2e4 years at lambda = 20
+        set_usable_cpus(monkeypatch, 2)
+        boot = RiskConfig(lam=20.0, n_sims=20_000)
+        assert gof._worker_count(6, risk._sims_per_worker(boot)) == 1
+        # 1e4 years at lambda = 0.3 draw some 3,000 variates: no worker pays
+        sparse = RiskConfig(lam=0.3, n_sims=10_000)
+        for cpus in (2, 8):
+            set_usable_cpus(monkeypatch, cpus)
+            assert gof._worker_count(6, risk._sims_per_worker(sparse)) == 0
+        # an infinite rate, whose simulations fail at once, asks for one each
+        assert risk._sims_per_worker(RiskConfig(lam=math.inf, n_sims=10_000)) == 1

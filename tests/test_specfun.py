@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -258,7 +259,7 @@ class TestMpmathOracle:
                 for r in (1e-12, 4.3e-4, 0.7, 1.5, seam, seam * (1.0 + 1e-9), 30.0,
                           700.0):
                     ev = inc_gamma_eval(a, r)
-                    got = {**vars(ev), "d_rho_rho": d_rho_rho(a, r, ev.d_rho)}
+                    got = {**asdict(ev), "d_rho_rho": d_rho_rho(a, r, ev.d_rho)}
                     for name, want in self._reference(mpmath, a, r).items():
                         err = float(abs(got[name] - want) / max(1, abs(want)))
                         if err > worst[name][0]:
